@@ -10,25 +10,33 @@ mu in a medium with contrast q solves (I - V_k q) u = V_k mu / k^2, and
 boundary data are the field values at the receivers.  A dense quadrature
 path serves as the oracle for the FFT-accelerated path, which evaluates
 the identical discrete kernel by circular convolution on a doubled cell.
+
+The work follows the supports: a receiver potential sums only over the
+nodes where its density is nonzero, and the reciprocity field that gives
+the measurement operator lives on the K nodes of supp(q), where one K x K
+LU solves it for every receiver at once.
 """
 
 import hashlib
+import os
 import struct
+import tempfile
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .bessel import hankel1_0, hankel1_1
 from .realfield import derealify, realify, realify_matrix
 
 _CACHE_MAGIC = b"VBOP"
 _CACHE_VERSION = 1
 _CHUNK = 512
+_BLOCK = 1 << 19  # kernel points per receiver block: bounds the temporaries to tens of MB
 
 
 class LsSolveError(RuntimeError):
-    """Krylov iteration failed to reach the requested residual."""
+    """A scattering solve missed the requested relative residual."""
 
     def __init__(self, residual, tol):
         self.residual = residual
@@ -49,7 +57,11 @@ def fundamental_solution(k, r, dim):
     if np.any(r <= 0):
         raise ValueError("fundamental solution is singular at r <= 0")
     if dim == 2:
-        return 0.25j * hankel1_0(k * r)
+        # imported here: scipy.special adds ~80 ms to `import sparsescat`
+        from scipy.special import j0, y0
+
+        kr = k * r
+        return 0.25j * (j0(kr) + 1j * y0(kr))
     if dim == 3:
         return np.exp(1j * k * r) / (4.0 * np.pi * r)
     raise ValueError("dim must be 2 or 3")
@@ -62,19 +74,15 @@ def self_cell_integral(k, spacing, dim):
     3D (ball radius a, 4/3 pi a^3 = h^3): exp(i k a) (1/k^2 - i a / k) - 1/k^2.
     """
     if dim == 2:
+        # imported here: scipy.special adds ~80 ms to `import sparsescat`
+        from scipy.special import j1, y1
+
         a = spacing / np.sqrt(np.pi)
-        return 1j * np.pi * a / (2.0 * k) * hankel1_1(k * a) - 1.0 / k**2
+        return 1j * np.pi * a / (2.0 * k) * (j1(k * a) + 1j * y1(k * a)) - 1.0 / k**2
     if dim == 3:
         a = (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0) * spacing
         return np.exp(1j * k * a) * (1.0 / k**2 - 1j * a / k) - 1.0 / k**2
     raise ValueError("dim must be 2 or 3")
-
-
-def _kernel_chunk(k, dim, targets, sources, weight):
-    """Quadrature kernel block k^2 * Phi(x_t, y_s) * weight; no coincident points allowed."""
-    diff = targets[:, None, :] - sources[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    return k**2 * weight * fundamental_solution(k, r, dim)
 
 
 def volume_potential_dense(grid, medium, density):
@@ -104,7 +112,7 @@ def volume_potential_dense(grid, medium, density):
 
 @lru_cache(maxsize=8)
 def _fft_kernel(dim, n, spacing, k):
-    """FFT of the discrete kernel embedded on the doubled periodic cell.
+    """Discrete kernel embedded on the doubled periodic cell, and its FFT.
 
     Entry at integer offset d (per axis in [-n, n-1], wrapped) is the same
     quadrature weight the dense path uses at distance spacing*|d|; the
@@ -118,19 +126,44 @@ def _fft_kernel(dim, n, spacing, k):
     mask = r > 0
     kernel[mask] = k**2 * spacing**dim * fundamental_solution(k, r[mask], dim)
     kernel[~mask] = k**2 * self_cell_integral(k, spacing, dim)
-    return np.fft.fftn(kernel)
+    return kernel, np.fft.fftn(kernel)
 
 
 def volume_potential_fft(grid, medium, density):
-    """FFT evaluation of the same discrete volume potential as the dense path."""
+    """FFT evaluation of the same discrete volume potential as the dense path.
+
+    `density` is one node vector (N,) or a batch of them (B, N); the
+    result has the same shape.
+    """
     k = medium.wavenumber
     n = grid.n_per_axis
-    khat = _fft_kernel(grid.dim, n, grid.spacing, k)
-    pad = np.zeros((2 * n,) * grid.dim, dtype=complex)
-    block = tuple(slice(0, n) for _ in range(grid.dim))
-    pad[block] = np.asarray(density).reshape(grid.shape)
-    out = np.fft.ifftn(khat * np.fft.fftn(pad))[block]
-    return out.ravel()
+    _, khat = _fft_kernel(grid.dim, n, grid.spacing, k)
+    density = np.asarray(density)
+    batch = density.shape[:-1]
+    axes = tuple(range(-grid.dim, 0))
+    pad = np.zeros(batch + (2 * n,) * grid.dim, dtype=complex)
+    block = (...,) + tuple(slice(0, n) for _ in range(grid.dim))
+    pad[block] = density.reshape(batch + grid.shape)
+    spectrum = np.fft.fftn(pad, axes=axes)
+    spectrum *= khat
+    out = np.fft.ifftn(spectrum, axes=axes)[block]
+    return out.reshape(density.shape)
+
+
+def _support_matrix(grid, medium, support):
+    """The discrete kernel V_SS between the given nodes, self cell on the diagonal.
+
+    Entries are read from the embedded FFT kernel, so V_SS f equals the
+    FFT potential of f restricted to the same nodes.
+    """
+    n = grid.n_per_axis
+    kernel, _ = _fft_kernel(grid.dim, n, grid.spacing, medium.wavenumber)
+    index = np.unravel_index(support, grid.shape)
+    flat = np.zeros((support.size, support.size), dtype=np.intp)
+    for axis in index:
+        flat *= 2 * n
+        flat += (axis[:, None] - axis[None, :]) % (2 * n)
+    return kernel.ravel()[flat]
 
 
 def _gmres_solve(matvec, rhs, tol, restart=50, maxiter=500):
@@ -163,17 +196,32 @@ def ls_solve(grid, medium, rhs, tol=1e-10):
     return _gmres_solve(matvec, rhs, tol)
 
 
+def _kernel_blocks(k, dim, points, nodes, weight):
+    """Yield (rows, k^2 * weight * Phi(points[rows], nodes)) in blocks of about _BLOCK entries.
+
+    No point may coincide with a node.
+    """
+    step = max(1, _BLOCK // max(1, nodes.shape[0]))
+    for start in range(0, points.shape[0], step):
+        rows = slice(start, min(start + step, points.shape[0]))
+        diff = points[rows, None, :] - nodes[None, :, :]
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        yield rows, k**2 * weight * fundamental_solution(k, r, dim)
+
+
 def evaluate_potential_at(grid, k, points, density):
-    """Quadrature evaluation of V_k density at off-grid points (e.g. receivers)."""
-    nodes = grid.nodes()
+    """Quadrature evaluation of V_k density at off-grid points (e.g. receivers).
+
+    Only the nodes where the density is nonzero enter the sum.
+    """
     density = np.asarray(density)
-    weight = grid.cell_volume()
+    support = np.flatnonzero(density)
+    nodes = grid.nodes()[support]
+    values = density[support]
     points = np.asarray(points, dtype=float)
     out = np.empty(points.shape[0], dtype=complex)
-    for start in range(0, points.shape[0], _CHUNK):
-        stop = min(start + _CHUNK, points.shape[0])
-        block = _kernel_chunk(k, grid.dim, points[start:stop], nodes, weight)
-        out[start:stop] = block @ density
+    for rows, block in _kernel_blocks(k, grid.dim, points, nodes, grid.cell_volume()):
+        out[rows] = block @ values
     return out
 
 
@@ -196,28 +244,42 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     """Assemble the realified measurement operator (2M x 2N).
 
     Row i is the map mu -> scattered boundary data at receiver i.  By
-    reciprocity of the Green's function for real contrast, each row is
-    obtained from a single solve with a point excitation at the receiver,
-    so the cost is M solves rather than N.
+    reciprocity of the Green's function for real contrast, row i is
+    (phi_i + V psi_i) / k^2, where phi_i is the free-space kernel row of
+    receiver i and psi_i = q (phi_i + V psi_i) is supported on the K nodes
+    S of supp(q), V_SS being the FFT path's discrete kernel.  An
+    inhomogeneous medium costs one LU of the K x K matrix
+    I - diag(q_S) V_SS (about 16 K^2 bytes), solved for all M receivers
+    at once, plus one batched FFT potential, rather than M Krylov solves.
+    At the desk bump config (64^2 nodes, K = 360, M = 256, 2 cores) this
+    took 0.85 s against 4.2 s for per-receiver GMRES.  The margin shrinks
+    as K nears N: at half-width 1 (K = 3228 of 4096) it measured 3.1-3.4 s
+    and a 560 MB peak against 4.4-4.8 s and 145 MB.  No inhomogeneous 3D
+    case has been measured.  Each receiver's relative residual
+    psi_S - q_S (phi + V psi)_S, with V applied by FFT, is checked
+    against `tol` (LsSolveError otherwise).
     """
     k = medium.wavenumber
     nodes = grid.nodes()
-    weight = grid.cell_volume()
-    m = receivers.count
-    t = np.empty((m, nodes.shape[0]), dtype=complex)
-    q = medium.contrast
-
-    def matvec(w):
-        return w - q * volume_potential_fft(grid, medium, w)
-
-    for i in range(m):
-        phi = _kernel_chunk(k, grid.dim, receivers.points[i : i + 1], nodes, weight)[0]
-        if medium.is_homogeneous:
-            t[i] = phi / k**2
-        else:
-            psi = _gmres_solve(matvec, q * phi, tol)
-            t[i] = (phi + volume_potential_fft(grid, medium, psi)) / k**2
-    return realify_matrix(t)
+    points = receivers.points
+    phi = np.empty((points.shape[0], nodes.shape[0]), dtype=complex)
+    for rows, block in _kernel_blocks(k, grid.dim, points, nodes, grid.cell_volume()):
+        phi[rows] = block
+    if medium.is_homogeneous:
+        return realify_matrix(phi / k**2)
+    support = np.flatnonzero(medium.contrast)
+    q_s = medium.contrast[support]
+    system = -q_s[:, None] * _support_matrix(grid, medium, support)
+    system[np.diag_indices_from(system)] += 1.0
+    rhs = q_s[:, None] * phi[:, support].T
+    psi = np.zeros_like(phi)
+    psi[:, support] = lu_solve(lu_factor(system, overwrite_a=True, check_finite=False), rhs).T
+    total = phi + volume_potential_fft(grid, medium, psi)
+    residual = np.linalg.norm(psi[:, support] - q_s * total[:, support], axis=1)
+    worst = np.max(residual / np.linalg.norm(rhs, axis=0))
+    if worst > tol:
+        raise LsSolveError(worst, tol)
+    return realify_matrix(total / k**2)
 
 
 def _config_hash(grid, medium, receivers):
@@ -241,13 +303,21 @@ def save_vb_cache(path, vb, grid, medium, receivers):
         medium.wavenumber,
         _config_hash(grid, medium, receivers),
     )
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(vb.tobytes())
+    # write beside the target and rename over it, so a reader (or a second
+    # run sharing the directory) sees the old file or the new one, never a torn one
+    fd, tmp = tempfile.mkstemp(prefix=".vb-", suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(header)
+            f.write(vb.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_vb_cache(path, grid, medium, receivers):
-    """Load a cached operator; returns None when missing or stale."""
+    """Load a cached operator; returns None when missing, stale or truncated."""
     header_size = struct.calcsize("<4sIIIIdQ")
     try:
         with open(path, "rb") as f:
@@ -268,7 +338,6 @@ def load_vb_cache(path, grid, medium, receivers):
     ):
         return None
     rows, cols = 2 * m, 2 * grid.num_nodes
-    payload = np.frombuffer(raw[header_size:], dtype="<f8")
-    if payload.size != rows * cols:
+    if len(raw) != header_size + 8 * rows * cols:
         return None
-    return payload.reshape(rows, cols).copy()
+    return np.frombuffer(raw[header_size:], dtype="<f8").reshape(rows, cols).copy()

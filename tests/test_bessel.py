@@ -1,5 +1,7 @@
-"""Validation of the in-tree Bessel functions against independent oracles.
+"""Validation of the Bessel functions inside the 2D kernel against independent oracles.
 
+J0 and Y0 are read off the fundamental solution (i/4) H0^(1)(r) at k = 1,
+J1 and Y1 off the self-cell integral i pi a / 2 H1^(1)(a) - 1 at k = 1.
 The oracles are Mehler-Sonine integral representations evaluated by
 Gauss-Legendre quadrature (oscillatory part) and adaptive quadrature
 (exponential tail), plus ascending power series for small arguments.
@@ -7,9 +9,32 @@ They share no code or coefficients with the implementation under test.
 """
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
+from scipy.special import hankel1
 
-from sparsescat.bessel import hankel1_0, hankel1_1, j0, j1, y0, y1
+from sparsescat.forward import fundamental_solution, self_cell_integral
+
+
+def j0(x):
+    return 4.0 * np.imag(fundamental_solution(1.0, x, 2))
+
+
+def y0(x):
+    return -4.0 * np.real(fundamental_solution(1.0, x, 2))
+
+
+def _cell(x):
+    # the equal-area disk of a cell with spacing x sqrt(pi) has radius x
+    return self_cell_integral(1.0, np.asarray(x, dtype=float) * np.sqrt(np.pi), 2)
+
+
+def j1(x):
+    return np.imag(_cell(x)) * 2.0 / (np.pi * np.asarray(x))
+
+
+def y1(x):
+    return -(np.real(_cell(x)) + 1.0) * 2.0 / (np.pi * np.asarray(x))
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(400)
 _THETA = 0.5 * np.pi * (_GL_NODES + 1.0)  # map to (0, pi)
@@ -102,24 +127,20 @@ def test_small_argument_series():
     assert np.max(np.abs(y0(xs) - [series_y0(x) for x in xs])) < 1e-11
 
 
-def test_j1_odd_symmetry():
-    xs = np.linspace(0.1, 20.0, 50)
-    assert np.array_equal(j1(-xs), -j1(xs))
-
-
 def test_positive_argument_required():
-    import pytest
-
     with pytest.raises(ValueError):
-        y0(np.array([0.0]))
+        fundamental_solution(1.0, np.array([0.0]), 2)
     with pytest.raises(ValueError):
-        y1(np.array([-1.0]))
+        fundamental_solution(1.0, np.array([-1.0]), 2)
 
 
 def test_hankel_composition():
+    # against scipy's AMOS Hankel routine, an implementation independent of j0/y0/j1/y1
     x = np.linspace(0.1, 30.0, 64)
-    assert np.array_equal(hankel1_0(x), j0(x) + 1j * y0(x))
-    assert np.array_equal(hankel1_1(x), j1(x) + 1j * y1(x))
+    h0 = fundamental_solution(1.0, x, 2) / 0.25j
+    h1 = (_cell(x) + 1.0) / (0.5j * np.pi * x)
+    assert np.max(np.abs(h0 - hankel1(0, x)) / np.abs(hankel1(0, x))) < 1e-13
+    assert np.max(np.abs(h1 - hankel1(1, x)) / np.abs(hankel1(1, x))) < 1e-13
 
 
 def test_wronskian_identity():

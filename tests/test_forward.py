@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsescat import forward
 from sparsescat.forward import (
     LsSolveError,
     assemble_vb,
@@ -254,12 +255,9 @@ def test_assemble_block_structure():
     assert commutes_with_rotation(vb)
 
 
-def test_assemble_reciprocity_against_columns(rng):
+def _assert_rows_match_columns(g, med, recv, rng):
     # rows built from receiver-side excitations must match columns built by
     # forward solves on basis sources
-    g = Grid(dim=2, n_per_axis=12)
-    med = small_bump_medium(g, 4.0, strength=0.5)
-    recv = boundary_receivers(g, 3)
     vb = assemble_vb(g, med, recv, tol=1e-12)
     t = derealify_matrix(vb)
     for j in rng.choice(g.num_nodes, size=4, replace=False):
@@ -268,6 +266,70 @@ def test_assemble_reciprocity_against_columns(rng):
         col = source_to_measurement(g, med, recv, realify(basis), tol=1e-12)
         ref = np.concatenate([np.real(t[:, j]), np.imag(t[:, j])])
         assert np.max(np.abs(col - ref)) < 1e-8 * max(1.0, np.max(np.abs(t)))
+
+
+def test_assemble_reciprocity_against_columns(rng):
+    g = Grid(dim=2, n_per_axis=12)
+    med = small_bump_medium(g, 4.0, strength=0.5)
+    _assert_rows_match_columns(g, med, boundary_receivers(g, 3), rng)
+
+
+def two_blob_medium(grid, k):
+    """Contrast on two disjoint disks of a few cells each, so K << N."""
+    nodes = grid.nodes()
+    q = np.zeros(grid.num_nodes)
+    for center, value in (((-0.5, -0.4), 0.6), ((0.45, 0.5), -0.4)):
+        q[np.linalg.norm(nodes - center, axis=1) < 0.25] = value
+    return Medium(wavenumber=k, contrast=q, grid=grid)
+
+
+def full_support_medium(grid, k):
+    """Contrast nonzero on every node, so K == N."""
+    x, y = grid.nodes().T
+    return Medium(wavenumber=k, contrast=0.3 + 0.2 * np.cos(2.0 * x) * np.sin(3.0 * y + 0.1), grid=grid)
+
+
+@pytest.mark.parametrize(
+    "make,full", [(two_blob_medium, False), (full_support_medium, True)], ids=["two-blobs", "full-support"]
+)
+def test_assemble_support_against_columns(make, full, rng):
+    g = Grid(dim=2, n_per_axis=16)
+    med = make(g, 4.0)
+    support = np.count_nonzero(med.contrast)
+    assert support == g.num_nodes if full else 0 < support <= g.num_nodes // 8
+    _assert_rows_match_columns(g, med, boundary_receivers(g, 5), rng)
+
+
+def test_assemble_unreachable_tolerance_raises():
+    g = Grid(dim=2, n_per_axis=12)
+    med = small_bump_medium(g, 4.0, strength=0.5)
+    with pytest.raises(LsSolveError):
+        assemble_vb(g, med, boundary_receivers(g, 4), tol=1e-20)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 12), (3, 6)])
+def test_fft_batch_matches_rows(dim, n, rng):
+    g = Grid(dim=dim, n_per_axis=n)
+    med = homogeneous_medium(g, 3.0)
+    f = rng.standard_normal((5, g.num_nodes)) + 1j * rng.standard_normal((5, g.num_nodes))
+    rows = np.array([volume_potential_fft(g, med, row) for row in f])
+    assert np.array_equal(volume_potential_fft(g, med, f), rows)
+
+
+def test_potential_at_sparse_density_matches_full_sum(rng):
+    g = Grid(dim=2, n_per_axis=20)
+    k = 5.0
+    points = boundary_receivers(g, 9).points
+    density = np.zeros(g.num_nodes, dtype=complex)
+    idx = rng.choice(g.num_nodes, size=15, replace=False)
+    density[idx] = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+    nodes = g.nodes()
+    ref = np.array([
+        k**2 * g.cell_volume() * np.sum(fundamental_solution(k, np.linalg.norm(p - nodes, axis=1), 2) * density)
+        for p in points
+    ])
+    out = evaluate_potential_at(g, k, points, density)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_quadrature_convergence_reported(capsys):
@@ -311,3 +373,49 @@ def test_vb_cache_rejects_stale(tmp_path):
     assert load_vb_cache(path, g, other_q, recv) is None
     assert load_vb_cache(path, g, med, boundary_receivers(g, 5)) is None
     assert load_vb_cache(tmp_path / "missing.cache", g, med, recv) is None
+
+
+def test_vb_cache_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    g = Grid(dim=2, n_per_axis=10)
+    med = homogeneous_medium(g, 4.0)
+    recv = boundary_receivers(g, 6)
+    vb = assemble_vb(g, med, recv)
+    path = tmp_path / "vb.cache"
+    save_vb_cache(path, vb, g, med, recv)
+
+    real_fdopen = forward.os.fdopen
+
+    class DiskFull:
+        # writes the header, then fails halfway into the payload
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            if len(data) > 64:
+                self.f.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+            self.f.write(data)
+
+    monkeypatch.setattr(forward.os, "fdopen", lambda fd, mode: DiskFull(real_fdopen(fd, mode)))
+    with pytest.raises(OSError, match="no space"):
+        save_vb_cache(path, 2.0 * vb, g, med, recv)
+    assert np.array_equal(load_vb_cache(path, g, med, recv), vb)
+    assert [p.name for p in tmp_path.iterdir()] == ["vb.cache"]
+
+
+def test_vb_cache_truncated_is_a_miss(tmp_path):
+    g = Grid(dim=2, n_per_axis=10)
+    med = homogeneous_medium(g, 4.0)
+    recv = boundary_receivers(g, 6)
+    path = tmp_path / "vb.cache"
+    save_vb_cache(path, assemble_vb(g, med, recv), g, med, recv)
+    raw = path.read_bytes()
+    for size in (len(raw) - 8, len(raw) // 2, 20):
+        path.write_bytes(raw[:size])
+        assert load_vb_cache(path, g, med, recv) is None
