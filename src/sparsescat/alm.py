@@ -7,11 +7,18 @@ measurement-space equation
 
     F(y) = y + u_b - vb @ prox_p(-lam - sigma * vb^T y, sigma) = 0,
 
-whose generalized Jacobian I + sigma/(1+sigma*alpha0) * vb X vb^T is
-symmetric with eigenvalues >= 1, so every Newton step is a dense
-Cholesky solve of dimension 2M (the measurement dimension, typically far
-smaller than the source dimension 2N).  The source is recovered in
-closed form from the converged dual variable.
+whose generalized Jacobian I + c * V_A V_A^T, c = sigma/(1+sigma*alpha0),
+is symmetric with eigenvalues >= 1; V_A holds the columns of vb on the
+active set A of the prox.  The source is recovered in closed form from
+the converged dual variable.
+
+Each Newton step costs three products with vb: vb^T y at the loop head,
+vb @ prox(...) in the residual, and vb^T d for the direction (the
+Lagrangian along y + t*d needs no further products, being a function of
+y and vb^T y only).  The linear solve is a Cholesky of the 2M x 2M Gram
+matrix when |A| >= 2M, and otherwise of the |A| x |A| matrix
+V_A^T V_A + I/c through Sherman-Morrison-Woodbury (second-order
+sparsity, as in SSNAL: Li, Sun & Toh, SIAM J. Optim. 28 (2018) 433-458).
 """
 
 import warnings
@@ -22,6 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .prox import (
     RegParams,
+    check_problem,
     dual_objective,
     h_star,
     p_star,
@@ -61,18 +69,8 @@ class AlmOptions:
             raise ValueError("beta must lie in (0, 1)")
         if self.armijo_c <= 0:
             raise ValueError("armijo constant must be positive")
-
-
-@dataclass
-class AlmState:
-    """Iterates of the outer loop."""
-
-    y: np.ndarray
-    z: np.ndarray
-    lam: np.ndarray
-    sigma: float
-    outer_iter: int = 0
-    inner_iters: int = 0
+        if self.max_inner < 0:
+            raise ValueError("max_inner must be nonnegative")
 
 
 @dataclass
@@ -97,90 +95,119 @@ def residual_F(y, lam, sigma, vb, u_b, reg, vt_y=None):
     return y + u_b - vb @ prox_p(-lam - sigma * vt_y, sigma, reg)
 
 
+def _active_set(lam, sigma, vt_y, reg):
+    """Mask of the components where |lam + sigma*vb^T y| exceeds sigma*alpha."""
+    return np.abs(lam + sigma * vt_y) > sigma * reg.alpha
+
+
+def _cholesky_solve(matrix, rhs):
+    try:
+        factor = cho_factor(matrix, lower=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - signals NaN contamination
+        raise RuntimeError("Newton matrix factorization failed") from exc
+    return cho_solve(factor, rhs)
+
+
 def newton_matrix(y, lam, sigma, vb, reg, vt_y=None):
     """Generalized Jacobian I + sigma/(1+sigma*alpha0) * vb X vb^T.
 
     X is diagonal with unit entries exactly where |lam + sigma*vb^T y|
     exceeds sigma*alpha (ties count as inactive, keeping the matrix
     minimal); the result is symmetric positive definite with eigenvalues
-    bounded below by 1.
+    bounded below by 1.  The active columns are gathered with np.compress.
     """
     if vt_y is None:
         vt_y = vb.T @ y
-    active = np.abs(lam + sigma * vt_y) > sigma * reg.alpha
-    m2 = vb.shape[0]
-    nmat = np.eye(m2)
+    active = _active_set(lam, sigma, vt_y, reg)
+    nmat = np.eye(vb.shape[0])
     if np.any(active):
-        va = vb[:, active]
+        va = np.compress(active, vb, axis=1)
         nmat += (sigma / (1.0 + sigma * reg.alpha0)) * (va @ va.T)
     return nmat
 
 
-def newton_step(y, lam, sigma, vb, u_b, reg, residual=None):
-    """Solve N(y) d = -F(y) by Cholesky factorization."""
-    vt_y = vb.T @ y
+def newton_step(y, lam, sigma, vb, u_b, reg, residual=None, vt_y=None):
+    """Solve N(y) d = -F(y) with N = I + c * V_A V_A^T, c = sigma/(1+sigma*alpha0).
+
+    Given vt_y = vb^T y and the residual, a step needs no product with the
+    whole of vb; in `solve_alm` it costs three products in all (vb^T y,
+    vb @ prox(...) in the residual, and vb^T d for the line search).  The
+    solve itself depends on the active-set size against 2M = vb.shape[0]:
+
+    - |A| >= 2M: Cholesky of the 2M x 2M matrix from `newton_matrix`;
+    - 0 < |A| < 2M: Cholesky of the |A| x |A| matrix V_A^T V_A + I/c and
+      Sherman-Morrison-Woodbury, d = -F + V_A (V_A^T V_A + I/c)^{-1} V_A^T F;
+    - A empty: N = I and d = -F.
+    """
+    if vt_y is None:
+        vt_y = vb.T @ y
     if residual is None:
         residual = residual_F(y, lam, sigma, vb, u_b, reg, vt_y=vt_y)
-    nmat = newton_matrix(y, lam, sigma, vb, reg, vt_y=vt_y)
-    try:
-        factor = cho_factor(nmat, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - signals NaN contamination
-        raise RuntimeError("Newton matrix factorization failed") from exc
-    return cho_solve(factor, -residual)
+    active = _active_set(lam, sigma, vt_y, reg)
+    n_active = np.count_nonzero(active)
+    if n_active >= vb.shape[0]:
+        return _cholesky_solve(newton_matrix(y, lam, sigma, vb, reg, vt_y=vt_y), -residual)
+    if n_active == 0:
+        return -residual
+    va = np.compress(active, vb, axis=1)
+    small = va.T @ va
+    small[np.diag_indices_from(small)] += (1.0 + sigma * reg.alpha0) / sigma
+    return va @ _cholesky_solve(small, va.T @ residual) - residual
 
 
 def lagrangian_value(y, lam, sigma, vb, u_b, reg, vt_y=None):
     """Augmented Lagrangian L_sigma(y, z; lam) with z eliminated via the Moreau split."""
     if vt_y is None:
         vt_y = vb.T @ y
-    x = -sigma * vt_y - lam
-    z = (x - prox_p(x, sigma, reg)) / sigma
+    z = recover_z(y, lam, sigma, vb, reg, vt_y=vt_y)
     feas = vt_y + z
     return p_star(z, reg) + h_star(y, u_b) + float(lam @ feas) + 0.5 * sigma * float(feas @ feas)
 
 
-def armijo_search(y, d, lam, sigma, vb, u_b, reg, beta=0.3, c=1e-4, max_backtracks=30):
+def armijo_search(y, d, lam, sigma, vb, u_b, reg, beta=0.3, c=1e-4, max_backtracks=30,
+                  vt_y=None, vt_d=None):
     """Backtracking line search on the reduced augmented Lagrangian.
 
     Returns (step, accepted): the first step beta^t whose objective drops
     by at least c * beta^t * ||d||^2.  When no such t <= max_backtracks
     exists the smallest trial step is returned with accepted=False; the
     caller may still take it (descent holds for small steps in exact
-    arithmetic, failures signal rounding noise near convergence).
+    arithmetic, failures signal rounding noise near convergence).  The
+    trials use vb^T (y + t*d) = vt_y + t*vt_d, so given vt_y = vb^T y and
+    vt_d = vb^T d the search makes no product with vb.
     """
     dd = float(d @ d)
     if dd == 0.0:
         raise ValueError("line search requires a nonzero direction")
-    base = lagrangian_value(y, lam, sigma, vb, u_b, reg)
+    if vt_y is None:
+        vt_y = vb.T @ y
+    if vt_d is None:
+        vt_d = vb.T @ d
+    base = lagrangian_value(y, lam, sigma, vb, u_b, reg, vt_y=vt_y)
     step = 1.0
     for _ in range(max_backtracks + 1):
-        trial = lagrangian_value(y + step * d, lam, sigma, vb, u_b, reg)
+        trial = lagrangian_value(y + step * d, lam, sigma, vb, u_b, reg, vt_y=vt_y + step * vt_d)
         if trial <= base - c * step * dd:
             return step, True
         step *= beta
     return step / beta, False
 
 
-def recover_z(y, lam, sigma, vb, reg):
+def recover_z(y, lam, sigma, vb, reg, vt_y=None):
     """Auxiliary variable z = M(y) from the Moreau complement of the prox."""
-    x = -sigma * (vb.T @ y) - lam
+    if vt_y is None:
+        vt_y = vb.T @ y
+    x = -sigma * vt_y - lam
     return (x - prox_p(x, sigma, reg)) / sigma
 
 
-def update_multiplier(state, vb, reg, options):
-    """Multiplier step lam += sigma*(vb^T y + z) and capped penalty growth."""
-    state.z = recover_z(state.y, state.lam, state.sigma, vb, reg)
-    state.lam = state.lam + state.sigma * (vb.T @ state.y + state.z)
-    state.sigma = min(options.sigma_growth * state.sigma, options.sigma_max)
-    state.outer_iter += 1
-    return state
-
-
-def recover_mu(y, vb, reg):
+def recover_mu(y, vb, reg, vt_y=None):
     """Primal source from the dual variable: soft-threshold of -vb^T y / alpha0."""
     if reg.alpha0 <= 0:
         raise ValueError("primal recovery needs alpha0 > 0")
-    return soft_threshold(-(vb.T @ y) / reg.alpha0, reg.alpha / reg.alpha0)
+    if vt_y is None:
+        vt_y = vb.T @ y
+    return soft_threshold(-vt_y / reg.alpha0, reg.alpha / reg.alpha0)
 
 
 def solve_alm(vb, u_b, reg, options=None, y0=None, lam0=None):
@@ -192,10 +219,10 @@ def solve_alm(vb, u_b, reg, options=None, y0=None, lam0=None):
     ||F(y)|| <= (delta'_k/sigma_k)*||sigma_k(vb^T y + z)|| (surrogate for
     the relative criterion), or at machine-precision residuals.  Outer
     iterations stop on a small relative multiplier change or a small
-    primal-dual gap.
+    primal-dual gap.  The multiplier step lam += sigma*(vb^T y + z), the
+    source and the gap reuse vb^T y and z from the last inner loop head.
     """
-    vb = np.asarray(vb, dtype=float)
-    u_b = np.asarray(u_b, dtype=float)
+    vb, u_b = check_problem(vb, u_b)
     options = options or AlmOptions()
     m2, n2 = vb.shape
     y = np.zeros(m2) if y0 is None else np.asarray(y0, dtype=float).copy()
@@ -215,14 +242,13 @@ def solve_alm(vb, u_b, reg, options=None, y0=None, lam0=None):
         tol_a = options.eps0 / (k + 1) ** 2 / np.sqrt(sigma)
         delta_k = options.delta_prime0 / (k + 1)
         inner_stop = "max_inner"
-        norm_f = tol_b2 = np.inf
         for l in range(options.max_inner + 1):
             vt_y = vb.T @ y
             resid = residual_F(y, lam, sigma, vb, u_b, reg, vt_y=vt_y)
             norm_f = np.linalg.norm(resid)
-            x = -sigma * vt_y - lam
-            z = (x - prox_p(x, sigma, reg)) / sigma
-            lam_step = sigma * np.linalg.norm(vt_y + z)
+            z = recover_z(y, lam, sigma, vb, reg, vt_y=vt_y)
+            feas = vt_y + z
+            lam_step = sigma * np.linalg.norm(feas)
             tol_b2 = delta_k / sigma * lam_step
             if norm_f <= floor:
                 inner_stop = "floor"
@@ -232,10 +258,12 @@ def solve_alm(vb, u_b, reg, options=None, y0=None, lam0=None):
                 break
             if l == options.max_inner:
                 break
-            d = newton_step(y, lam, sigma, vb, u_b, reg, residual=resid)
+            d = newton_step(y, lam, sigma, vb, u_b, reg, residual=resid, vt_y=vt_y)
+            vt_d = vb.T @ d
             step, accepted = armijo_search(
                 y, d, lam, sigma, vb, u_b, reg,
                 beta=options.beta, c=options.armijo_c, max_backtracks=options.max_backtracks,
+                vt_y=vt_y, vt_d=vt_d,
             )
             if not accepted:
                 warnings.warn("line search exhausted; taking smallest trial step", RuntimeWarning)
@@ -243,16 +271,15 @@ def solve_alm(vb, u_b, reg, options=None, y0=None, lam0=None):
             inner_total += 1
             records.append({
                 "solver": "alm", "kind": "inner", "outer": k, "inner": l,
-                "residual": float(norm_f), "objective": lagrangian_value(y, lam, sigma, vb, u_b, reg),
+                "residual": float(norm_f),
+                "objective": lagrangian_value(y, lam, sigma, vb, u_b, reg, vt_y=vt_y + step * vt_d),
                 "step": float(step), "sigma": float(sigma),
             })
-        z = recover_z(y, lam, sigma, vb, reg)
-        feas = vb.T @ y + z
         lam_new = lam + sigma * feas
         if reg.alpha0 > 0:
-            mu = recover_mu(y, vb, reg)
+            mu = recover_mu(y, vb, reg, vt_y=vt_y)
             primal = primal_objective(mu, vb, u_b, reg)
-            gap = primal + dual_objective(y, vb, u_b, reg)
+            gap = primal + dual_objective(y, vb, u_b, reg, vt_y=vt_y)
         else:
             mu = -lam_new
             primal = primal_objective(mu, vb, u_b, reg)

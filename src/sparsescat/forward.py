@@ -33,6 +33,7 @@ _CACHE_MAGIC = b"VBOP"
 _CACHE_VERSION = 1
 _CHUNK = 512
 _BLOCK = 1 << 19  # kernel points per receiver block: bounds the temporaries to tens of MB
+_FFT_BLOCK = 16  # rows per batched FFT: bounds the padded workspace to 16 * (2n)^d entries
 
 
 class LsSolveError(RuntimeError):
@@ -133,20 +134,24 @@ def volume_potential_fft(grid, medium, density):
     """FFT evaluation of the same discrete volume potential as the dense path.
 
     `density` is one node vector (N,) or a batch of them (B, N); the
-    result has the same shape.
+    result has the same shape.  A batch is transformed in blocks of
+    _FFT_BLOCK rows, so its workspace does not grow with the batch.
     """
     k = medium.wavenumber
     n = grid.n_per_axis
     _, khat = _fft_kernel(grid.dim, n, grid.spacing, k)
     density = np.asarray(density)
-    batch = density.shape[:-1]
+    rows = density.reshape((-1,) + grid.shape)
+    out = np.empty(rows.shape, dtype=complex)
     axes = tuple(range(-grid.dim, 0))
-    pad = np.zeros(batch + (2 * n,) * grid.dim, dtype=complex)
     block = (...,) + tuple(slice(0, n) for _ in range(grid.dim))
-    pad[block] = density.reshape(batch + grid.shape)
-    spectrum = np.fft.fftn(pad, axes=axes)
-    spectrum *= khat
-    out = np.fft.ifftn(spectrum, axes=axes)[block]
+    for start in range(0, len(rows), _FFT_BLOCK):
+        chunk = rows[start:start + _FFT_BLOCK]
+        pad = np.zeros((len(chunk),) + (2 * n,) * grid.dim, dtype=complex)
+        pad[block] = chunk
+        spectrum = np.fft.fftn(pad, axes=axes)
+        spectrum *= khat
+        out[start:start + len(chunk)] = np.fft.ifftn(spectrum, axes=axes)[block]
     return out.reshape(density.shape)
 
 

@@ -191,7 +191,7 @@ def _run_solver(config, vb, u_b):
         result = solve_ssn(vb, u_b, reg, options=SsnOptions(**opts) if opts else None)
         return result.mu, result.records, len(result.records), result.converged, None
     result = solve_pda(vb, u_b, reg, **opts)
-    return result.mu, result.records, result.iterations, True, None
+    return result.mu, result.records, result.iterations, result.converged, None
 
 
 def _export(config, result, coarse_grid):

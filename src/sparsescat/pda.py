@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prox import dual_objective, primal_objective, prox_p
+from .prox import check_problem, dual_objective, primal_objective, prox_p
 
 
 @dataclass
@@ -20,6 +20,7 @@ class PdaResult:
     p: np.ndarray
     iterations: int
     records: list = field(repr=False)
+    converged: bool = False  # True only when the duality-gap exit fired
 
 
 def spectral_norm(vb, iters=50):
@@ -63,10 +64,10 @@ def solve_pda(vb, u_b, reg, sigma=0.5, tau=None, iters=5000, theta=1.0,
     Records the primal objective trajectory every `record_every` steps;
     the per-iterate objective is not monotone, so its running minimum is
     also tracked.  An optional duality-gap early exit applies only when
-    alpha0 > 0 (otherwise the dual value is an indicator).
+    alpha0 > 0 (otherwise the dual value is an indicator); the result is
+    `converged` only when that exit fired.
     """
-    vb = np.asarray(vb, dtype=float)
-    u_b = np.asarray(u_b, dtype=float)
+    vb, u_b = check_problem(vb, u_b)
     if tau is None:
         sigma, tau = default_steps(vb, sigma)
     p = np.zeros(vb.shape[0])
@@ -75,6 +76,7 @@ def solve_pda(vb, u_b, reg, sigma=0.5, tau=None, iters=5000, theta=1.0,
     records = []
     best = np.inf
     it = 0
+    converged = False
     for it in range(1, iters + 1):
         p = pda_dual_step(p, mu_bar, vb, u_b, sigma)
         mu_next = pda_primal_step(mu, p, vb, tau, reg)
@@ -90,7 +92,8 @@ def solve_pda(vb, u_b, reg, sigma=0.5, tau=None, iters=5000, theta=1.0,
                 rec["gap"] = float(gap)
                 records.append(rec)
                 if gap <= gap_tol * (1.0 + abs(primal)):
+                    converged = True
                     break
             else:
                 records.append(rec)
-    return PdaResult(mu=mu, p=p, iterations=it, records=records)
+    return PdaResult(mu=mu, p=p, iterations=it, records=records, converged=converged)

@@ -2,7 +2,8 @@
 
 The regularizer is p(mu) = alpha0/2 ||mu||^2 + alpha ||mu||_1, applied
 componentwise to realified vectors (anisotropic thresholding).  The data
-term conjugate is h*(y) = 1/2 ||y||^2 + <y, u_b>.
+term conjugate is h*(y) = 1/2 ||y||^2 + <y, u_b>.  `check_problem` is
+the entry check that every solver applies to (vb, u_b).
 """
 
 from dataclasses import dataclass
@@ -94,7 +95,32 @@ def primal_objective(mu, vb, u_b, reg):
     )
 
 
-def dual_objective(y, vb, u_b, reg):
-    """D(y) = p*(-vb^T y) + h*(y); the dual problem minimizes D, and min P = max -D."""
+def dual_objective(y, vb, u_b, reg, vt_y=None):
+    """D(y) = p*(-vb^T y) + h*(y); the dual problem minimizes D, and min P = max -D.
+
+    `vt_y`, when given, is vb^T y and saves the product.
+    """
     y = np.asarray(y, dtype=float)
-    return p_star(-(vb.T @ y), reg) + h_star(y, u_b)
+    if vt_y is None:
+        vt_y = vb.T @ y
+    return p_star(-vt_y, reg) + h_star(y, u_b)
+
+
+def check_problem(vb, u_b):
+    """Solver-entry check of the realified operator and data; returns both as float arrays.
+
+    Raises ValueError naming the argument when vb is not a 2-D array with
+    even dimensions, when u_b does not have shape (vb.shape[0],), or when
+    either holds NaN or inf.
+    """
+    vb = np.asarray(vb, dtype=float)
+    u_b = np.asarray(u_b, dtype=float)
+    if vb.ndim != 2 or vb.shape[0] % 2 or vb.shape[1] % 2:
+        raise ValueError(f"vb must be a 2-D array with even dimensions, got shape {vb.shape}")
+    if u_b.shape != (vb.shape[0],):
+        raise ValueError(f"u_b must have shape ({vb.shape[0]},) to match vb, got {u_b.shape}")
+    if not np.isfinite(vb).all():
+        raise ValueError("vb contains NaN or inf")
+    if not np.isfinite(u_b).all():
+        raise ValueError("u_b contains NaN or inf")
+    return vb, u_b

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .prox import check_problem
+
 
 @dataclass
 class SsnOptions:
@@ -214,8 +216,7 @@ def ssn_recover_mu(y, b, vt_ub):
 
 def solve_ssn(vb, u_b, reg, options=None, y0=None):
     """Assemble B, run the gamma path, and recover the source."""
-    vb = np.asarray(vb, dtype=float)
-    u_b = np.asarray(u_b, dtype=float)
+    vb, u_b = check_problem(vb, u_b)
     b = build_b_operator(vb, reg)
     vt_ub = vb.T @ u_b
     y, records, converged = path_follow(b, vt_ub, reg.alpha, options=options, y0=y0)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from conftest import random_instance
 
+from sparsescat import alm
 from sparsescat.alm import (
     AlmOptions,
-    AlmState,
     armijo_search,
     lagrangian_value,
     newton_matrix,
@@ -13,7 +13,6 @@ from sparsescat.alm import (
     recover_z,
     residual_F,
     solve_alm,
-    update_multiplier,
 )
 from sparsescat.pda import solve_pda
 from sparsescat.prox import RegParams, dual_objective, primal_objective
@@ -202,37 +201,33 @@ def test_recover_z_saturation(rng):
     assert np.max(np.abs(recover_z(y, lam, sigma, vb, reg) - expected)) < 1e-14
 
 
-def test_multiplier_update_feasible_point(rng):
-    vb, u_b, reg = random_instance(16, m=3, n=8)
-    y = rng.standard_normal(vb.shape[0])
-    # craft z = -vb^T y by saturating, then check lam unchanged on feasible input
-    state = AlmState(y=np.zeros(vb.shape[0]), z=np.zeros(vb.shape[1]),
-                     lam=np.zeros(vb.shape[1]), sigma=1.0)
-    out = update_multiplier(state, vb, reg, AlmOptions())
-    assert not np.any(out.lam)  # y = 0, lam = 0 is feasible: z stays 0
+def test_multiplier_update_feasible_point():
+    # y = 0, lam = 0 is feasible for zero data: z stays 0 and lam never moves
+    vb, _, reg = random_instance(16, m=3, n=8)
+    result = solve_alm(vb, np.zeros(vb.shape[0]), reg, options=AlmOptions(max_outer=3))
+    assert not np.any(result.z)
+    assert all(not np.any(lam) for lam in result.lam_history)
 
 
-def test_multiplier_update_maintains_z_invariant(rng):
-    # after an outer update, state.z equals the Moreau recovery at the pre-update
-    # multiplier and penalty
+def test_multiplier_update_maintains_z_invariant():
+    # the run stopped after outer iteration k ends with the y of that iteration,
+    # so each multiplier step lam_{k+1} = lam_k + sigma_k (vb^T y + z) is checked
+    # on its own run, with z the Moreau recovery at the pre-update multiplier
     vb, u_b, reg = random_instance(33, m=3, n=8)
-    y = rng.standard_normal(vb.shape[0])
-    lam0 = rng.standard_normal(vb.shape[1])
-    state = AlmState(y=y, z=np.zeros(vb.shape[1]), lam=lam0.copy(), sigma=2.0)
-    out = update_multiplier(state, vb, reg, AlmOptions())
-    assert np.array_equal(out.z, recover_z(y, lam0, 2.0, vb, reg))
-    assert np.array_equal(out.lam, lam0 + 2.0 * (vb.T @ y + out.z))
+    for k in range(4):
+        result = solve_alm(vb, u_b, reg, options=AlmOptions(max_outer=k + 1, lam_tol=0.0, gap_tol=0.0))
+        assert result.outer_iters == k + 1
+        lam_k = result.lam_history[k]
+        sigma_k = [r["sigma"] for r in result.records if r["kind"] == "outer"][k]
+        assert np.array_equal(result.z, recover_z(result.y, lam_k, sigma_k, vb, reg))
+        assert np.array_equal(result.lam_history[k + 1], lam_k + sigma_k * (vb.T @ result.y + result.z))
 
 
 def test_sigma_growth_capped():
     vb, u_b, reg = random_instance(17, m=3, n=8)
-    options = AlmOptions(sigma0=1.0, sigma_growth=6.0, sigma_max=100.0)
-    state = AlmState(y=np.zeros(vb.shape[0]), z=np.zeros(vb.shape[1]),
-                     lam=np.zeros(vb.shape[1]), sigma=options.sigma0)
-    seq = [state.sigma]
-    for _ in range(5):
-        state = update_multiplier(state, vb, reg, options)
-        seq.append(state.sigma)
+    options = AlmOptions(sigma0=1.0, sigma_growth=6.0, sigma_max=100.0, max_outer=6, lam_tol=0.0, gap_tol=0.0)
+    result = solve_alm(vb, u_b, reg, options=options)
+    seq = [r["sigma"] for r in result.records if r["kind"] == "outer"]
     assert seq == [1.0, 6.0, 36.0, 100.0, 100.0, 100.0]
 
 
@@ -324,3 +319,100 @@ def test_inner_termination_tolerance():
         elif rec["inner_stop"] == "floor":
             assert rec["final_residual"] <= rec["floor"]
     assert any(r["inner_stop"] in ("tolerance", "floor") for r in outers)
+
+
+def _instance_with_active_set(seed, n_active, sigma=1.7):
+    """Random (y, lam) whose active set has exactly n_active components."""
+    vb, u_b, reg = random_instance(seed, m=4, n=10, alpha=0.1, alpha0=0.01)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(vb.shape[0])
+    vt_y = vb.T @ y
+    active = np.zeros(vb.shape[1], dtype=bool)
+    active[rng.choice(vb.shape[1], size=n_active, replace=False)] = True
+    # |lam + sigma*vb^T y| is 2*sigma*alpha on the active set and 0 off it
+    lam = -sigma * vt_y + np.where(active, 2.0 * sigma * reg.alpha * rng.choice([-1.0, 1.0], vb.shape[1]), 0.0)
+    return vb, u_b, reg, y, lam, sigma
+
+
+@pytest.mark.parametrize("n_active", [0, 1, 7, 8, 13])  # 2M = 8, 2N = 20
+def test_newton_step_smw_matches_dense_solve(n_active):
+    for seed in range(3):
+        vb, u_b, reg, y, lam, sigma = _instance_with_active_set(60 + seed, n_active)
+        assert np.count_nonzero(np.abs(lam + sigma * (vb.T @ y)) > sigma * reg.alpha) == n_active
+        nmat = newton_matrix(y, lam, sigma, vb, reg)
+        resid = residual_F(y, lam, sigma, vb, u_b, reg)
+        oracle = np.linalg.solve(nmat, -resid)
+        d = newton_step(y, lam, sigma, vb, u_b, reg, residual=resid, vt_y=vb.T @ y)
+        assert np.linalg.norm(d - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def _armijo_from_scratch(y, d, lam, sigma, vb, u_b, reg, beta, c, max_backtracks):
+    """The line search with every trial objective recomputed from y + t*d."""
+    base = lagrangian_value(y, lam, sigma, vb, u_b, reg)
+    step = 1.0
+    for _ in range(max_backtracks + 1):
+        if lagrangian_value(y + step * d, lam, sigma, vb, u_b, reg) <= base - c * step * float(d @ d):
+            return step, True
+        step *= beta
+    return step / beta, False
+
+
+def test_armijo_reused_products_match(rng):
+    for seed in range(5):
+        vb, u_b, reg = random_instance(70 + seed)
+        sigma = 2.0
+        lam = rng.standard_normal(vb.shape[1])
+        y = rng.standard_normal(vb.shape[0])
+        newton = newton_step(y, lam, sigma, vb, u_b, reg)
+        ascent = residual_F(y, lam, sigma, vb, u_b, reg)
+        for d, kw in ((newton, dict(beta=0.3, c=1e-4, max_backtracks=30)),
+                      (ascent, dict(beta=0.5, c=1e-4, max_backtracks=12))):
+            plain = armijo_search(y, d, lam, sigma, vb, u_b, reg, **kw)
+            reused = armijo_search(y, d, lam, sigma, vb, u_b, reg, **kw, vt_y=vb.T @ y, vt_d=vb.T @ d)
+            assert reused == plain == _armijo_from_scratch(y, d, lam, sigma, vb, u_b, reg, **kw)
+
+
+def test_inner_records_objective_from_scratch(monkeypatch):
+    vb, u_b, reg = random_instance(27, m=4, n=12, alpha=0.05, alpha0=0.01)
+    calls = []
+    search = alm.armijo_search
+
+    def spy(y, d, lam, sigma, *args, **kwargs):
+        step, accepted = search(y, d, lam, sigma, *args, **kwargs)
+        calls.append((y + step * d, lam, sigma))
+        return step, accepted
+
+    monkeypatch.setattr(alm, "armijo_search", spy)
+    result = solve_alm(vb, u_b, reg, options=tight_options())
+    inner = [r for r in result.records if r["kind"] == "inner"]
+    assert inner and len(inner) == len(calls)
+    for rec, (y, lam, sigma) in zip(inner, calls):
+        ref = lagrangian_value(y, lam, sigma, vb, u_b, reg)
+        assert abs(rec["objective"] - ref) <= 1e-12 * abs(ref)
+
+
+def test_outer_records_gap_from_scratch():
+    # the run stopped after outer iteration k ends with the y of that iteration
+    vb, u_b, reg = random_instance(28, m=4, n=12, alpha=0.05, alpha0=0.01)
+    for k in range(6):
+        result = solve_alm(vb, u_b, reg, options=AlmOptions(max_outer=k + 1, lam_tol=0.0, gap_tol=0.0))
+        rec = [r for r in result.records if r["kind"] == "outer"][k]
+        primal = primal_objective(recover_mu(result.y, vb, reg), vb, u_b, reg)
+        dual = dual_objective(result.y, vb, u_b, reg)
+        assert abs(rec["gap"] - (primal + dual)) <= 1e-12 * (abs(primal) + abs(dual))
+
+
+@pytest.mark.parametrize("u_b, match", [
+    (np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0]), "u_b contains NaN"),
+    (np.zeros(5), "u_b must have shape"),
+])
+def test_solve_rejects_bad_data(u_b, match):
+    vb, _, reg = random_instance(29, m=3, n=8)
+    with pytest.raises(ValueError, match=match):
+        solve_alm(vb, u_b, reg)
+
+
+def test_options_reject_negative_max_inner():
+    # the outer update reads vb^T y and z from the inner loop head, which must run once
+    with pytest.raises(ValueError, match="max_inner"):
+        AlmOptions(max_inner=-1)

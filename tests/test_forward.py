@@ -311,9 +311,10 @@ def test_assemble_unreachable_tolerance_raises():
 def test_fft_batch_matches_rows(dim, n, rng):
     g = Grid(dim=dim, n_per_axis=n)
     med = homogeneous_medium(g, 3.0)
-    f = rng.standard_normal((5, g.num_nodes)) + 1j * rng.standard_normal((5, g.num_nodes))
-    rows = np.array([volume_potential_fft(g, med, row) for row in f])
-    assert np.array_equal(volume_potential_fft(g, med, f), rows)
+    for batch in (5, 37):  # 37: blocks of 16 rows and a partial last block
+        f = rng.standard_normal((batch, g.num_nodes)) + 1j * rng.standard_normal((batch, g.num_nodes))
+        rows = np.array([volume_potential_fft(g, med, row) for row in f])
+        assert np.array_equal(volume_potential_fft(g, med, f), rows)
 
 
 def test_potential_at_sparse_density_matches_full_sum(rng):

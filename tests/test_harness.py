@@ -198,6 +198,7 @@ def test_suite_rows_and_roundtrip(tmp_path):
     rows, results = run_suite(configs, csv_path=path)
     assert len(rows) == 2
     assert [r["Method"] for r in rows] == ["ALM", "PDA"]
+    assert results[0].converged and not results[1].converged  # PDA ran a fixed iteration count
     assert rows[0]["Medium"] == "homo"
     assert read_suite_csv(path) == rows
     assert all(float(r["N-Error"]) < 1.0 for r in rows)

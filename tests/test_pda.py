@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from conftest import random_instance
 
 from sparsescat.alm import AlmOptions, solve_alm
@@ -98,4 +99,22 @@ def test_gap_based_early_exit():
     vb, u_b, reg = random_instance(8, m=4, n=10, alpha=0.05, alpha0=0.01)
     result = solve_pda(vb, u_b, reg, iters=10**6, record_every=1000, gap_tol=1e-9)
     assert result.iterations < 10**6
+    assert result.converged
     assert result.records[-1]["gap"] <= 1e-9 * (1.0 + abs(result.records[-1]["objective"]))
+
+
+def test_fixed_iteration_run_not_converged():
+    vb, u_b, reg = random_instance(8, m=4, n=10, alpha=0.05, alpha0=0.01)
+    assert not solve_pda(vb, u_b, reg, iters=2000, record_every=1000).converged
+    # a gap exit that never fires does not count either
+    assert not solve_pda(vb, u_b, reg, iters=2000, record_every=1000, gap_tol=1e-30).converged
+
+
+@pytest.mark.parametrize("u_b, match", [
+    (np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0]), "u_b contains NaN"),
+    (np.zeros(5), "u_b must have shape"),
+])
+def test_solve_rejects_bad_data(u_b, match):
+    vb, _, reg = random_instance(29, m=3, n=8)
+    with pytest.raises(ValueError, match=match):
+        solve_pda(vb, u_b, reg)

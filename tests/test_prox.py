@@ -3,6 +3,7 @@ import pytest
 
 from sparsescat.prox import (
     RegParams,
+    check_problem,
     dual_objective,
     h_star,
     hstar_grad,
@@ -207,3 +208,21 @@ def test_weak_duality(rng):
         mu = rng.standard_normal(vb.shape[1])
         y = rng.standard_normal(vb.shape[0])
         assert primal_objective(mu, vb, u_b, reg) + dual_objective(y, vb, u_b, reg) >= -1e-10
+
+
+@pytest.mark.parametrize("vb, u_b, match", [
+    (np.zeros(6), np.zeros(6), "vb must be a 2-D array"),
+    (np.zeros((5, 8)), np.zeros(5), "vb must be a 2-D array"),
+    (np.zeros((6, 7)), np.zeros(6), "vb must be a 2-D array"),
+    (np.zeros((6, 8)), np.zeros((6, 1)), "u_b must have shape"),
+    (np.full((6, 8), np.inf), np.zeros(6), "vb contains NaN or inf"),
+    (np.zeros((6, 8)), np.full(6, -np.inf), "u_b contains NaN or inf"),
+])
+def test_check_problem_names_bad_argument(vb, u_b, match):
+    with pytest.raises(ValueError, match=match):
+        check_problem(vb, u_b)
+
+
+def test_check_problem_returns_float_arrays():
+    vb, u_b = check_problem([[1, 2], [3, 4]], [1, 2])
+    assert vb.dtype == float and u_b.dtype == float and vb.shape == (2, 2)

@@ -188,3 +188,13 @@ def test_cross_agreement_with_alm():
 def test_gamma_schedule_must_increase():
     with pytest.raises(ValueError):
         SsnOptions(gammas=(1.0, 1.0, 10.0))
+
+
+@pytest.mark.parametrize("u_b, match", [
+    (np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0]), "u_b contains NaN"),
+    (np.zeros(5), "u_b must have shape"),
+])
+def test_solve_rejects_bad_data(u_b, match):
+    vb, _, reg = random_instance(29, m=3, n=8)
+    with pytest.raises(ValueError, match=match):
+        solve_ssn(vb, u_b, reg)
