@@ -11,11 +11,11 @@ from .alm import AlmOptions, AlmResult, solve_alm
 from .forward import assemble_vb, ls_solve, source_to_measurement
 from .grid import Grid, Medium, ReceiverSet, boundary_receivers, homogeneous_medium
 from .harness import ExperimentConfig, ExperimentResult, add_noise, n_error, run_experiment, run_suite
-from .pda import PdaResult, solve_pda
+from .pda import PdaOptions, PdaResult, solve_pda
 from .phantoms import PhantomSpec, make_medium, make_phantom
-from .prox import RegParams, prox_p, soft_threshold
+from .prox import RegParams, SolveResult, prox_p, soft_threshold
 from .realfield import derealify, realify, realify_matrix
-from .ssn import SsnOptions, SsnResult, solve_ssn
+from .ssn import SsnOptions, solve_ssn
 
 __version__ = "0.1.0"
 
@@ -24,10 +24,10 @@ __all__ = [
     "assemble_vb", "ls_solve", "source_to_measurement",
     "Grid", "Medium", "ReceiverSet", "boundary_receivers", "homogeneous_medium",
     "ExperimentConfig", "ExperimentResult", "add_noise", "n_error", "run_experiment", "run_suite",
-    "PdaResult", "solve_pda",
+    "PdaOptions", "PdaResult", "solve_pda",
     "PhantomSpec", "make_medium", "make_phantom",
-    "RegParams", "prox_p", "soft_threshold",
+    "RegParams", "SolveResult", "prox_p", "soft_threshold",
     "derealify", "realify", "realify_matrix",
-    "SsnOptions", "SsnResult", "solve_ssn",
+    "SsnOptions", "solve_ssn",
     "__version__",
 ]

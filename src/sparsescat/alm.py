@@ -29,6 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .prox import (
     RegParams,
+    SolveResult,
     check_problem,
     dual_objective,
     h_star,
@@ -74,17 +75,14 @@ class AlmOptions:
 
 
 @dataclass
-class AlmResult:
-    mu: np.ndarray
+class AlmResult(SolveResult):
+    """`SolveResult` with the dual iterate, multiplier, z, last gap and outer count."""
+
     y: np.ndarray
     lam: np.ndarray
     z: np.ndarray
-    converged: bool
-    stop_reason: str
-    outer_iters: int
-    inner_iters: int
     gap: float
-    records: list = field(repr=False)
+    outer_iters: int
     lam_history: list = field(repr=False)
 
 
@@ -210,7 +208,7 @@ def recover_mu(y, vb, reg, vt_y=None):
     return soft_threshold(-vt_y / reg.alpha0, reg.alpha / reg.alpha0)
 
 
-def solve_alm(vb, u_b, reg, options=None, y0=None, lam0=None):
+def solve_alm(vb, u_b, reg, options=None):
     """Run the full outer/inner iteration and recover the primal source.
 
     Inner Newton iterations terminate when ||F(y)|| <= eps_k/sqrt(sigma_k)
@@ -225,8 +223,8 @@ def solve_alm(vb, u_b, reg, options=None, y0=None, lam0=None):
     vb, u_b = check_problem(vb, u_b)
     options = options or AlmOptions()
     m2, n2 = vb.shape
-    y = np.zeros(m2) if y0 is None else np.asarray(y0, dtype=float).copy()
-    lam = np.zeros(n2) if lam0 is None else np.asarray(lam0, dtype=float).copy()
+    y = np.zeros(m2)
+    lam = np.zeros(n2)
     sigma = options.sigma0
     floor = 1e-13 * (1.0 + np.linalg.norm(u_b))
 
@@ -310,7 +308,7 @@ def solve_alm(vb, u_b, reg, options=None, y0=None, lam0=None):
 
     mu = recover_mu(y, vb, reg) if reg.alpha0 > 0 else -lam
     return AlmResult(
-        mu=mu, y=y, lam=lam, z=z, converged=converged, stop_reason=stop_reason,
-        outer_iters=len(lam_history) - 1, inner_iters=inner_total, gap=gap,
-        records=records, lam_history=lam_history,
+        mu=mu, converged=converged, stop_reason=stop_reason, iterations=inner_total,
+        records=records, y=y, lam=lam, z=z, gap=gap, outer_iters=len(lam_history) - 1,
+        lam_history=lam_history,
     )

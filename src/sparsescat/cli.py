@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .export import write_csv_matrix, write_pgm
+from .export import write_field
 from .forward import assemble_vb, save_vb_cache
-from .grid import Grid, boundary_receivers, default_receiver_count
-from .harness import ExperimentConfig, run_experiment, run_suite
-from .phantoms import PhantomSpec, make_medium, make_phantom
+from .grid import Grid
+from .harness import ExperimentConfig, coarse_problem, run_experiment, run_suite
+from .phantoms import PhantomSpec, make_phantom
 
 
 def _load_config(path):
@@ -49,9 +49,7 @@ def _cmd_suite(args):
 
 def _cmd_assemble(args):
     config = _load_config(args.config)
-    coarse = Grid(dim=config.dim, n_per_axis=config.coarse_n, half_width=config.half_width)
-    receivers = boundary_receivers(coarse, config.receivers or default_receiver_count(coarse))
-    medium = make_medium(coarse, config.wavenumber, config.inhomogeneous)
+    coarse, medium, receivers = coarse_problem(config)
     vb = assemble_vb(coarse, medium, receivers)
     out = Path(config.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -69,16 +67,8 @@ def _cmd_phantom(args):
     real_block = mu[: grid.num_nodes]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    n = grid.n_per_axis
-    if grid.dim == 2:
-        write_csv_matrix(out.with_suffix(".csv"), real_block.reshape(n, n))
-        write_pgm(out.with_suffix(".pgm"), real_block.reshape(n, n))
-    else:
-        write_csv_matrix(out.with_suffix(".csv"), real_block.reshape(n * n, n))
-        for iz in range(n):
-            write_pgm(out.with_name(f"{out.stem}_z{iz:03d}.pgm"),
-                      real_block.reshape(n, n, n)[:, :, iz])
-    print(f"wrote {out.with_suffix('.csv')} ({int(np.count_nonzero(real_block))} nonzero cells)")
+    csv_path = write_field(out, grid, real_block)[0]
+    print(f"wrote {csv_path} ({int(np.count_nonzero(real_block))} nonzero cells)")
     return 0
 
 

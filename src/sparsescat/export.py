@@ -1,6 +1,7 @@
 """Dependency-free artifact export: CSV matrices, JSON-lines, 8-bit PGM images."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -42,3 +43,24 @@ def write_pgm(path, image):
     with open(path, "wb") as f:
         f.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())
+
+
+def write_field(prefix, grid, values):
+    """Write nodal values on `grid` as <prefix>.csv plus PGM images; returns the paths written.
+
+    In 2D the images are one <prefix>.pgm; in 3D they are one
+    <prefix>_zNNN.pgm per slice along the last axis, and the CSV holds
+    the n^2 x n reshaped field.
+    """
+    prefix = Path(prefix)
+    field = np.asarray(values, dtype=float).reshape(grid.shape)
+    paths = [prefix.with_suffix(".csv")]
+    write_csv_matrix(paths[0], field.reshape(-1, grid.n_per_axis))
+    if grid.dim == 2:
+        paths.append(prefix.with_suffix(".pgm"))
+        write_pgm(paths[-1], field)
+    else:
+        for iz in range(grid.n_per_axis):
+            paths.append(prefix.with_name(f"{prefix.stem}_z{iz:03d}.pgm"))
+            write_pgm(paths[-1], field[:, :, iz])
+    return paths

@@ -16,16 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from .alm import AlmOptions, solve_alm
-from .export import write_csv_matrix, write_jsonl, write_pgm
+from .export import write_field, write_jsonl
 from .forward import assemble_vb, load_vb_cache, save_vb_cache, source_to_measurement
 from .grid import Grid, boundary_receivers, default_receiver_count
 from .phantoms import PhantomSpec, make_medium, make_phantom
-from .pda import solve_pda
+from .pda import PdaOptions, solve_pda
 from .prox import RegParams
 from .ssn import SsnOptions, solve_ssn
 
 RNG_NAME = "pcg64"
-SOLVERS = ("alm", "ssn", "pda")
+SOLVER_OPTIONS = {"alm": AlmOptions, "ssn": SsnOptions, "pda": PdaOptions}
 
 
 class ExperimentError(RuntimeError):
@@ -52,12 +52,11 @@ class ExperimentConfig:
     noise_level: float = 0.01
     seed: int = 0
     solver_options: dict = field(default_factory=dict)
-    mu_from_lambda: bool = False
     output_dir: str = None
     label: str = None
 
     def __post_init__(self):
-        if self.solver not in SOLVERS:
+        if self.solver not in SOLVER_OPTIONS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.fine_n == self.coarse_n:
             raise ValueError("inverse-crime guard: fine and coarse grids must differ")
@@ -94,19 +93,11 @@ class ExperimentConfig:
         return asdict(self)
 
 
-_PDA_KEYS = {"sigma", "tau", "iters", "theta", "record_every", "gap_tol"}
-
-
 def _validate_solver_options(solver, options):
-    if solver == "alm":
-        known = {f.name for f in fields(AlmOptions)}
-    elif solver == "ssn":
-        known = {f.name for f in fields(SsnOptions)}
-    else:
-        known = _PDA_KEYS
-    unknown = set(options) - known
+    unknown = set(options) - {f.name for f in fields(SOLVER_OPTIONS[solver])}
     if unknown:
         raise ValueError(f"unknown {solver} options: {sorted(unknown)}")
+    SOLVER_OPTIONS[solver](**options)  # raises ValueError on an out-of-range value
 
 
 @dataclass
@@ -116,12 +107,12 @@ class ExperimentResult:
     solver: str
     iterations: int
     converged: bool
+    stop_reason: str
     mu_rec: np.ndarray = field(repr=False)
     mu_exact: np.ndarray = field(repr=False)
     records: list = field(repr=False)
     seed: int = 0
     rng: str = RNG_NAME
-    mu_plus_lambda: float = None
     output_paths: dict = field(default_factory=dict)
 
 
@@ -180,39 +171,20 @@ def restrict_to_coarse(mu_fine, fine_grid, coarse_grid):
 
 
 def _run_solver(config, vb, u_b):
+    """Run the configured solver and return its `SolveResult`."""
+    # looked up at call time, so that rebinding harness.solve_* (as a tracer does) takes effect
+    solve = {"alm": solve_alm, "ssn": solve_ssn, "pda": solve_pda}[config.solver]
     reg = RegParams(alpha=config.alpha, alpha0=config.alpha0)
-    opts = dict(config.solver_options)
-    if config.solver == "alm":
-        result = solve_alm(vb, u_b, reg, options=AlmOptions(**opts))
-        mu = -result.lam if config.mu_from_lambda else result.mu
-        extra = float(np.linalg.norm(result.mu + result.lam))
-        return mu, result.records, result.outer_iters, result.converged, extra
-    if config.solver == "ssn":
-        result = solve_ssn(vb, u_b, reg, options=SsnOptions(**opts) if opts else None)
-        return result.mu, result.records, len(result.records), result.converged, None
-    result = solve_pda(vb, u_b, reg, **opts)
-    return result.mu, result.records, result.iterations, result.converged, None
+    return solve(vb, u_b, reg, options=SOLVER_OPTIONS[config.solver](**config.solver_options))
 
 
 def _export(config, result, coarse_grid):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    n = coarse_grid.n_per_axis
-    real_block = result.mu_rec[: coarse_grid.num_nodes]
-    paths["diagnostics"] = out / "diagnostics.jsonl"
+    paths = {"diagnostics": out / "diagnostics.jsonl"}
     write_jsonl(paths["diagnostics"], result.records)
-    paths["mu_csv"] = out / "mu_rec.csv"
-    if coarse_grid.dim == 2:
-        write_csv_matrix(paths["mu_csv"], real_block.reshape(n, n))
-        paths["mu_pgm"] = out / "mu_rec.pgm"
-        write_pgm(paths["mu_pgm"], real_block.reshape(n, n))
-    else:
-        write_csv_matrix(paths["mu_csv"], real_block.reshape(n * n, n))
-        for iz in range(n):
-            p = out / f"mu_rec_z{iz:03d}.pgm"
-            write_pgm(p, real_block.reshape(n, n, n)[:, :, iz])
-        paths["mu_pgm"] = out / "mu_rec_z000.pgm"
+    paths["mu_csv"], paths["mu_pgm"], *_ = write_field(
+        out / "mu_rec", coarse_grid, result.mu_rec[: coarse_grid.num_nodes])
     with open(out / "result.json", "w", encoding="utf-8") as f:
         json.dump(
             {
@@ -221,9 +193,9 @@ def _export(config, result, coarse_grid):
                 "solver": result.solver,
                 "iterations": result.iterations,
                 "converged": result.converged,
+                "stop_reason": result.stop_reason,
                 "seed": result.seed,
                 "rng": result.rng,
-                "mu_plus_lambda": result.mu_plus_lambda,
             },
             f,
             indent=2,
@@ -233,12 +205,17 @@ def _export(config, result, coarse_grid):
     result.output_paths = {k: str(v) for k, v in paths.items()}
 
 
+def coarse_problem(config):
+    """The coarse grid, its medium and the receivers of `config`: the inputs of `assemble_vb`."""
+    coarse = Grid(dim=config.dim, n_per_axis=config.coarse_n, half_width=config.half_width)
+    receivers = boundary_receivers(coarse, config.receivers or default_receiver_count(coarse))
+    return coarse, make_medium(coarse, config.wavenumber, config.inhomogeneous), receivers
+
+
 def run_experiment(config):
     """Simulate, add noise, assemble (or load) the operator, solve, and score."""
     fine = Grid(dim=config.dim, n_per_axis=config.fine_n, half_width=config.half_width)
-    coarse = Grid(dim=config.dim, n_per_axis=config.coarse_n, half_width=config.half_width)
-    m = config.receivers or default_receiver_count(coarse)
-    receivers = boundary_receivers(coarse, m)
+    coarse, medium_coarse, receivers = coarse_problem(config)
     times = {}
 
     try:
@@ -253,7 +230,6 @@ def run_experiment(config):
     u_noisy = add_noise(u_b, config.noise_level, config.seed)
 
     try:
-        medium_coarse = make_medium(coarse, config.wavenumber, config.inhomogeneous)
         t0 = time.perf_counter()
         vb = None
         cache_path = Path(config.output_dir) / "vb.cache" if config.output_dir else None
@@ -270,14 +246,14 @@ def run_experiment(config):
 
     try:
         t0 = time.perf_counter()
-        mu_rec, records, iterations, converged, mu_plus_lambda = _run_solver(config, vb, u_noisy)
+        solved = _run_solver(config, vb, u_noisy)
         times["solve"] = time.perf_counter() - t0
     except Exception as exc:
         raise ExperimentError("solve", exc) from exc
 
     try:
         mu_exact_coarse = restrict_to_coarse(mu_exact_fine, fine, coarse)
-        err = n_error(mu_rec, mu_exact_coarse)
+        err = n_error(solved.mu, mu_exact_coarse)
     except Exception as exc:
         raise ExperimentError("metric", exc) from exc
 
@@ -285,13 +261,13 @@ def run_experiment(config):
         n_error=err,
         wall_times=times,
         solver=config.solver,
-        iterations=iterations,
-        converged=converged,
-        mu_rec=mu_rec,
+        iterations=solved.iterations,
+        converged=solved.converged,
+        stop_reason=solved.stop_reason,
+        mu_rec=solved.mu,
         mu_exact=mu_exact_coarse,
-        records=records,
+        records=solved.records,
         seed=config.seed,
-        mu_plus_lambda=mu_plus_lambda,
     )
     if config.output_dir:
         try:

@@ -7,20 +7,41 @@ an affine shrink toward the data, the primal step is the combined L1+L2
 prox.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import check_problem, dual_objective, primal_objective, prox_p
+from .prox import SolveResult, check_problem, dual_objective, primal_objective, prox_p
 
 
 @dataclass
-class PdaResult:
-    mu: np.ndarray
+class PdaOptions:
+    """Steps sigma and tau (None: `default_steps`), iteration count, extrapolation
+    theta, record interval, and the relative duality-gap tolerance (None: no gap exit)."""
+
+    sigma: float = 0.5
+    tau: float = None
+    iters: int = 5000
+    theta: float = 1.0
+    record_every: int = 50
+    gap_tol: float = None
+
+    def __post_init__(self):
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
+        if self.tau is not None and self.tau <= 0:
+            raise ValueError("tau must be positive")
+        if self.iters < 1:
+            raise ValueError("iters must be at least 1")
+        if self.record_every < 1:
+            raise ValueError("record_every must be at least 1")
+
+
+@dataclass
+class PdaResult(SolveResult):
+    """`SolveResult` with the final dual iterate p."""
+
     p: np.ndarray
-    iterations: int
-    records: list = field(repr=False)
-    converged: bool = False  # True only when the duality-gap exit fired
 
 
 def spectral_norm(vb, iters=50):
@@ -57,17 +78,19 @@ def pda_primal_step(mu, p_next, vb, tau, reg):
     return prox_p(mu - tau * (vb.T @ p_next), tau, reg)
 
 
-def solve_pda(vb, u_b, reg, sigma=0.5, tau=None, iters=5000, theta=1.0,
-              record_every=50, gap_tol=None):
+def solve_pda(vb, u_b, reg, options=None):
     """Run the three-line loop with extrapolation theta (default 1).
 
     Records the primal objective trajectory every `record_every` steps;
     the per-iterate objective is not monotone, so its running minimum is
     also tracked.  An optional duality-gap early exit applies only when
     alpha0 > 0 (otherwise the dual value is an indicator); the result is
-    `converged` only when that exit fired.
+    `converged`, with stop reason "duality_gap", only when that exit
+    fired, and otherwise stops on "max_iters".
     """
     vb, u_b = check_problem(vb, u_b)
+    options = options or PdaOptions()
+    sigma, tau = options.sigma, options.tau
     if tau is None:
         sigma, tau = default_steps(vb, sigma)
     p = np.zeros(vb.shape[0])
@@ -75,25 +98,25 @@ def solve_pda(vb, u_b, reg, sigma=0.5, tau=None, iters=5000, theta=1.0,
     mu_bar = mu.copy()
     records = []
     best = np.inf
-    it = 0
     converged = False
-    for it in range(1, iters + 1):
+    for it in range(1, options.iters + 1):
         p = pda_dual_step(p, mu_bar, vb, u_b, sigma)
         mu_next = pda_primal_step(mu, p, vb, tau, reg)
-        mu_bar = mu_next + theta * (mu_next - mu)
+        mu_bar = mu_next + options.theta * (mu_next - mu)
         mu = mu_next
-        if it % record_every == 0 or it == iters:
+        if it % options.record_every == 0 or it == options.iters:
             primal = primal_objective(mu, vb, u_b, reg)
             best = min(best, primal)
             rec = {"solver": "pda", "kind": "inner", "inner": it,
                    "objective": float(primal), "best_objective": float(best)}
-            if gap_tol is not None and reg.alpha0 > 0:
+            if options.gap_tol is not None and reg.alpha0 > 0:
                 gap = primal + dual_objective(p, vb, u_b, reg)
                 rec["gap"] = float(gap)
                 records.append(rec)
-                if gap <= gap_tol * (1.0 + abs(primal)):
+                if gap <= options.gap_tol * (1.0 + abs(primal)):
                     converged = True
                     break
             else:
                 records.append(rec)
-    return PdaResult(mu=mu, p=p, iterations=it, records=records, converged=converged)
+    return PdaResult(mu=mu, converged=converged, stop_reason="duality_gap" if converged else "max_iters",
+                     iterations=it, records=records, p=p)

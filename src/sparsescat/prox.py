@@ -3,12 +3,35 @@
 The regularizer is p(mu) = alpha0/2 ||mu||^2 + alpha ||mu||_1, applied
 componentwise to realified vectors (anisotropic thresholding).  The data
 term conjugate is h*(y) = 1/2 ||y||^2 + <y, u_b>.  `check_problem` is
-the entry check that every solver applies to (vb, u_b).
+the entry check that every solver applies to (vb, u_b), and `SolveResult`
+is what every solver returns.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+
+@dataclass
+class SolveResult:
+    """What `solve_alm`, `solve_ssn` and `solve_pda`, each called as (vb, u_b, reg, options), return.
+
+    `iterations` counts innermost-loop steps: Newton solves for ALM and
+    SSN, primal-dual steps for PDA.  `stop_reason` names the exit that
+    ended the run, and `converged` is true exactly when it is a
+    convergence exit:
+
+    - ALM: "multiplier_change" or "duality_gap" (converged), "max_outer";
+    - SSN: "path_end" (converged), "cycling" (some stage kept its iterate
+      with active sets still changing);
+    - PDA: "duality_gap" (converged), "max_iters".
+    """
+
+    mu: np.ndarray
+    converged: bool
+    stop_reason: str
+    iterations: int
+    records: list = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -43,23 +66,6 @@ def prox_p(mu, sigma, reg):
         raise ValueError("step must be positive")
     scale = 1.0 + sigma * reg.alpha0
     return soft_threshold(np.asarray(mu, dtype=float) / scale, sigma * reg.alpha / scale)
-
-
-def moreau_complement(x, sigma, reg):
-    """The complement x - prox_p(x, sigma) == sigma * (I + (1/sigma) dp*)^{-1}(x/sigma)."""
-    if reg.alpha == 0 and reg.alpha0 == 0:
-        raise ValueError("p is identically zero; its conjugate resolvent is degenerate")
-    x = np.asarray(x, dtype=float)
-    return x - prox_p(x, sigma, reg)
-
-
-def hstar_grad(y, u_b):
-    """Gradient y + u_b of the data-term conjugate h*."""
-    y = np.asarray(y, dtype=float)
-    u_b = np.asarray(u_b, dtype=float)
-    if y.shape != u_b.shape:
-        raise ValueError(f"dimension mismatch: {y.shape} vs {u_b.shape}")
-    return y + u_b
 
 
 def h_star(y, u_b):

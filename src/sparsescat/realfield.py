@@ -44,38 +44,3 @@ def realify_matrix(a):
         raise ValueError("expected a matrix")
     ar, ai = np.real(a), np.imag(a)
     return np.block([[ar, -ai], [ai, ar]]).astype(float)
-
-
-def derealify_matrix(b):
-    """Recover the complex M x N matrix from its real block representation."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] % 2 or b.shape[1] % 2:
-        raise ValueError(f"realified matrix must have even dimensions, got {b.shape}")
-    m, n = b.shape[0] // 2, b.shape[1] // 2
-    return b[:m, :n] + 1j * b[m:, :n]
-
-
-def rotation_matrix(n):
-    """The 2n x 2n block rotation J = [[0, -I], [I, 0]] (multiplication by i)."""
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, -eye], [eye, zero]])
-
-
-def commutes_with_rotation(b, atol=0.0):
-    """Check the block-structure invariant B @ J_N == J_M @ B."""
-    b = np.asarray(b, dtype=float)
-    m, n = b.shape[0] // 2, b.shape[1] // 2
-    # multiply by J without forming it: (B J_N) col-swaps, (J_M B) row-swaps
-    bj = np.concatenate([b[:, n:], -b[:, :n]], axis=1)
-    jb = np.concatenate([-b[m:, :], b[:m, :]], axis=0)
-    return np.allclose(bj, jb, rtol=0.0, atol=atol)
-
-
-def transpose_apply(a, y):
-    """Plain real transpose product A^T y of a realified matrix."""
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != a.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {a.shape}, vector {y.shape}")
-    return a.T @ y

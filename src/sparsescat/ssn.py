@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .prox import check_problem
+from .prox import SolveResult, check_problem
 
 
 @dataclass
@@ -33,22 +33,6 @@ class SsnOptions:
     def __post_init__(self):
         if not all(b > a for a, b in zip(self.gammas, self.gammas[1:])):
             raise ValueError("gamma schedule must be strictly increasing")
-
-
-@dataclass
-class SsnState:
-    y: np.ndarray
-    gamma: float
-    active_plus: np.ndarray = None
-    active_minus: np.ndarray = None
-
-
-@dataclass
-class SsnResult:
-    mu: np.ndarray
-    y: np.ndarray
-    converged: bool
-    records: list = field(repr=False)
 
 
 @dataclass
@@ -82,7 +66,7 @@ def active_sets(y, b, alpha):
     return plus, minus, plus | minus
 
 
-def ssn_newton_solve(state, b, vt_ub, alpha, gamma, binv_c=None):
+def ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma, binv_c=None):
     """Newton solve (B + gamma*B X B) y = -vt_ub + gamma*alpha*B(chi+ - chi-)1.
 
     Left-multiplying by B^{-1} (whose factor is formed once per instance)
@@ -90,14 +74,15 @@ def ssn_newton_solve(state, b, vt_ub, alpha, gamma, binv_c=None):
     gamma*alpha*(chi+ - chi-)1: inactive components are read off directly
     and the active block (B_AA + I/gamma) y_A = w_A/gamma - B_AI y_I is
     solved by Cholesky.  The active block stays well conditioned uniformly
-    in gamma, unlike the unreduced 2N x 2N matrix.
+    in gamma, unlike the unreduced 2N x 2N matrix.  `plus` and `minus` are
+    the masks chi+ and chi- of `active_sets`.
     """
     if binv_c is None:
         binv_c = b.solve(vt_ub)
     if gamma == 0:
         return -binv_c
-    signs = state.active_plus.astype(float) - state.active_minus.astype(float)
-    active = state.active_plus | state.active_minus
+    signs = plus.astype(float) - minus.astype(float)
+    active = plus | minus
     w = -binv_c + gamma * alpha * signs
     y = w.copy()
     if np.any(active):
@@ -130,8 +115,8 @@ def penalty_objective(y, b, vt_ub, alpha, gamma):
     return 0.5 * float(y @ w) + float(y @ vt_ub) + 0.5 * gamma * (float(up @ up) + float(lo @ lo))
 
 
-def path_follow(b, vt_ub, alpha, options=None, y0=None):
-    """Drive gamma along the schedule, warm-starting each stage.
+def path_follow(b, vt_ub, alpha, options=None):
+    """Drive gamma along the schedule from y = 0, warm-starting each stage.
 
     Each stage iterates active-set detection and Newton solves until the
     sets repeat after a full step (the settled solve is then exact for the
@@ -142,20 +127,25 @@ def path_follow(b, vt_ub, alpha, options=None, y0=None):
     directional derivative; that keeps each stage monotone and rules out
     permanent active-set cycling.  Exceeding the inner cap keeps the
     current iterate with a warning.
+
+    Returns (y, records, solves, converged): the final iterate, one record
+    per Newton step taken (a solve whose direction is not a descent
+    direction ends its stage unrecorded), the number of Newton solves, and
+    whether every stage settled.
     """
     options = options or SsnOptions()
-    y = np.zeros(b.matrix.shape[0]) if y0 is None else np.asarray(y0, dtype=float).copy()
+    y = np.zeros(b.matrix.shape[0])
     binv_c = b.solve(vt_ub)
     records = []
+    solves = 0
     converged = True
     for gamma in options.gammas:
-        state = SsnState(y=y, gamma=gamma)
         prev = None
         full_step = False
         settled = False
-        energy = penalty_objective(state.y, b, vt_ub, alpha, gamma)
+        energy = penalty_objective(y, b, vt_ub, alpha, gamma)
         for it in range(options.max_inner):
-            plus, minus, _ = active_sets(state.y, b, alpha)
+            plus, minus, _ = active_sets(y, b, alpha)
             if (
                 full_step
                 and prev is not None
@@ -164,49 +154,48 @@ def path_follow(b, vt_ub, alpha, options=None, y0=None):
             ):
                 settled = True
                 break
-            state.active_plus, state.active_minus = plus, minus
-            y_next = ssn_newton_solve(state, b, vt_ub, alpha, gamma, binv_c=binv_c)
-            d = y_next - state.y
+            y_next = ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma, binv_c=binv_c)
+            solves += 1
+            d = y_next - y
             step = 1.0
-            if np.linalg.norm(d) <= 1e-8 * (1.0 + np.linalg.norm(state.y)):
+            if np.linalg.norm(d) <= 1e-8 * (1.0 + np.linalg.norm(y)):
                 # negligible Newton increment: floating-point fixed point even
                 # if boundary components keep flickering between the sets
-                state.y = y_next
+                y = y_next
                 settled = True
             else:
                 trial = penalty_objective(y_next, b, vt_ub, alpha, gamma)
                 # full steps require strict decrease: an equal-energy plateau
                 # would let two active-set configurations trade places forever
                 if trial < energy:
-                    state.y, energy, full_step = y_next, trial, True
+                    y, energy, full_step = y_next, trial, True
                 else:
-                    grad = penalty_gradient(state.y, b, vt_ub, alpha, gamma)
+                    grad = penalty_gradient(y, b, vt_ub, alpha, gamma)
                     slope = float(grad @ d)  # -d^T H d < 0 for the exact solve
                     full_step = False
                     if slope >= 0:
                         break  # numerically not a descent direction; keep iterate
                     step = 0.5
                     for _ in range(60):
-                        cand = state.y + step * d
+                        cand = y + step * d
                         trial = penalty_objective(cand, b, vt_ub, alpha, gamma)
                         if trial <= energy + 1e-4 * step * slope:
                             break
                         step *= 0.5
-                    state.y, energy = cand, trial
+                    y, energy = cand, trial
             prev = (plus, minus)
             records.append({
                 "solver": "ssn", "kind": "inner", "gamma": float(gamma), "inner": it,
                 "active": int(np.count_nonzero(plus) + np.count_nonzero(minus)),
                 "step": 1.0 if full_step else float(step),
-                "residual": float(np.linalg.norm(penalty_gradient(state.y, b, vt_ub, alpha, gamma))),
+                "residual": float(np.linalg.norm(penalty_gradient(y, b, vt_ub, alpha, gamma))),
             })
             if settled:
                 break
         if not settled:
             warnings.warn(f"active sets cycling at gamma={gamma:g}; keeping current iterate", RuntimeWarning)
             converged = False
-        y = state.y
-    return y, records, converged
+    return y, records, solves, converged
 
 
 def ssn_recover_mu(y, b, vt_ub):
@@ -214,10 +203,14 @@ def ssn_recover_mu(y, b, vt_ub):
     return y + b.solve(vt_ub)
 
 
-def solve_ssn(vb, u_b, reg, options=None, y0=None):
-    """Assemble B, run the gamma path, and recover the source."""
+def solve_ssn(vb, u_b, reg, options=None):
+    """Assemble B, run the gamma path, and recover the source.
+
+    Stops on "path_end" (converged) when every stage settled, else on "cycling".
+    """
     vb, u_b = check_problem(vb, u_b)
     b = build_b_operator(vb, reg)
     vt_ub = vb.T @ u_b
-    y, records, converged = path_follow(b, vt_ub, reg.alpha, options=options, y0=y0)
-    return SsnResult(mu=ssn_recover_mu(y, b, vt_ub), y=y, converged=converged, records=records)
+    y, records, solves, converged = path_follow(b, vt_ub, reg.alpha, options=options)
+    return SolveResult(mu=ssn_recover_mu(y, b, vt_ub), converged=converged,
+                       stop_reason="path_end" if converged else "cycling", iterations=solves, records=records)

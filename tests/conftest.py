@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sparsescat.prox import RegParams
+from sparsescat.prox import RegParams, prox_p
 from sparsescat.realfield import realify_matrix
 
 
@@ -25,6 +25,33 @@ def random_instance(seed, m=None, n=None, alpha=None, alpha0=None, sparsity=3):
     alpha = float(10 ** rng.uniform(-3, -1)) if alpha is None else alpha
     alpha0 = float(10 ** rng.uniform(-4, -2)) if alpha0 is None else alpha0
     return vb, u_b, RegParams(alpha=alpha, alpha0=alpha0)
+
+
+def derealify_matrix(b):
+    """Recover the complex M x N matrix from its real block representation."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 2 or b.shape[0] % 2 or b.shape[1] % 2:
+        raise ValueError(f"realified matrix must have even dimensions, got {b.shape}")
+    m, n = b.shape[0] // 2, b.shape[1] // 2
+    return b[:m, :n] + 1j * b[m:, :n]
+
+
+def commutes_with_rotation(b, atol=0.0):
+    """Check the block-structure invariant B @ J_N == J_M @ B, J = [[0, -I], [I, 0]]."""
+    b = np.asarray(b, dtype=float)
+    m, n = b.shape[0] // 2, b.shape[1] // 2
+    # multiply by J without forming it: (B J_N) col-swaps, (J_M B) row-swaps
+    bj = np.concatenate([b[:, n:], -b[:, :n]], axis=1)
+    jb = np.concatenate([-b[m:, :], b[:m, :]], axis=0)
+    return np.allclose(bj, jb, rtol=0.0, atol=atol)
+
+
+def moreau_complement(x, sigma, reg):
+    """The complement x - prox_p(x, sigma) == sigma * (I + (1/sigma) dp*)^{-1}(x/sigma)."""
+    if reg.alpha == 0 and reg.alpha0 == 0:
+        raise ValueError("p is identically zero; its conjugate resolvent is degenerate")
+    x = np.asarray(x, dtype=float)
+    return x - prox_p(x, sigma, reg)
 
 
 @pytest.fixture

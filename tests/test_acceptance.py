@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_instance
+from conftest import moreau_complement, random_instance
 
 from sparsescat.alm import AlmOptions, newton_matrix, residual_F, solve_alm
 from sparsescat.forward import (
@@ -22,9 +22,9 @@ from sparsescat.forward import (
 )
 from sparsescat.grid import Grid, boundary_receivers, homogeneous_medium
 from sparsescat.harness import ExperimentConfig, add_noise, run_experiment
-from sparsescat.pda import solve_pda
+from sparsescat.pda import PdaOptions, solve_pda
 from sparsescat.phantoms import PhantomSpec, make_medium
-from sparsescat.prox import RegParams, moreau_complement, primal_objective, prox_p, soft_threshold
+from sparsescat.prox import RegParams, primal_objective, prox_p, soft_threshold
 from sparsescat.ssn import SsnOptions, solve_ssn
 
 N_CROSS = 20
@@ -157,7 +157,7 @@ def cross_solver_batch():
         vb, u_b, reg = random_instance(500 + trial)
         alm = solve_alm(vb, u_b, reg, options=AlmOptions(**TIGHT_ALM))
         ssn = solve_ssn(vb, u_b, reg, options=SsnOptions(gammas=LONG_GAMMAS))
-        pda = solve_pda(vb, u_b, reg, iters=10**6, record_every=10**6)
+        pda = solve_pda(vb, u_b, reg, options=PdaOptions(iters=10**6, record_every=10**6))
         batch.append((vb, u_b, reg, alm, ssn, pda))
     return batch
 

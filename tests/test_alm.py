@@ -14,7 +14,7 @@ from sparsescat.alm import (
     residual_F,
     solve_alm,
 )
-from sparsescat.pda import solve_pda
+from sparsescat.pda import PdaOptions, solve_pda
 from sparsescat.prox import RegParams, dual_objective, primal_objective
 from sparsescat.realfield import realify_matrix
 
@@ -257,7 +257,7 @@ def test_solve_zero_data():
 def test_solve_matches_long_run_pda():
     vb, u_b, reg = random_instance(21, m=4, n=12, alpha=0.1, alpha0=0.01)
     alm = solve_alm(vb, u_b, reg, options=tight_options())
-    pda = solve_pda(vb, u_b, reg, iters=10**6, record_every=10**5)
+    pda = solve_pda(vb, u_b, reg, options=PdaOptions(iters=10**6, record_every=10**5))
     p_alm = primal_objective(alm.mu, vb, u_b, reg)
     p_pda = primal_objective(pda.mu, vb, u_b, reg)
     assert abs(p_alm - p_pda) <= 1e-6 * abs(p_alm)

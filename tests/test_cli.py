@@ -45,6 +45,20 @@ def test_cli_phantom(tmp_path, capsys):
     assert (matrix != 0).sum() == 4
 
 
+def test_cli_phantom_3d(tmp_path, capsys):
+    rc = main([
+        "phantom", "--spec", '{"kind": "balls3d", "radius_frac": 0.2}',
+        "--out", str(tmp_path / "ball"), "--dim", "3", "--n", "8",
+    ])
+    assert rc == 0
+    matrix = read_csv_matrix(tmp_path / "ball.csv")
+    assert matrix.shape == (64, 8) and (matrix != 0).any()
+    slices = sorted(p.name for p in tmp_path.glob("ball_z*.pgm"))
+    assert slices == [f"ball_z{iz:03d}.pgm" for iz in range(8)]
+    assert not (tmp_path / "ball.pgm").exists()
+    assert "wrote" in capsys.readouterr().out
+
+
 def test_cli_reconstruct(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path))
     rc = main(["reconstruct", "--config", path])

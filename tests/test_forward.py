@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import commutes_with_rotation, derealify_matrix
 
 from sparsescat import forward
 from sparsescat.forward import (
@@ -16,7 +17,7 @@ from sparsescat.forward import (
     volume_potential_fft,
 )
 from sparsescat.grid import Grid, Medium, boundary_receivers, homogeneous_medium
-from sparsescat.realfield import commutes_with_rotation, derealify_matrix, realify, realify_matrix
+from sparsescat.realfield import realify, realify_matrix
 
 
 def small_bump_medium(grid, k, strength=1.0):

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from conftest import random_instance
 
+from sparsescat import alm, harness, pda, ssn
 from sparsescat.export import read_csv_matrix, read_jsonl, write_csv_matrix, write_pgm
 from sparsescat.grid import Grid
 from sparsescat.harness import (
+    SOLVER_OPTIONS,
     ExperimentConfig,
     ExperimentError,
     add_noise,
@@ -16,6 +19,7 @@ from sparsescat.harness import (
     run_suite,
 )
 from sparsescat.phantoms import PhantomSpec
+from sparsescat.prox import SolveResult
 
 # fine cell 46 center coincides with coarse cell 15 center for 96 vs 32
 ALIGNED_96_32 = 46.5 / 96.0
@@ -119,6 +123,12 @@ def test_config_rejects_unknown_keys():
     data["solver_options"] = {"definitely_not_an_option": 1}
     with pytest.raises(ValueError, match="unknown alm options"):
         ExperimentConfig.from_dict(data)
+    data["solver"] = "pda"
+    with pytest.raises(ValueError, match="unknown pda options"):
+        ExperimentConfig.from_dict(data)
+    data["solver_options"] = {"record_every": 0}
+    with pytest.raises(ValueError, match="record_every must be at least 1"):
+        ExperimentConfig.from_dict(data)
 
 
 def test_config_inverse_crime_guard():
@@ -166,12 +176,10 @@ def test_run_experiment_uses_cache(tmp_path):
 
 
 def test_run_experiment_mu_from_lambda(tmp_path):
-    r1 = run_experiment(small_config())
-    r2 = run_experiment(small_config(mu_from_lambda=True))
-    # both recoveries approximate the same source
-    assert abs(r1.n_error - r2.n_error) < 0.02
-    assert r1.mu_plus_lambda is not None
-    assert r1.mu_plus_lambda <= 1e-3 * np.linalg.norm(r1.mu_rec)
+    # at the ALM solution the source is minus the multiplier: ||mu + lambda|| <= 1e-3 ||mu||
+    result = run_experiment(small_config())
+    last_outer = [r for r in result.records if r["kind"] == "outer"][-1]
+    assert last_outer["mu_plus_lambda"] <= 1e-3 * np.linalg.norm(result.mu_rec)
 
 
 def test_run_experiment_phase_errors_tagged():
@@ -179,6 +187,54 @@ def test_run_experiment_phase_errors_tagged():
     with pytest.raises(ExperimentError) as err:
         run_experiment(bad)
     assert err.value.phase == "simulate"
+
+
+# every stop reason of each solver, and whether it is a convergence exit
+STOP_REASONS = {
+    "alm": {"multiplier_change": True, "duality_gap": True, "max_outer": False},
+    "ssn": {"path_end": True, "cycling": False},
+    "pda": {"duality_gap": True, "max_iters": False},
+}
+# the innermost step of each solver, which `iterations` counts
+STEPS = {"alm": (alm, "newton_step"), "ssn": (ssn, "ssn_newton_solve"), "pda": (pda, "pda_primal_step")}
+TINY = dict(fine_n=24, coarse_n=16, half_width=3.0, receivers=8, alpha=9e-4, alpha0=1e-7,
+            noise_level=0.01, solver_options={})
+
+
+def spy(monkeypatch, module, name):
+    """Wrap module.name for the test; returns the list of the values its calls return."""
+    returned = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return returned
+
+
+@pytest.mark.parametrize("solver", ["alm", "ssn", "pda"])
+def test_solver_contract(solver, tmp_path, monkeypatch):
+    vb, u_b, reg = random_instance(41)
+    steps = spy(monkeypatch, *STEPS[solver])
+    solve = getattr(harness, f"solve_{solver}")
+    result = solve(vb, u_b, reg, options=SOLVER_OPTIONS[solver]())
+    assert isinstance(result, SolveResult)
+    assert result.converged == STOP_REASONS[solver][result.stop_reason]
+    assert result.iterations == len(steps) > 0
+    if solver != "pda":  # PDA records every record_every steps
+        assert result.iterations == sum(r["kind"] == "inner" for r in result.records)
+
+    # the harness reports the solver's own result
+    results = spy(monkeypatch, harness, f"solve_{solver}")
+    out = tmp_path / "run"
+    experiment = run_experiment(small_config(solver=solver, output_dir=str(out), **TINY))
+    saved = json.loads((out / "result.json").read_text())
+    (solved,) = results
+    for key in ("iterations", "converged", "stop_reason"):
+        assert saved[key] == getattr(experiment, key) == getattr(solved, key)
+    assert np.array_equal(experiment.mu_rec, solved.mu)
 
 
 def test_suite_empty(tmp_path):

@@ -1,9 +1,18 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from conftest import random_instance
 
 from sparsescat.alm import AlmOptions, solve_alm
-from sparsescat.pda import default_steps, pda_dual_step, pda_primal_step, solve_pda, spectral_norm
+from sparsescat.pda import (
+    PdaOptions,
+    default_steps,
+    pda_dual_step,
+    pda_primal_step,
+    solve_pda,
+    spectral_norm,
+)
 from sparsescat.prox import RegParams, primal_objective, prox_p
 
 
@@ -64,14 +73,14 @@ def test_default_steps_satisfy_convergence_condition():
 
 def test_solve_zero_data():
     vb, _, reg = random_instance(4)
-    result = solve_pda(vb, np.zeros(vb.shape[0]), reg, iters=200)
+    result = solve_pda(vb, np.zeros(vb.shape[0]), reg, options=PdaOptions(iters=200))
     assert not np.any(result.mu)
 
 
 def test_fixed_point_saddle_relation():
     # at the saddle point the dual variable equals the data residual
     vb, u_b, reg = random_instance(5, m=4, n=10, alpha=0.05, alpha0=0.01)
-    result = solve_pda(vb, u_b, reg, iters=300000, record_every=100000)
+    result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=300000, record_every=100000))
     resid = vb @ result.mu - u_b
     assert np.linalg.norm(result.p - resid) <= 1e-6 * max(1.0, np.linalg.norm(resid))
 
@@ -79,7 +88,7 @@ def test_fixed_point_saddle_relation():
 def test_long_run_matches_alm_objective():
     vb, u_b, reg = random_instance(6, m=4, n=12, alpha=0.1, alpha0=0.01)
     alm = solve_alm(vb, u_b, reg, options=AlmOptions(lam_tol=1e-10, gap_tol=1e-12, max_outer=25))
-    pda = solve_pda(vb, u_b, reg, iters=10**6, record_every=2 * 10**5)
+    pda = solve_pda(vb, u_b, reg, options=PdaOptions(iters=10**6, record_every=2 * 10**5))
     p_alm = primal_objective(alm.mu, vb, u_b, reg)
     p_pda = primal_objective(pda.mu, vb, u_b, reg)
     assert abs(p_pda - p_alm) <= 1e-8 * max(1.0, abs(p_alm))
@@ -87,7 +96,7 @@ def test_long_run_matches_alm_objective():
 
 def test_running_minimum_nonincreasing():
     vb, u_b, reg = random_instance(7, m=4, n=12)
-    result = solve_pda(vb, u_b, reg, iters=5000, record_every=100)
+    result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=5000, record_every=100))
     best = [r["best_objective"] for r in result.records]
     assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
     # the recorded best lower-bounds every recorded objective up to that point
@@ -97,17 +106,19 @@ def test_running_minimum_nonincreasing():
 
 def test_gap_based_early_exit():
     vb, u_b, reg = random_instance(8, m=4, n=10, alpha=0.05, alpha0=0.01)
-    result = solve_pda(vb, u_b, reg, iters=10**6, record_every=1000, gap_tol=1e-9)
+    result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=10**6, record_every=1000, gap_tol=1e-9))
     assert result.iterations < 10**6
-    assert result.converged
+    assert result.converged and result.stop_reason == "duality_gap"
     assert result.records[-1]["gap"] <= 1e-9 * (1.0 + abs(result.records[-1]["objective"]))
 
 
 def test_fixed_iteration_run_not_converged():
     vb, u_b, reg = random_instance(8, m=4, n=10, alpha=0.05, alpha0=0.01)
-    assert not solve_pda(vb, u_b, reg, iters=2000, record_every=1000).converged
+    result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=2000, record_every=1000))
+    assert not result.converged and result.stop_reason == "max_iters"
     # a gap exit that never fires does not count either
-    assert not solve_pda(vb, u_b, reg, iters=2000, record_every=1000, gap_tol=1e-30).converged
+    result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=2000, record_every=1000, gap_tol=1e-30))
+    assert not result.converged and result.stop_reason == "max_iters"
 
 
 @pytest.mark.parametrize("u_b, match", [
@@ -118,3 +129,21 @@ def test_solve_rejects_bad_data(u_b, match):
     vb, _, reg = random_instance(29, m=3, n=8)
     with pytest.raises(ValueError, match=match):
         solve_pda(vb, u_b, reg)
+
+
+def test_options_defaults():
+    defaults = {f.name: f.default for f in fields(PdaOptions)}
+    assert defaults == dict(sigma=0.5, tau=None, iters=5000, theta=1.0, record_every=50, gap_tol=None)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(record_every=0), "record_every"),
+    (dict(iters=0), "iters"),
+    (dict(sigma=0.0), "sigma"),
+    (dict(sigma=-1.0), "sigma"),
+    (dict(tau=0.0), "tau"),
+    (dict(tau=-0.5), "tau"),
+])
+def test_options_reject_bad_values(bad, match):
+    with pytest.raises(ValueError, match=match):
+        PdaOptions(**bad)

@@ -6,7 +6,6 @@ from sparsescat.alm import AlmOptions, solve_alm
 from sparsescat.prox import RegParams, primal_objective
 from sparsescat.ssn import (
     SsnOptions,
-    SsnState,
     active_sets,
     build_b_operator,
     path_follow,
@@ -71,10 +70,8 @@ def test_newton_solve_gamma_zero():
     vb, u_b, reg = random_instance(6)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
-    n2 = vb.shape[1]
-    state = SsnState(y=np.zeros(n2), gamma=0.0,
-                     active_plus=np.zeros(n2, bool), active_minus=np.zeros(n2, bool))
-    y = ssn_newton_solve(state, b, c, 0.5, 0.0)
+    none = np.zeros(vb.shape[1], bool)
+    y = ssn_newton_solve(none, none, b, c, 0.5, 0.0)
     assert np.allclose(y, -np.linalg.solve(b.matrix, c), atol=1e-10)
 
 
@@ -82,10 +79,8 @@ def test_newton_solve_empty_active_set_matches_gamma_zero():
     vb, u_b, reg = random_instance(7)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
-    n2 = vb.shape[1]
-    state = SsnState(y=np.zeros(n2), gamma=10.0,
-                     active_plus=np.zeros(n2, bool), active_minus=np.zeros(n2, bool))
-    y = ssn_newton_solve(state, b, c, 0.5, 10.0)
+    none = np.zeros(vb.shape[1], bool)
+    y = ssn_newton_solve(none, none, b, c, 0.5, 10.0)
     assert np.allclose(y, -np.linalg.solve(b.matrix, c), atol=1e-10)
 
 
@@ -98,8 +93,7 @@ def test_newton_solve_matches_unreduced_system(rng):
     gamma, alpha = 100.0, 0.2
     y0 = rng.standard_normal(n2)
     plus, minus, both = active_sets(y0, b, alpha)
-    state = SsnState(y=y0, gamma=gamma, active_plus=plus, active_minus=minus)
-    y = ssn_newton_solve(state, b, c, alpha, gamma)
+    y = ssn_newton_solve(plus, minus, b, c, alpha, gamma)
     bm = b.matrix
     chi = np.diag(both.astype(float))
     full = bm + gamma * bm @ chi @ bm
@@ -116,12 +110,12 @@ def test_fixed_point_residual():
     vb, u_b, reg = random_instance(9, m=4, n=11, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
-    y, records, converged = path_follow(b, c, reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
+    y, _, _, converged = path_follow(b, c, reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
     assert converged
     grad = penalty_gradient(y, b, c, reg.alpha, 100.0)
     assert np.linalg.norm(grad) <= 1e-9 * max(1.0, np.linalg.norm(c))
 
-    y, records, converged = path_follow(b, c, reg.alpha, options=SsnOptions())
+    y, _, _, converged = path_follow(b, c, reg.alpha, options=SsnOptions())
     gamma = SsnOptions().gammas[-1]
     assert converged
     grad = penalty_gradient(y, b, c, reg.alpha, gamma)
@@ -132,7 +126,7 @@ def test_fixed_point_residual():
 def test_path_follow_zero_data():
     vb, _, reg = random_instance(10)
     b = build_b_operator(vb, reg)
-    y, records, _ = path_follow(b, np.zeros(vb.shape[1]), 0.5)
+    y, records, _, _ = path_follow(b, np.zeros(vb.shape[1]), 0.5)
     assert not np.any(y)
 
 
@@ -145,7 +139,7 @@ def test_constraint_violation_nonincreasing_along_path():
     y = None
     for i in range(1, len(options.gammas) + 1):
         partial = SsnOptions(gammas=options.gammas[:i])
-        y, _, _ = path_follow(b, c, reg.alpha, options=partial)
+        y, _, _, _ = path_follow(b, c, reg.alpha, options=partial)
         w = b.matrix @ y
         violations.append(max(0.0, np.max(np.abs(w)) - reg.alpha))
     assert all(b2 <= a * (1 + 1e-9) + 1e-15 for a, b2 in zip(violations, violations[1:]))
@@ -155,7 +149,7 @@ def test_final_feasibility_at_large_gamma():
     vb, u_b, reg = random_instance(12, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
-    y, _, _ = path_follow(b, c, reg.alpha)
+    y, _, _, _ = path_follow(b, c, reg.alpha)
     w = b.matrix @ y
     assert np.max(np.maximum(0.0, np.abs(w) - reg.alpha)) <= reg.alpha * 1e-4
 
