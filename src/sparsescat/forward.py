@@ -234,8 +234,15 @@ def source_to_measurement(grid, medium, receivers, mu, tol=1e-10):
     """Boundary data of the scattered field radiated by the realified source mu.
 
     Computes u = (I - V_k q)^{-1} V_k mu / k^2 on the grid, then evaluates
-    the potential of mu/k^2 + q*u at the receiver points.
+    the potential of mu/k^2 + q*u at the receiver points.  Raises
+    ValueError naming mu when it does not have shape (2 * grid.num_nodes,)
+    or holds NaN or inf.
     """
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (2 * grid.num_nodes,):
+        raise ValueError(f"mu must have shape ({2 * grid.num_nodes},) to match the grid, got {mu.shape}")
+    if not np.isfinite(mu).all():
+        raise ValueError("mu contains NaN or inf")
     k = medium.wavenumber
     mu_c = derealify(mu)
     density = mu_c / k**2

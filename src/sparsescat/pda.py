@@ -16,21 +16,17 @@ from .prox import SolveResult, check_problem, dual_objective, primal_objective, 
 
 @dataclass
 class PdaOptions:
-    """Steps sigma and tau (None: `default_steps`), iteration count, extrapolation
-    theta, record interval, and the relative duality-gap tolerance (None: no gap exit)."""
+    """Dual step sigma (the primal step tau follows from it by `default_steps`), iteration
+    count, record interval, and the relative duality-gap tolerance (None: no gap exit)."""
 
     sigma: float = 0.5
-    tau: float = None
     iters: int = 5000
-    theta: float = 1.0
     record_every: int = 50
     gap_tol: float = None
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
         if self.iters < 1:
             raise ValueError("iters must be at least 1")
         if self.record_every < 1:
@@ -79,7 +75,7 @@ def pda_primal_step(mu, p_next, vb, tau, reg):
 
 
 def solve_pda(vb, u_b, reg, options=None):
-    """Run the three-line loop with extrapolation theta (default 1).
+    """Run the three-line loop with extrapolation mu_bar = 2*mu_next - mu.
 
     Records the primal objective trajectory every `record_every` steps;
     the per-iterate objective is not monotone, so its running minimum is
@@ -90,9 +86,7 @@ def solve_pda(vb, u_b, reg, options=None):
     """
     vb, u_b = check_problem(vb, u_b)
     options = options or PdaOptions()
-    sigma, tau = options.sigma, options.tau
-    if tau is None:
-        sigma, tau = default_steps(vb, sigma)
+    sigma, tau = default_steps(vb, options.sigma)
     p = np.zeros(vb.shape[0])
     mu = np.zeros(vb.shape[1])
     mu_bar = mu.copy()
@@ -102,7 +96,7 @@ def solve_pda(vb, u_b, reg, options=None):
     for it in range(1, options.iters + 1):
         p = pda_dual_step(p, mu_bar, vb, u_b, sigma)
         mu_next = pda_primal_step(mu, p, vb, tau, reg)
-        mu_bar = mu_next + options.theta * (mu_next - mu)
+        mu_bar = mu_next + (mu_next - mu)
         mu = mu_next
         if it % options.record_every == 0 or it == options.iters:
             primal = primal_objective(mu, vb, u_b, reg)
@@ -110,7 +104,7 @@ def solve_pda(vb, u_b, reg, options=None):
             rec = {"solver": "pda", "kind": "inner", "inner": it,
                    "objective": float(primal), "best_objective": float(best)}
             if options.gap_tol is not None and reg.alpha0 > 0:
-                gap = primal + dual_objective(p, vb, u_b, reg)
+                gap = primal + dual_objective(p, vb.T @ p, u_b, reg)
                 rec["gap"] = float(gap)
                 records.append(rec)
                 if gap <= options.gap_tol * (1.0 + abs(primal)):

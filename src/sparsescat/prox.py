@@ -101,14 +101,8 @@ def primal_objective(mu, vb, u_b, reg):
     )
 
 
-def dual_objective(y, vb, u_b, reg, vt_y=None):
-    """D(y) = p*(-vb^T y) + h*(y); the dual problem minimizes D, and min P = max -D.
-
-    `vt_y`, when given, is vb^T y and saves the product.
-    """
-    y = np.asarray(y, dtype=float)
-    if vt_y is None:
-        vt_y = vb.T @ y
+def dual_objective(y, vt_y, u_b, reg):
+    """D(y) = p*(-vb^T y) + h*(y), given vt_y = vb^T y; the dual problem minimizes D, and min P = max -D."""
     return p_star(-vt_y, reg) + h_star(y, u_b)
 
 

@@ -13,7 +13,11 @@ induce the linear Newton system
 
 iterated until the active sets repeat.  B and its Cholesky factor are
 formed once per instance; this O(N^3) cost in the source dimension is
-exactly what the measurement-space ALM avoids.
+exactly what the measurement-space ALM avoids.  B^{-1} vb^T u_b is solved
+once and shared by every Newton solve and the source recovery, and
+w = B y is carried beside y, so an undamped Newton step makes two
+(2N x 2N) products with B: w = B y for the new iterate, which the active
+sets and the penalized objective read, and one for the penalty gradient.
 """
 
 import warnings
@@ -25,12 +29,18 @@ from scipy.linalg import cho_factor, cho_solve
 from .prox import SolveResult, check_problem
 
 
+MAX_INNER = 50  # Newton solves per gamma stage before the stage keeps its iterate
+
+
 @dataclass
 class SsnOptions:
     gammas: tuple = tuple(10.0**i for i in range(0, 9))  # 1, 10, ..., 1e8
-    max_inner: int = 50
 
     def __post_init__(self):
+        if len(self.gammas) == 0:
+            raise ValueError("gamma schedule must not be empty")
+        if self.gammas[0] < 0:
+            raise ValueError("gamma schedule must be nonnegative")
         if not all(b > a for a, b in zip(self.gammas, self.gammas[1:])):
             raise ValueError("gamma schedule must be strictly increasing")
 
@@ -54,20 +64,19 @@ def build_b_operator(vb, reg):
     return BOperator(matrix=b, factor=cho_factor(b, lower=True))
 
 
-def active_sets(y, b, alpha):
-    """Boolean masks (chi+, chi-, chi) of the penalized constraint components.
+def active_sets(w, alpha):
+    """Boolean masks (chi+, chi-, chi) of the penalized constraint components, given w = B y.
 
     The upper set is inclusive at +alpha, the lower at -alpha; for
     alpha > 0 the two cannot overlap.
     """
-    w = b.matrix @ y
     plus = w >= alpha
     minus = w <= -alpha
     return plus, minus, plus | minus
 
 
-def ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma, binv_c=None):
-    """Newton solve (B + gamma*B X B) y = -vt_ub + gamma*alpha*B(chi+ - chi-)1.
+def ssn_newton_solve(plus, minus, b, binv_c, alpha, gamma):
+    """Newton solve (B + gamma*B X B) y = -vt_ub + gamma*alpha*B(chi+ - chi-)1, given binv_c = B^{-1} vt_ub.
 
     Left-multiplying by B^{-1} (whose factor is formed once per instance)
     turns the system into (I + gamma*X B) y = w with w = -B^{-1} vt_ub +
@@ -77,8 +86,6 @@ def ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma, binv_c=None):
     in gamma, unlike the unreduced 2N x 2N matrix.  `plus` and `minus` are
     the masks chi+ and chi- of `active_sets`.
     """
-    if binv_c is None:
-        binv_c = b.solve(vt_ub)
     if gamma == 0:
         return -binv_c
     signs = plus.astype(float) - minus.astype(float)
@@ -98,24 +105,23 @@ def ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma, binv_c=None):
     return y
 
 
-def penalty_gradient(y, b, vt_ub, alpha, gamma):
-    """Gradient of the penalized dual objective (no B^{-1} terms appear)."""
-    bm = b.matrix
-    w = bm @ y
-    return w + vt_ub + gamma * (bm @ np.maximum(0.0, w - alpha)) + gamma * (
-        bm @ np.minimum(0.0, w + alpha)
-    )
+def penalty_gradient(w, b, vt_ub, alpha, gamma):
+    """Gradient of the penalized dual objective at y, given w = B y (no B^{-1} terms appear).
+
+    B (max(0, w - alpha) + min(0, w + alpha)) is one product: for alpha > 0
+    the two violations have disjoint supports.
+    """
+    return w + vt_ub + gamma * (b.matrix @ (np.maximum(0.0, w - alpha) + np.minimum(0.0, w + alpha)))
 
 
-def penalty_objective(y, b, vt_ub, alpha, gamma):
-    """Penalized dual objective 1/2 y^T B y + y^T vt_ub + gamma/2 * violations^2."""
-    w = b.matrix @ y
+def penalty_objective(y, w, vt_ub, alpha, gamma):
+    """Penalized dual objective 1/2 y^T B y + y^T vt_ub + gamma/2 * violations^2, given w = B y."""
     up = np.maximum(0.0, w - alpha)
     lo = np.minimum(0.0, w + alpha)
     return 0.5 * float(y @ w) + float(y @ vt_ub) + 0.5 * gamma * (float(up @ up) + float(lo @ lo))
 
 
-def path_follow(b, vt_ub, alpha, options=None):
+def path_follow(b, vt_ub, binv_c, alpha, options=None):
     """Drive gamma along the schedule from y = 0, warm-starting each stage.
 
     Each stage iterates active-set detection and Newton solves until the
@@ -128,6 +134,10 @@ def path_follow(b, vt_ub, alpha, options=None):
     permanent active-set cycling.  Exceeding the inner cap keeps the
     current iterate with a warning.
 
+    w = B y is carried beside y and formed once per Newton solve and once
+    per backtracking trial; `binv_c` is B^{-1} vt_ub, solved once by the
+    caller.
+
     Returns (y, records, solves, converged): the final iterate, one record
     per Newton step taken (a solve whose direction is not a descent
     direction ends its stage unrecorded), the number of Newton solves, and
@@ -135,7 +145,7 @@ def path_follow(b, vt_ub, alpha, options=None):
     """
     options = options or SsnOptions()
     y = np.zeros(b.matrix.shape[0])
-    binv_c = b.solve(vt_ub)
+    w = np.zeros_like(y)
     records = []
     solves = 0
     converged = True
@@ -143,9 +153,9 @@ def path_follow(b, vt_ub, alpha, options=None):
         prev = None
         full_step = False
         settled = False
-        energy = penalty_objective(y, b, vt_ub, alpha, gamma)
-        for it in range(options.max_inner):
-            plus, minus, _ = active_sets(y, b, alpha)
+        energy = penalty_objective(y, w, vt_ub, alpha, gamma)
+        for it in range(MAX_INNER):
+            plus, minus, _ = active_sets(w, alpha)
             if (
                 full_step
                 and prev is not None
@@ -154,23 +164,24 @@ def path_follow(b, vt_ub, alpha, options=None):
             ):
                 settled = True
                 break
-            y_next = ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma, binv_c=binv_c)
+            y_next = ssn_newton_solve(plus, minus, b, binv_c, alpha, gamma)
             solves += 1
+            w_next = b.matrix @ y_next
             d = y_next - y
             step = 1.0
             if np.linalg.norm(d) <= 1e-8 * (1.0 + np.linalg.norm(y)):
                 # negligible Newton increment: floating-point fixed point even
                 # if boundary components keep flickering between the sets
-                y = y_next
+                y, w = y_next, w_next
                 settled = True
             else:
-                trial = penalty_objective(y_next, b, vt_ub, alpha, gamma)
+                trial = penalty_objective(y_next, w_next, vt_ub, alpha, gamma)
                 # full steps require strict decrease: an equal-energy plateau
                 # would let two active-set configurations trade places forever
                 if trial < energy:
-                    y, energy, full_step = y_next, trial, True
+                    y, w, energy, full_step = y_next, w_next, trial, True
                 else:
-                    grad = penalty_gradient(y, b, vt_ub, alpha, gamma)
+                    grad = penalty_gradient(w, b, vt_ub, alpha, gamma)
                     slope = float(grad @ d)  # -d^T H d < 0 for the exact solve
                     full_step = False
                     if slope >= 0:
@@ -178,17 +189,18 @@ def path_follow(b, vt_ub, alpha, options=None):
                     step = 0.5
                     for _ in range(60):
                         cand = y + step * d
-                        trial = penalty_objective(cand, b, vt_ub, alpha, gamma)
+                        w_cand = b.matrix @ cand
+                        trial = penalty_objective(cand, w_cand, vt_ub, alpha, gamma)
                         if trial <= energy + 1e-4 * step * slope:
                             break
                         step *= 0.5
-                    y, energy = cand, trial
+                    y, w, energy = cand, w_cand, trial
             prev = (plus, minus)
             records.append({
                 "solver": "ssn", "kind": "inner", "gamma": float(gamma), "inner": it,
                 "active": int(np.count_nonzero(plus) + np.count_nonzero(minus)),
                 "step": 1.0 if full_step else float(step),
-                "residual": float(np.linalg.norm(penalty_gradient(y, b, vt_ub, alpha, gamma))),
+                "residual": float(np.linalg.norm(penalty_gradient(w, b, vt_ub, alpha, gamma))),
             })
             if settled:
                 break
@@ -198,9 +210,9 @@ def path_follow(b, vt_ub, alpha, options=None):
     return y, records, solves, converged
 
 
-def ssn_recover_mu(y, b, vt_ub):
-    """Primal source mu = y + B^{-1} vb^T u_b via the stored factor."""
-    return y + b.solve(vt_ub)
+def ssn_recover_mu(y, binv_c):
+    """Primal source mu = y + B^{-1} vb^T u_b, given binv_c = B^{-1} vb^T u_b."""
+    return y + binv_c
 
 
 def solve_ssn(vb, u_b, reg, options=None):
@@ -211,6 +223,7 @@ def solve_ssn(vb, u_b, reg, options=None):
     vb, u_b = check_problem(vb, u_b)
     b = build_b_operator(vb, reg)
     vt_ub = vb.T @ u_b
-    y, records, solves, converged = path_follow(b, vt_ub, reg.alpha, options=options)
-    return SolveResult(mu=ssn_recover_mu(y, b, vt_ub), converged=converged,
+    binv_c = b.solve(vt_ub)
+    y, records, solves, converged = path_follow(b, vt_ub, binv_c, reg.alpha, options=options)
+    return SolveResult(mu=ssn_recover_mu(y, binv_c), converged=converged,
                        stop_reason="path_end" if converged else "cycling", iterations=solves, records=records)

@@ -193,6 +193,21 @@ def test_source_to_measurement_zero_source():
     assert not np.any(out)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ("short", r"mu must have shape \(2048,\)"),  # a 16^2 source on a 32^2 grid
+    ("nan", "mu contains NaN or inf"),
+])
+def test_source_to_measurement_rejects_bad_source(bad, match):
+    g = Grid(dim=2, n_per_axis=32)
+    med = homogeneous_medium(g, 4.0)
+    recv = boundary_receivers(g, 16)
+    mu = np.zeros(2 * 16**2) if bad == "short" else np.zeros(2 * g.num_nodes)
+    if bad == "nan":
+        mu[3] = np.nan
+    with pytest.raises(ValueError, match=match):
+        source_to_measurement(g, med, recv, mu)
+
+
 def test_source_to_measurement_homogeneous_formula(rng):
     # with q == 0 the data are the plain quadrature of Phi against the source
     g = Grid(dim=2, n_per_axis=16)

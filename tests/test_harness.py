@@ -126,6 +126,11 @@ def test_config_rejects_unknown_keys():
     data["solver"] = "pda"
     with pytest.raises(ValueError, match="unknown pda options"):
         ExperimentConfig.from_dict(data)
+    # loop constants that were options once are rejected like any unknown key
+    for solver, removed in (("alm", {"sigma0": 2}), ("ssn", {"max_inner": 5}), ("pda", {"theta": 1})):
+        data["solver"], data["solver_options"] = solver, removed
+        with pytest.raises(ValueError, match=f"unknown {solver} options"):
+            ExperimentConfig.from_dict(data)
     data["solver_options"] = {"record_every": 0}
     with pytest.raises(ValueError, match="record_every must be at least 1"):
         ExperimentConfig.from_dict(data)

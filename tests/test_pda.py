@@ -133,7 +133,7 @@ def test_solve_rejects_bad_data(u_b, match):
 
 def test_options_defaults():
     defaults = {f.name: f.default for f in fields(PdaOptions)}
-    assert defaults == dict(sigma=0.5, tau=None, iters=5000, theta=1.0, record_every=50, gap_tol=None)
+    assert defaults == dict(sigma=0.5, iters=5000, record_every=50, gap_tol=None)
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -141,8 +141,6 @@ def test_options_defaults():
     (dict(iters=0), "iters"),
     (dict(sigma=0.0), "sigma"),
     (dict(sigma=-1.0), "sigma"),
-    (dict(tau=0.0), "tau"),
-    (dict(tau=-0.5), "tau"),
 ])
 def test_options_reject_bad_values(bad, match):
     with pytest.raises(ValueError, match=match):

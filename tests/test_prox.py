@@ -196,7 +196,7 @@ def test_weak_duality(rng):
     for _ in range(20):
         mu = rng.standard_normal(vb.shape[1])
         y = rng.standard_normal(vb.shape[0])
-        assert primal_objective(mu, vb, u_b, reg) + dual_objective(y, vb, u_b, reg) >= -1e-10
+        assert primal_objective(mu, vb, u_b, reg) + dual_objective(y, vb.T @ y, u_b, reg) >= -1e-10
 
 
 @pytest.mark.parametrize("vb, u_b, match", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_instance
 
+from sparsescat import ssn
 from sparsescat.alm import AlmOptions, solve_alm
 from sparsescat.prox import RegParams, primal_objective
 from sparsescat.ssn import (
@@ -33,7 +34,7 @@ def test_b_operator_definition():
 def test_active_sets_empty_at_zero():
     vb, _, reg = random_instance(3)
     b = build_b_operator(vb, reg)
-    plus, minus, both = active_sets(np.zeros(vb.shape[1]), b, 0.5)
+    plus, minus, both = active_sets(b.matrix @ np.zeros(vb.shape[1]), 0.5)
     assert not plus.any() and not minus.any() and not both.any()
 
 
@@ -46,7 +47,7 @@ def test_active_sets_boundary_inclusive():
     b = BOperator(matrix=np.eye(3), factor=cho_factor(np.eye(3), lower=True))
     alpha = 0.7
     y = np.array([alpha, -alpha, 0.5 * alpha])
-    plus, minus, both = active_sets(y, b, alpha)
+    plus, minus, both = active_sets(b.matrix @ y, alpha)
     assert plus.tolist() == [True, False, False]
     assert minus.tolist() == [False, True, False]
     assert both.tolist() == [True, True, False]
@@ -58,8 +59,8 @@ def test_active_sets_match_brute_force(rng):
     alpha = 0.3
     for _ in range(10):
         y = rng.standard_normal(vb.shape[1])
-        plus, minus, both = active_sets(y, b, alpha)
         w = b.matrix @ y
+        plus, minus, both = active_sets(w, alpha)
         for i in range(len(w)):
             assert plus[i] == (w[i] >= alpha)
             assert minus[i] == (w[i] <= -alpha)
@@ -71,7 +72,7 @@ def test_newton_solve_gamma_zero():
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
     none = np.zeros(vb.shape[1], bool)
-    y = ssn_newton_solve(none, none, b, c, 0.5, 0.0)
+    y = ssn_newton_solve(none, none, b, b.solve(c), 0.5, 0.0)
     assert np.allclose(y, -np.linalg.solve(b.matrix, c), atol=1e-10)
 
 
@@ -80,7 +81,7 @@ def test_newton_solve_empty_active_set_matches_gamma_zero():
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
     none = np.zeros(vb.shape[1], bool)
-    y = ssn_newton_solve(none, none, b, c, 0.5, 10.0)
+    y = ssn_newton_solve(none, none, b, b.solve(c), 0.5, 10.0)
     assert np.allclose(y, -np.linalg.solve(b.matrix, c), atol=1e-10)
 
 
@@ -92,8 +93,8 @@ def test_newton_solve_matches_unreduced_system(rng):
     n2 = vb.shape[1]
     gamma, alpha = 100.0, 0.2
     y0 = rng.standard_normal(n2)
-    plus, minus, both = active_sets(y0, b, alpha)
-    y = ssn_newton_solve(plus, minus, b, c, alpha, gamma)
+    plus, minus, both = active_sets(b.matrix @ y0, alpha)
+    y = ssn_newton_solve(plus, minus, b, b.solve(c), alpha, gamma)
     bm = b.matrix
     chi = np.diag(both.astype(float))
     full = bm + gamma * bm @ chi @ bm
@@ -110,23 +111,64 @@ def test_fixed_point_residual():
     vb, u_b, reg = random_instance(9, m=4, n=11, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
-    y, _, _, converged = path_follow(b, c, reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
+    y, _, _, converged = path_follow(b, c, b.solve(c), reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
     assert converged
-    grad = penalty_gradient(y, b, c, reg.alpha, 100.0)
+    grad = penalty_gradient(b.matrix @ y, b, c, reg.alpha, 100.0)
     assert np.linalg.norm(grad) <= 1e-9 * max(1.0, np.linalg.norm(c))
 
-    y, _, _, converged = path_follow(b, c, reg.alpha, options=SsnOptions())
+    y, _, _, converged = path_follow(b, c, b.solve(c), reg.alpha, options=SsnOptions())
     gamma = SsnOptions().gammas[-1]
     assert converged
-    grad = penalty_gradient(y, b, c, reg.alpha, gamma)
+    grad = penalty_gradient(b.matrix @ y, b, c, reg.alpha, gamma)
     scale = (1.0 + gamma) * np.linalg.norm(b.matrix) ** 2 * np.linalg.norm(y) + np.linalg.norm(c)
     assert np.linalg.norm(grad) <= 1e-12 * scale
+
+
+def test_penalty_gradient_matches_separate_products(rng):
+    # one product with B (max(0, w - alpha) + min(0, w + alpha)) against a product per term
+    vb, u_b, reg = random_instance(16, m=4, n=10)
+    b = build_b_operator(vb, reg)
+    c = vb.T @ u_b
+    for alpha in (0.0, 0.3):
+        for _ in range(5):
+            y = rng.standard_normal(vb.shape[1])
+            w = b.matrix @ y
+            ref = w + c + 10.0 * (b.matrix @ np.maximum(0.0, w - alpha)) + 10.0 * (
+                b.matrix @ np.minimum(0.0, w + alpha))
+            got = penalty_gradient(w, b, c, alpha, 10.0)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_path_follow_carries_b_times_y(monkeypatch):
+    # every objective reads w = B y of its y, and the last gradient B y of the returned y, bit for bit
+    vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
+    b = build_b_operator(vb, reg)
+    c = vb.T @ u_b
+    objectives, gradients = [], []
+    objective, gradient = ssn.penalty_objective, ssn.penalty_gradient
+
+    def objective_spy(y, w, *args):
+        objectives.append(np.array_equal(w, b.matrix @ y))
+        return objective(y, w, *args)
+
+    def gradient_spy(w, *args):
+        gradients.append(w)
+        return gradient(w, *args)
+
+    monkeypatch.setattr(ssn, "penalty_objective", objective_spy)
+    monkeypatch.setattr(ssn, "penalty_gradient", gradient_spy)
+    # the long schedule ends stages on negligible increments; this instance also takes damped steps
+    y, records, _, _ = path_follow(b, c, b.solve(c), reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
+    assert any(r["step"] < 1.0 for r in records)
+    assert objectives and all(objectives)
+    assert np.array_equal(gradients[-1], b.matrix @ y)
 
 
 def test_path_follow_zero_data():
     vb, _, reg = random_instance(10)
     b = build_b_operator(vb, reg)
-    y, records, _, _ = path_follow(b, np.zeros(vb.shape[1]), 0.5)
+    zeros = np.zeros(vb.shape[1])
+    y, records, _, _ = path_follow(b, zeros, b.solve(zeros), 0.5)
     assert not np.any(y)
 
 
@@ -139,7 +181,7 @@ def test_constraint_violation_nonincreasing_along_path():
     y = None
     for i in range(1, len(options.gammas) + 1):
         partial = SsnOptions(gammas=options.gammas[:i])
-        y, _, _, _ = path_follow(b, c, reg.alpha, options=partial)
+        y, _, _, _ = path_follow(b, c, b.solve(c), reg.alpha, options=partial)
         w = b.matrix @ y
         violations.append(max(0.0, np.max(np.abs(w)) - reg.alpha))
     assert all(b2 <= a * (1 + 1e-9) + 1e-15 for a, b2 in zip(violations, violations[1:]))
@@ -149,7 +191,7 @@ def test_final_feasibility_at_large_gamma():
     vb, u_b, reg = random_instance(12, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
-    y, _, _, _ = path_follow(b, c, reg.alpha)
+    y, _, _, _ = path_follow(b, c, b.solve(c), reg.alpha)
     w = b.matrix @ y
     assert np.max(np.maximum(0.0, np.abs(w) - reg.alpha)) <= reg.alpha * 1e-4
 
@@ -157,7 +199,8 @@ def test_final_feasibility_at_large_gamma():
 def test_recover_mu_zero():
     vb, _, reg = random_instance(13)
     b = build_b_operator(vb, reg)
-    assert not np.any(ssn_recover_mu(np.zeros(vb.shape[1]), b, np.zeros(vb.shape[1])))
+    zeros = np.zeros(vb.shape[1])
+    assert not np.any(ssn_recover_mu(zeros, b.solve(zeros)))
 
 
 def test_recover_mu_gamma_zero_cancellation():
@@ -166,7 +209,7 @@ def test_recover_mu_gamma_zero_cancellation():
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
     y = -b.solve(c)
-    assert np.max(np.abs(ssn_recover_mu(y, b, c))) < 1e-10
+    assert np.max(np.abs(ssn_recover_mu(y, b.solve(c)))) < 1e-10
 
 
 def test_cross_agreement_with_alm():
@@ -180,8 +223,12 @@ def test_cross_agreement_with_alm():
 
 
 def test_gamma_schedule_must_increase():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         SsnOptions(gammas=(1.0, 1.0, 10.0))
+    with pytest.raises(ValueError, match="must not be empty"):  # no stage would run, yet read as converged
+        SsnOptions(gammas=())
+    with pytest.raises(ValueError, match="nonnegative"):
+        SsnOptions(gammas=(-1.0, 1.0, 10.0))
 
 
 @pytest.mark.parametrize("u_b, match", [
