@@ -44,7 +44,7 @@ def _cmd_suite(args):
     rows, _ = run_suite(configs, csv_path=out / "results.csv")
     for row in rows:
         print(" | ".join(str(row[c]) for c in row))
-    return 0
+    return 1 if any(row["N-Error"].startswith("FAILED") for row in rows) else 0
 
 
 def _cmd_assemble(args):

@@ -15,21 +15,12 @@ def write_csv_matrix(path, matrix):
             f.write("\n")
 
 
-def read_csv_matrix(path):
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
 def write_jsonl(path, records):
     """One JSON object per line."""
     with open(path, "w", encoding="ascii") as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True))
             f.write("\n")
-
-
-def read_jsonl(path):
-    with open(path, "r", encoding="ascii") as f:
-        return [json.loads(line) for line in f if line.strip()]
 
 
 def write_pgm(path, image):

@@ -303,20 +303,14 @@ def _suite_row(config):
 
 
 def run_suite(configs, csv_path=None, workers=1):
-    """Run a list of experiments and tabulate Method/Source/Medium/Time/N-Error.
+    """Run a list of experiments in order and tabulate Method/Source/Medium/Time/N-Error.
 
     Per-row failures are recorded in the table and do not stop the suite.
-    Rows keep the order of the input configs; with workers > 1 the
-    independent experiments run on a thread pool (solvers release the GIL
-    inside BLAS/FFT calls).
+    The experiments run one after another; `workers` must be 1.
     """
-    if workers > 1 and len(configs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_suite_row, configs))
-    else:
-        outcomes = [_suite_row(config) for config in configs]
+    if workers != 1:
+        raise ValueError(f"run_suite runs its experiments sequentially; workers must be 1, got {workers}")
+    outcomes = [_suite_row(config) for config in configs]
     rows = [row for row, _ in outcomes]
     results = [result for _, result in outcomes]
     if csv_path is not None:
@@ -329,8 +323,3 @@ def write_suite_csv(path, rows):
         writer = csv.DictWriter(f, fieldnames=SUITE_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def read_suite_csv(path):
-    with open(path, "r", encoding="ascii", newline="") as f:
-        return list(csv.DictReader(f))

@@ -1,10 +1,15 @@
 """First-order primal-dual (Chambolle-Pock) iteration on the saddle form.
 
-Serves both as a baseline reconstruction method and, run long enough on
-small instances, as a high-accuracy oracle for cross-validating the
-Newton-based solvers.  Both resolvents are closed-form: the dual step is
-an affine shrink toward the data, the primal step is the combined L1+L2
-prox.
+Serves both as a baseline reconstruction method and as a high-accuracy
+oracle for cross-validating the Newton-based solvers.  Both resolvents
+are closed-form: the dual step is an affine shrink toward the data, the
+primal step is the combined L1+L2 prox.
+
+The oracle certifies itself.  For alpha0 > 0 the primal P is
+alpha0-strongly convex, so any dual point p bounds the distance of the
+iterate to the minimizer: ||mu - mu*|| <= sqrt(2 (P(mu) + D(p)) / alpha0).
+The run stops once that bound, with the gap computed from PDA's own
+iterates plus a rounding allowance, falls to CERTIFY_RTOL * ||mu||.
 """
 
 from dataclasses import dataclass
@@ -13,16 +18,18 @@ import numpy as np
 
 from .prox import SolveResult, check_problem, dual_objective, primal_objective, prox_p
 
+CERTIFY_RTOL = 1e-5  # certified stop: distance bound <= CERTIFY_RTOL * ||mu||
+GAP_ULPS = 4  # rounding allowance of the computed gap, in ulps of |P| + |D|
+
 
 @dataclass
 class PdaOptions:
-    """Dual step sigma (the primal step tau follows from it by `default_steps`), iteration
-    count, record interval, and the relative duality-gap tolerance (None: no gap exit)."""
+    """Dual step sigma (the primal step tau follows from it by `default_steps`), the
+    iteration cap, and the record interval, which is also how often the certificate is checked."""
 
     sigma: float = 0.5
     iters: int = 5000
     record_every: int = 50
-    gap_tol: float = None
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -40,27 +47,15 @@ class PdaResult(SolveResult):
     p: np.ndarray
 
 
-def spectral_norm(vb, iters=50):
-    """Largest singular value of vb estimated by power iteration on vb^T vb."""
-    vb = np.asarray(vb, dtype=float)
-    x = np.full(vb.shape[1], 1.0 / np.sqrt(vb.shape[1]))
-    s = 0.0
-    for _ in range(iters):
-        y = vb.T @ (vb @ x)
-        s = np.linalg.norm(y)
-        if s == 0.0:
-            return 0.0
-        x = y / s
-    return float(np.sqrt(s))
-
-
 def default_steps(vb, sigma=0.5):
     """Step sizes sigma = 0.5 and tau = 1/((||vb||^2 + 1e-6) * sigma).
 
-    The squared spectral norm makes sigma*tau*||vb||^2 <= 1, the standard
-    convergence condition.
+    ||vb||^2 is the largest eigenvalue of the smaller Gram matrix, so
+    sigma*tau*||vb||^2 <= 1, the standard convergence condition.
     """
-    tau = 1.0 / ((spectral_norm(vb) ** 2 + 1e-6) * sigma)
+    gram = vb @ vb.T if vb.shape[0] <= vb.shape[1] else vb.T @ vb
+    norm_sq = float(np.linalg.eigvalsh(gram)[-1])
+    tau = 1.0 / ((norm_sq + 1e-6) * sigma)
     return sigma, tau
 
 
@@ -77,12 +72,15 @@ def pda_primal_step(mu, p_next, vb, tau, reg):
 def solve_pda(vb, u_b, reg, options=None):
     """Run the three-line loop with extrapolation mu_bar = 2*mu_next - mu.
 
-    Records the primal objective trajectory every `record_every` steps;
-    the per-iterate objective is not monotone, so its running minimum is
-    also tracked.  An optional duality-gap early exit applies only when
-    alpha0 > 0 (otherwise the dual value is an indicator); the result is
-    `converged`, with stop reason "duality_gap", only when that exit
-    fired, and otherwise stops on "max_iters".
+    Every `record_every` steps (and at the last) it records the primal
+    objective and its running minimum, since the per-iterate objective is
+    not monotone.  For alpha0 > 0 the record also holds the duality gap
+    P(mu) + D(p) and the bound sqrt(2*(gap + allowance)/alpha0) on
+    ||mu - mu*|| (see the module docstring); the run stops with reason
+    "certified" (converged) once that bound is <= CERTIFY_RTOL * ||mu||.
+    A run that does not certify within `iters` steps stops on "max_iters";
+    so does every run with alpha0 = 0, whose dual is an indicator that
+    bounds nothing.
     """
     vb, u_b = check_problem(vb, u_b)
     options = options or PdaOptions()
@@ -103,14 +101,15 @@ def solve_pda(vb, u_b, reg, options=None):
             best = min(best, primal)
             rec = {"solver": "pda", "kind": "inner", "inner": it,
                    "objective": float(primal), "best_objective": float(best)}
-            if options.gap_tol is not None and reg.alpha0 > 0:
-                gap = primal + dual_objective(p, vb.T @ p, u_b, reg)
-                rec["gap"] = float(gap)
-                records.append(rec)
-                if gap <= options.gap_tol * (1.0 + abs(primal)):
+            records.append(rec)
+            if reg.alpha0 > 0:
+                dual = dual_objective(p, vb.T @ p, u_b, reg)
+                # the gap is computed in floating point: allow GAP_ULPS ulps of |P| + |D| for its rounding
+                allowance = GAP_ULPS * np.spacing(abs(primal) + abs(dual))
+                rec["gap"] = float(primal + dual)
+                rec["bound"] = float(np.sqrt(2.0 * max(rec["gap"] + allowance, 0.0) / reg.alpha0))
+                if rec["bound"] <= CERTIFY_RTOL * np.linalg.norm(mu):
                     converged = True
                     break
-            else:
-                records.append(rec)
-    return PdaResult(mu=mu, converged=converged, stop_reason="duality_gap" if converged else "max_iters",
+    return PdaResult(mu=mu, converged=converged, stop_reason="certified" if converged else "max_iters",
                      iterations=it, records=records, p=p)

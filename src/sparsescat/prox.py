@@ -24,7 +24,8 @@ class SolveResult:
     - ALM: "multiplier_change" or "duality_gap" (converged), "max_outer";
     - SSN: "path_end" (converged), "cycling" (some stage kept its iterate
       with active sets still changing);
-    - PDA: "duality_gap" (converged), "max_iters".
+    - PDA: "certified" (converged: the duality gap bounds ||mu - mu*|| by
+      1e-5 ||mu||, possible only for alpha0 > 0), "max_iters".
     """
 
     mu: np.ndarray

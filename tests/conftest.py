@@ -54,6 +54,22 @@ def moreau_complement(x, sigma, reg):
     return x - prox_p(x, sigma, reg)
 
 
+def conjugate_resolvent(v, sigma_inv, reg):
+    """Componentwise (I + sigma_inv * dp*)^{-1}(v), derived independently of prox_p.
+
+    p*(r) = max(|r|-alpha, 0)^2 / (2 alpha0), so the resolvent solves
+    r + sigma_inv * (r - clamp(r, -alpha, alpha))/alpha0 = v piecewise.
+    """
+    v = np.asarray(v, dtype=float)
+    a, a0 = reg.alpha, reg.alpha0
+    out = np.where(
+        np.abs(v) <= a,
+        v,
+        (a0 * v + sigma_inv * a * np.sign(v)) / (a0 + sigma_inv),
+    )
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -157,7 +157,9 @@ def cross_solver_batch():
         vb, u_b, reg = random_instance(500 + trial)
         alm = solve_alm(vb, u_b, reg, options=AlmOptions(**TIGHT_ALM))
         ssn = solve_ssn(vb, u_b, reg, options=SsnOptions(gammas=LONG_GAMMAS))
-        pda = solve_pda(vb, u_b, reg, options=PdaOptions(iters=10**6, record_every=10**6))
+        pda = solve_pda(vb, u_b, reg, options=PdaOptions(iters=10**6, record_every=200))
+        # the oracle counts only when it certified its own distance to the minimizer
+        assert pda.stop_reason == "certified", f"PDA did not certify on instance {trial}"
         batch.append((vb, u_b, reg, alm, ssn, pda))
     return batch
 

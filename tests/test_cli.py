@@ -1,7 +1,8 @@
 import json
 
+import numpy as np
+
 from sparsescat.cli import main
-from sparsescat.export import read_csv_matrix
 
 ALIGNED = 46.5 / 96.0
 
@@ -40,7 +41,7 @@ def test_cli_phantom(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "phantom.csv").exists()
     assert (tmp_path / "phantom.pgm").exists()
-    matrix = read_csv_matrix(tmp_path / "phantom.csv")
+    matrix = np.loadtxt(tmp_path / "phantom.csv", delimiter=",", ndmin=2)
     assert matrix.shape == (64, 64)
     assert (matrix != 0).sum() == 4
 
@@ -51,7 +52,7 @@ def test_cli_phantom_3d(tmp_path, capsys):
         "--out", str(tmp_path / "ball"), "--dim", "3", "--n", "8",
     ])
     assert rc == 0
-    matrix = read_csv_matrix(tmp_path / "ball.csv")
+    matrix = np.loadtxt(tmp_path / "ball.csv", delimiter=",", ndmin=2)
     assert matrix.shape == (64, 8) and (matrix != 0).any()
     slices = sorted(p.name for p in tmp_path.glob("ball_z*.pgm"))
     assert slices == [f"ball_z{iz:03d}.pgm" for iz in range(8)]
@@ -97,3 +98,14 @@ def test_cli_bad_config_reports_error(tmp_path, capsys):
     rc = main(["reconstruct", "--config", path])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_suite_exits_nonzero_on_failed_row(tmp_path, capsys):
+    # SSN needs alpha0 > 0, so this one-row suite fails in its solve phase
+    cfg = base_config(tmp_path, solver="ssn", alpha0=0.0, output_dir=None,
+                      fine_n=24, coarse_n=16, half_width=3.0, receivers=8)
+    path = write_config(tmp_path, [cfg], name="suite.json")
+    rc = main(["suite", "--config", path, "--output", str(tmp_path / "suite_out")])
+    assert rc != 0
+    assert "FAILED" in capsys.readouterr().out  # the table is printed before the exit
+    assert "FAILED" in (tmp_path / "suite_out" / "results.csv").read_text()

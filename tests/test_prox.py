@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import moreau_complement
+from conftest import conjugate_resolvent, moreau_complement
 
 from sparsescat.prox import (
     RegParams,
@@ -119,22 +119,6 @@ def test_moreau_identity_exact(rng):
         reg = RegParams(alpha=float(rng.uniform(0, 2)), alpha0=float(rng.uniform(1e-4, 2)))
         resid = prox_p(x, sigma, reg) + moreau_complement(x, sigma, reg) - x
         assert np.max(np.abs(resid)) <= 1e-14
-
-
-def conjugate_resolvent(v, sigma_inv, reg):
-    """Componentwise (I + sigma_inv * dp*)^{-1}(v), derived independently of prox_p.
-
-    p*(r) = max(|r|-alpha, 0)^2 / (2 alpha0), so the resolvent solves
-    r + sigma_inv * (r - clamp(r, -alpha, alpha))/alpha0 = v piecewise.
-    """
-    v = np.asarray(v, dtype=float)
-    a, a0 = reg.alpha, reg.alpha0
-    out = np.where(
-        np.abs(v) <= a,
-        v,
-        (a0 * v + sigma_inv * a * np.sign(v)) / (a0 + sigma_inv),
-    )
-    return out
 
 
 def test_moreau_matches_conjugate_resolvent(rng):
