@@ -21,6 +21,7 @@ import hashlib
 import os
 import struct
 import tempfile
+import zlib
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +31,8 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .realfield import derealify, realify, realify_matrix
 
 _CACHE_MAGIC = b"VBOP"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+_CACHE_HEADER = "<4sIIIIdQI"  # magic, version, dim, n, receivers, k, config hash, payload crc32
 _CHUNK = 512
 _BLOCK = 1 << 19  # kernel points per receiver block: bounds the temporaries to tens of MB
 _FFT_BLOCK = 16  # rows per batched FFT: bounds the padded workspace to 16 * (2n)^d entries
@@ -303,10 +305,10 @@ def _config_hash(grid, medium, receivers):
 
 
 def save_vb_cache(path, vb, grid, medium, receivers):
-    """Persist an assembled operator: magic, version, dims, k, contrast hash, f64 payload."""
-    vb = np.ascontiguousarray(vb, dtype="<f8")
+    """Persist an assembled operator: magic, version, dims, k, contrast hash, payload crc32, f64 payload."""
+    payload = memoryview(np.ascontiguousarray(vb, dtype="<f8")).cast("B")  # the array's bytes, uncopied
     header = struct.pack(
-        "<4sIIIIdQ",
+        _CACHE_HEADER,
         _CACHE_MAGIC,
         _CACHE_VERSION,
         grid.dim,
@@ -314,6 +316,7 @@ def save_vb_cache(path, vb, grid, medium, receivers):
         receivers.count,
         medium.wavenumber,
         _config_hash(grid, medium, receivers),
+        zlib.crc32(payload),
     )
     # write beside the target and rename over it, so a reader (or a second
     # run sharing the directory) sees the old file or the new one, never a torn one
@@ -321,7 +324,7 @@ def save_vb_cache(path, vb, grid, medium, receivers):
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(header)
-            f.write(vb.tobytes())
+            f.write(payload)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -329,8 +332,8 @@ def save_vb_cache(path, vb, grid, medium, receivers):
 
 
 def load_vb_cache(path, grid, medium, receivers):
-    """Load a cached operator; returns None when missing, stale or truncated."""
-    header_size = struct.calcsize("<4sIIIIdQ")
+    """Load a cached operator; returns None when missing, stale, truncated or corrupt."""
+    header_size = struct.calcsize(_CACHE_HEADER)
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -338,7 +341,7 @@ def load_vb_cache(path, grid, medium, receivers):
         return None
     if len(raw) < header_size:
         return None
-    magic, version, dim, n, m, k, qhash = struct.unpack("<4sIIIIdQ", raw[:header_size])
+    magic, version, dim, n, m, k, qhash, crc = struct.unpack(_CACHE_HEADER, raw[:header_size])
     if (
         magic != _CACHE_MAGIC
         or version != _CACHE_VERSION
@@ -350,6 +353,7 @@ def load_vb_cache(path, grid, medium, receivers):
     ):
         return None
     rows, cols = 2 * m, 2 * grid.num_nodes
-    if len(raw) != header_size + 8 * rows * cols:
+    payload = memoryview(raw)[header_size:]
+    if len(payload) != 8 * rows * cols or zlib.crc32(payload) != crc:
         return None
-    return np.frombuffer(raw[header_size:], dtype="<f8").reshape(rows, cols).copy()
+    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()

@@ -11,13 +11,20 @@ induce the linear Newton system
 
     (B + gamma * B X B) y = -vb^T u_b + gamma*alpha*B (chi+ - chi-) 1,
 
-iterated until the active sets repeat.  B and its Cholesky factor are
-formed once per instance; this O(N^3) cost in the source dimension is
-exactly what the measurement-space ALM avoids.  B^{-1} vb^T u_b is solved
-once and shared by every Newton solve and the source recovery, and
-w = B y is carried beside y, so an undamped Newton step makes two
-(2N x 2N) products with B: w = B y for the new iterate, which the active
-sets and the penalized objective read, and one for the penalty gradient.
+iterated until the active sets repeat.  The dense 2N x 2N matrix B is
+formed once per instance, an O(M N^2) product and 8(2N)^2 bytes in the
+source dimension; that cost is exactly what the measurement-space ALM
+avoids.  B itself is never factored.  B^{-1} vb^T u_b is solved once, in
+the measurement space, by the push-through identity
+
+    (vb^T vb + alpha0*I)^{-1} vb^T = vb^T (vb vb^T + alpha0*I)^{-1},
+
+that is one Cholesky of the 2M x 2M Gram matrix G = vb vb^T + alpha0*I,
+and is shared by every Newton solve and the source recovery; each Newton
+solve factors only its active block of B.  w = B y is carried beside y,
+so an undamped Newton step makes two (2N x 2N) products with B: w = B y
+for the new iterate, which the active sets and the penalized objective
+read, and one for the penalty gradient.
 """
 
 import warnings
@@ -47,13 +54,16 @@ class SsnOptions:
 
 @dataclass
 class BOperator:
-    """Dense B = vb^T vb + alpha0*I with its Cholesky factor."""
+    """Dense B = vb^T vb + alpha0*I and the Cholesky factor of G = vb vb^T + alpha0*I.
+
+    `matrix` is the source-space cost: 8(2N)^2 bytes, formed by an
+    O(M N^2) product.  `factor` is the (lower) `cho_factor` of the 2M x 2M
+    Gram matrix G, 8(2M)^2 bytes and O(M^3) flops, which gives
+    B^{-1} vb^T u_b = vb^T cho_solve(factor, u_b).
+    """
 
     matrix: np.ndarray = field(repr=False)
     factor: tuple = field(repr=False)
-
-    def solve(self, rhs):
-        return cho_solve(self.factor, rhs)
 
 
 def build_b_operator(vb, reg):
@@ -61,7 +71,9 @@ def build_b_operator(vb, reg):
         raise ValueError("B is positive definite only for alpha0 > 0")
     b = vb.T @ vb
     b[np.diag_indices_from(b)] += reg.alpha0
-    return BOperator(matrix=b, factor=cho_factor(b, lower=True))
+    g = vb @ vb.T
+    g[np.diag_indices_from(g)] += reg.alpha0
+    return BOperator(matrix=b, factor=cho_factor(g, lower=True))
 
 
 def active_sets(w, alpha):
@@ -78,13 +90,13 @@ def active_sets(w, alpha):
 def ssn_newton_solve(plus, minus, b, binv_c, alpha, gamma):
     """Newton solve (B + gamma*B X B) y = -vt_ub + gamma*alpha*B(chi+ - chi-)1, given binv_c = B^{-1} vt_ub.
 
-    Left-multiplying by B^{-1} (whose factor is formed once per instance)
-    turns the system into (I + gamma*X B) y = w with w = -B^{-1} vt_ub +
-    gamma*alpha*(chi+ - chi-)1: inactive components are read off directly
-    and the active block (B_AA + I/gamma) y_A = w_A/gamma - B_AI y_I is
-    solved by Cholesky.  The active block stays well conditioned uniformly
-    in gamma, unlike the unreduced 2N x 2N matrix.  `plus` and `minus` are
-    the masks chi+ and chi- of `active_sets`.
+    Left-multiplying by B^{-1} turns the system into (I + gamma*X B) y = w
+    with w = -B^{-1} vt_ub + gamma*alpha*(chi+ - chi-)1: inactive
+    components are read off directly and the active block
+    (B_AA + I/gamma) y_A = w_A/gamma - B_AI y_I is solved by Cholesky.  The
+    active block stays well conditioned uniformly in gamma, unlike the
+    unreduced 2N x 2N matrix.  `plus` and `minus` are the masks chi+ and
+    chi- of `active_sets`.
     """
     if gamma == 0:
         return -binv_c
@@ -218,12 +230,14 @@ def ssn_recover_mu(y, binv_c):
 def solve_ssn(vb, u_b, reg, options=None):
     """Assemble B, run the gamma path, and recover the source.
 
-    Stops on "path_end" (converged) when every stage settled, else on "cycling".
+    B^{-1} vb^T u_b is vb^T G^{-1} u_b, from the factor of the Gram matrix
+    G.  Stops on "path_end" (converged) when every stage settled, else on
+    "cycling".
     """
     vb, u_b = check_problem(vb, u_b)
     b = build_b_operator(vb, reg)
     vt_ub = vb.T @ u_b
-    binv_c = b.solve(vt_ub)
+    binv_c = vb.T @ cho_solve(b.factor, u_b)
     y, records, solves, converged = path_follow(b, vt_ub, binv_c, reg.alpha, options=options)
     return SolveResult(mu=ssn_recover_mu(y, binv_c), converged=converged,
                        stop_reason="path_end" if converged else "cycling", iterations=solves, records=records)

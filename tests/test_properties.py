@@ -111,12 +111,13 @@ def test_vb_cache_roundtrip_is_bitwise(case):
     assert loaded.shape == vb.shape and loaded.tobytes() == vb.tobytes()
 
 
-HEADER_BYTES = 36  # "<4sIIIIdQ": magic, version, dim, n, receivers, wavenumber, config hash
+HEADER_BYTES = 40  # "<4sIIIIdQI": magic, version, dim, n, receivers, wavenumber, config hash, payload crc32
 
 
 @PROPERTY
 @given(cached_operators(), st.data())
-def test_vb_cache_truncated_or_garbled_header_is_a_miss(case, data):
+def test_vb_cache_truncated_or_garbled_file_is_a_miss(case, data):
+    # a changed byte anywhere, header or payload, fails a header check or the payload crc32
     medium, vb = case
     with tempfile.TemporaryDirectory() as tmp:
         path = saved_cache(tmp, medium, vb)
@@ -125,7 +126,6 @@ def test_vb_cache_truncated_or_garbled_header_is_a_miss(case, data):
         path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
         assert load_vb_cache(path, GRID, medium, RECEIVERS) is None
         garbled = bytearray(raw)
-        garbled[data.draw(st.integers(0, HEADER_BYTES - 1), label="byte")] ^= data.draw(st.integers(1, 255),
-                                                                                        label="xor")
+        garbled[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= data.draw(st.integers(1, 255), label="xor")
         path.write_bytes(bytes(garbled))
         assert load_vb_cache(path, GRID, medium, RECEIVERS) is None

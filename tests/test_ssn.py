@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_instance
+from scipy.linalg import cho_solve
 
 from sparsescat import ssn
 from sparsescat.alm import AlmOptions, solve_alm
@@ -19,6 +22,11 @@ from sparsescat.ssn import (
 LONG_GAMMAS = tuple(10.0**i for i in range(0, 13))
 
 
+def binv_vt(vb, b, u_b):
+    """B^{-1} vb^T u_b by the push-through identity, as solve_ssn forms it."""
+    return vb.T @ cho_solve(b.factor, u_b)
+
+
 def test_b_operator_requires_alpha0():
     vb, _, _ = random_instance(1)
     with pytest.raises(ValueError):
@@ -31,6 +39,42 @@ def test_b_operator_definition():
     assert np.allclose(b.matrix, vb.T @ vb + reg.alpha0 * np.eye(vb.shape[1]), atol=0)
 
 
+@pytest.mark.parametrize("m, n", [(4, 15), (12, 5)], ids=["wide", "tall"])
+def test_push_through_matches_dense_solve(monkeypatch, m, n):
+    # (vb^T vb + alpha0 I)^{-1} vb^T = vb^T (vb vb^T + alpha0 I)^{-1} for either shape of vb
+    vb, u_b, reg = random_instance(18, m=m, n=n)
+    b = build_b_operator(vb, reg)
+    assert b.factor[0].shape == (2 * m, 2 * m)
+    oracle = np.linalg.solve(b.matrix, vb.T @ u_b)
+    assert np.linalg.norm(binv_vt(vb, b, u_b) - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    seen = []
+    path = ssn.path_follow
+
+    def path_spy(b, vt_ub, binv_c, *args, **kwargs):
+        seen.append(binv_c)
+        return path(b, vt_ub, binv_c, *args, **kwargs)
+
+    monkeypatch.setattr(ssn, "path_follow", path_spy)
+    solve_ssn(vb, u_b, reg)
+    assert np.linalg.norm(seen[0] - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_solve_holds_one_source_space_matrix():
+    # B is the only 2N x 2N array solve_ssn keeps: no factor of B, and small active blocks
+    vb, u_b, reg = random_instance(19, m=8, n=1024, alpha=0.05)
+    source_square = 8 * vb.shape[1] ** 2
+    tracemalloc.start()
+    try:
+        result = solve_ssn(vb, u_b, reg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert max(r["active"] for r in result.records) <= 64  # active blocks of a few hundred kB
+    assert peak < 1.5 * source_square
+
+
 def test_active_sets_empty_at_zero():
     vb, _, reg = random_instance(3)
     b = build_b_operator(vb, reg)
@@ -40,12 +84,8 @@ def test_active_sets_empty_at_zero():
 
 def test_active_sets_boundary_inclusive():
     # exact threshold values: >= alpha joins the upper set, <= -alpha the lower
-    from scipy.linalg import cho_factor
-
-    from sparsescat.ssn import BOperator
-
-    b = BOperator(matrix=np.eye(3), factor=cho_factor(np.eye(3), lower=True))
     alpha = 0.7
+    b = build_b_operator(np.zeros((2, 3)), RegParams(alpha=alpha, alpha0=1.0))  # B = I
     y = np.array([alpha, -alpha, 0.5 * alpha])
     plus, minus, both = active_sets(b.matrix @ y, alpha)
     assert plus.tolist() == [True, False, False]
@@ -72,7 +112,7 @@ def test_newton_solve_gamma_zero():
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
     none = np.zeros(vb.shape[1], bool)
-    y = ssn_newton_solve(none, none, b, b.solve(c), 0.5, 0.0)
+    y = ssn_newton_solve(none, none, b, binv_vt(vb, b, u_b), 0.5, 0.0)
     assert np.allclose(y, -np.linalg.solve(b.matrix, c), atol=1e-10)
 
 
@@ -81,7 +121,7 @@ def test_newton_solve_empty_active_set_matches_gamma_zero():
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
     none = np.zeros(vb.shape[1], bool)
-    y = ssn_newton_solve(none, none, b, b.solve(c), 0.5, 10.0)
+    y = ssn_newton_solve(none, none, b, binv_vt(vb, b, u_b), 0.5, 10.0)
     assert np.allclose(y, -np.linalg.solve(b.matrix, c), atol=1e-10)
 
 
@@ -94,7 +134,7 @@ def test_newton_solve_matches_unreduced_system(rng):
     gamma, alpha = 100.0, 0.2
     y0 = rng.standard_normal(n2)
     plus, minus, both = active_sets(b.matrix @ y0, alpha)
-    y = ssn_newton_solve(plus, minus, b, b.solve(c), alpha, gamma)
+    y = ssn_newton_solve(plus, minus, b, binv_vt(vb, b, u_b), alpha, gamma)
     bm = b.matrix
     chi = np.diag(both.astype(float))
     full = bm + gamma * bm @ chi @ bm
@@ -110,13 +150,13 @@ def test_fixed_point_residual():
     # it vanishes absolutely, at large gamma up to backward-error scaling
     vb, u_b, reg = random_instance(9, m=4, n=11, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
-    y, _, _, converged = path_follow(b, c, b.solve(c), reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
+    c, binv_c = vb.T @ u_b, binv_vt(vb, b, u_b)
+    y, _, _, converged = path_follow(b, c, binv_c, reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
     assert converged
     grad = penalty_gradient(b.matrix @ y, b, c, reg.alpha, 100.0)
     assert np.linalg.norm(grad) <= 1e-9 * max(1.0, np.linalg.norm(c))
 
-    y, _, _, converged = path_follow(b, c, b.solve(c), reg.alpha, options=SsnOptions())
+    y, _, _, converged = path_follow(b, c, binv_c, reg.alpha, options=SsnOptions())
     gamma = SsnOptions().gammas[-1]
     assert converged
     grad = penalty_gradient(b.matrix @ y, b, c, reg.alpha, gamma)
@@ -158,7 +198,7 @@ def test_path_follow_carries_b_times_y(monkeypatch):
     monkeypatch.setattr(ssn, "penalty_objective", objective_spy)
     monkeypatch.setattr(ssn, "penalty_gradient", gradient_spy)
     # the long schedule ends stages on negligible increments; this instance also takes damped steps
-    y, records, _, _ = path_follow(b, c, b.solve(c), reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
+    y, records, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
     assert any(r["step"] < 1.0 for r in records)
     assert objectives and all(objectives)
     assert np.array_equal(gradients[-1], b.matrix @ y)
@@ -168,7 +208,7 @@ def test_path_follow_zero_data():
     vb, _, reg = random_instance(10)
     b = build_b_operator(vb, reg)
     zeros = np.zeros(vb.shape[1])
-    y, records, _, _ = path_follow(b, zeros, b.solve(zeros), 0.5)
+    y, records, _, _ = path_follow(b, zeros, binv_vt(vb, b, np.zeros(vb.shape[0])), 0.5)
     assert not np.any(y)
 
 
@@ -181,7 +221,7 @@ def test_constraint_violation_nonincreasing_along_path():
     y = None
     for i in range(1, len(options.gammas) + 1):
         partial = SsnOptions(gammas=options.gammas[:i])
-        y, _, _, _ = path_follow(b, c, b.solve(c), reg.alpha, options=partial)
+        y, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=partial)
         w = b.matrix @ y
         violations.append(max(0.0, np.max(np.abs(w)) - reg.alpha))
     assert all(b2 <= a * (1 + 1e-9) + 1e-15 for a, b2 in zip(violations, violations[1:]))
@@ -191,7 +231,7 @@ def test_final_feasibility_at_large_gamma():
     vb, u_b, reg = random_instance(12, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
-    y, _, _, _ = path_follow(b, c, b.solve(c), reg.alpha)
+    y, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha)
     w = b.matrix @ y
     assert np.max(np.maximum(0.0, np.abs(w) - reg.alpha)) <= reg.alpha * 1e-4
 
@@ -200,7 +240,7 @@ def test_recover_mu_zero():
     vb, _, reg = random_instance(13)
     b = build_b_operator(vb, reg)
     zeros = np.zeros(vb.shape[1])
-    assert not np.any(ssn_recover_mu(zeros, b.solve(zeros)))
+    assert not np.any(ssn_recover_mu(zeros, binv_vt(vb, b, np.zeros(vb.shape[0]))))
 
 
 def test_recover_mu_gamma_zero_cancellation():
@@ -208,8 +248,8 @@ def test_recover_mu_gamma_zero_cancellation():
     vb, u_b, reg = random_instance(14)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
-    y = -b.solve(c)
-    assert np.max(np.abs(ssn_recover_mu(y, b.solve(c)))) < 1e-10
+    y = -binv_vt(vb, b, u_b)
+    assert np.max(np.abs(ssn_recover_mu(y, binv_vt(vb, b, u_b)))) < 1e-10
 
 
 def test_cross_agreement_with_alm():
