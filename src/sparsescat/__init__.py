@@ -9,7 +9,7 @@ following, and a first-order primal-dual baseline.
 
 from .alm import AlmOptions, AlmResult, solve_alm
 from .forward import assemble_vb, ls_solve, source_to_measurement
-from .grid import Grid, Medium, ReceiverSet, boundary_receivers, homogeneous_medium
+from .grid import Grid, Medium, ReceiverSet, boundary_receivers
 from .harness import ExperimentConfig, ExperimentResult, add_noise, n_error, run_experiment, run_suite
 from .pda import PdaOptions, PdaResult, solve_pda
 from .phantoms import PhantomSpec, make_medium, make_phantom
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlmOptions", "AlmResult", "solve_alm",
     "assemble_vb", "ls_solve", "source_to_measurement",
-    "Grid", "Medium", "ReceiverSet", "boundary_receivers", "homogeneous_medium",
+    "Grid", "Medium", "ReceiverSet", "boundary_receivers",
     "ExperimentConfig", "ExperimentResult", "add_noise", "n_error", "run_experiment", "run_suite",
     "PdaOptions", "PdaResult", "solve_pda",
     "PhantomSpec", "make_medium", "make_phantom",

@@ -173,11 +173,11 @@ def _support_matrix(grid, medium, support):
     return kernel.ravel()[flat]
 
 
-def _gmres_solve(matvec, rhs, tol, restart=50, maxiter=500):
-    """Restarted GMRES with an explicit residual postcondition check."""
+def _gmres_solve(matvec, rhs, tol):
+    """GMRES(50), at most 10 restart cycles (500 iterations), with an explicit residual postcondition check."""
     n = rhs.shape[0]
     op = LinearOperator((n, n), matvec=matvec, dtype=complex)
-    sol, _ = gmres(op, rhs, rtol=tol, atol=0.0, restart=restart, maxiter=max(1, maxiter // restart))
+    sol, _ = gmres(op, rhs, rtol=tol, atol=0.0, restart=50, maxiter=10)
     res = np.linalg.norm(matvec(sol) - rhs)
     scale = np.linalg.norm(rhs)
     if scale > 0 and res > tol * scale:

@@ -74,10 +74,6 @@ class Medium:
         return not np.any(self.contrast)
 
 
-def homogeneous_medium(grid, wavenumber):
-    return Medium(wavenumber=wavenumber, contrast=np.zeros(grid.num_nodes), grid=grid)
-
-
 @dataclass(frozen=True)
 class ReceiverSet:
     """Measurement points on the boundary of the box."""

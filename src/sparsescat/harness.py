@@ -233,7 +233,7 @@ def run_experiment(config):
         t0 = time.perf_counter()
         vb = None
         cache_path = Path(config.output_dir) / "vb.cache" if config.output_dir else None
-        if cache_path is not None and cache_path.exists():
+        if cache_path is not None:
             vb = load_vb_cache(cache_path, coarse, medium_coarse, receivers)
         if vb is None:
             vb = assemble_vb(coarse, medium_coarse, receivers)

@@ -1,30 +1,35 @@
 """Primal-side semismooth Newton solver with Moreau-Yosida path following.
 
-Works in the source space: with B = vb^T vb + alpha0*I, the constraint
-||B y||_inf <= alpha of the predual problem is replaced by a quadratic
-penalty with weight gamma, and gamma is driven to infinity along a
-schedule.  For each gamma the active sets
+Works in the source space on the source mu itself.  With
+B = vb^T vb + alpha0*I and c = vb^T u_b, the source solves
 
-    A+ = {i : (B y)_i >= alpha},   A- = {i : (B y)_i <= -alpha}
+    min 1/2 mu^T B mu   subject to   ||B mu - c||_inf <= alpha,
 
-induce the linear Newton system
+the predual problem shifted by B^{-1} c, whose multiplier is -mu.  The
+constraint is replaced by a quadratic penalty with weight gamma, and
+gamma is driven to infinity along a schedule.  For each gamma the active
+sets
 
-    (B + gamma * B X B) y = -vb^T u_b + gamma*alpha*B (chi+ - chi-) 1,
+    A+ = {i : w_i >= alpha},   A- = {i : w_i <= -alpha},   w = B mu - c,
+
+induce the Newton system
+
+    mu_I = 0,   (B_AA + I/gamma) mu_A = (c + alpha*(chi+ - chi-))_A,
 
 iterated until the active sets repeat.  The dense 2N x 2N matrix B is
 formed once per instance, an O(M N^2) product and 8(2N)^2 bytes in the
 source dimension; that cost is exactly what the measurement-space ALM
-avoids.  B itself is never factored.  B^{-1} vb^T u_b is solved once, in
-the measurement space, by the push-through identity
+avoids.  B itself is never factored: each Newton solve gathers and
+factors only its active block B_AA.  The path starts at the ridge
+solution mu0 = B^{-1} c, where w = 0, solved once in the measurement
+space by the push-through identity
 
     (vb^T vb + alpha0*I)^{-1} vb^T = vb^T (vb vb^T + alpha0*I)^{-1},
 
-that is one Cholesky of the 2M x 2M Gram matrix G = vb vb^T + alpha0*I,
-and is shared by every Newton solve and the source recovery; each Newton
-solve factors only its active block of B.  w = B y is carried beside y,
-so an undamped Newton step makes two (2N x 2N) products with B: w = B y
-for the new iterate, which the active sets and the penalized objective
-read, and one for the penalty gradient.
+that is one Cholesky of the 2M x 2M Gram matrix G = vb vb^T + alpha0*I.
+w is carried beside mu, so an undamped Newton step makes two (2N x 2N)
+products with B: w = B mu - c for the new iterate, which the active sets
+and the penalized objective read, and one for the penalty gradient.
 """
 
 import warnings
@@ -58,8 +63,8 @@ class BOperator:
 
     `matrix` is the source-space cost: 8(2N)^2 bytes, formed by an
     O(M N^2) product.  `factor` is the (lower) `cho_factor` of the 2M x 2M
-    Gram matrix G, 8(2M)^2 bytes and O(M^3) flops, which gives
-    B^{-1} vb^T u_b = vb^T cho_solve(factor, u_b).
+    Gram matrix G, 8(2M)^2 bytes and O(M^3) flops, which gives the path's
+    start B^{-1} vb^T u_b = vb^T cho_solve(factor, u_b).
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -77,48 +82,42 @@ def build_b_operator(vb, reg):
 
 
 def active_sets(w, alpha):
-    """Boolean masks (chi+, chi-, chi) of the penalized constraint components, given w = B y.
+    """Boolean masks (chi+, chi-) of the penalized constraint components, given w = B mu - vb^T u_b.
 
     The upper set is inclusive at +alpha, the lower at -alpha; for
     alpha > 0 the two cannot overlap.
     """
-    plus = w >= alpha
-    minus = w <= -alpha
-    return plus, minus, plus | minus
+    return w >= alpha, w <= -alpha
 
 
-def ssn_newton_solve(plus, minus, b, binv_c, alpha, gamma):
-    """Newton solve (B + gamma*B X B) y = -vt_ub + gamma*alpha*B(chi+ - chi-)1, given binv_c = B^{-1} vt_ub.
+def ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma):
+    """Newton solve mu_I = 0, (B_AA + I/gamma) mu_A = (vt_ub + alpha*(chi+ - chi-))_A.
 
-    Left-multiplying by B^{-1} turns the system into (I + gamma*X B) y = w
-    with w = -B^{-1} vt_ub + gamma*alpha*(chi+ - chi-)1: inactive
-    components are read off directly and the active block
-    (B_AA + I/gamma) y_A = w_A/gamma - B_AI y_I is solved by Cholesky.  The
-    active block stays well conditioned uniformly in gamma, unlike the
-    unreduced 2N x 2N matrix.  `plus` and `minus` are the masks chi+ and
-    chi- of `active_sets`.
+    This is the stationarity condition mu + gamma*X (B mu - vt_ub -
+    alpha*(chi+ - chi-)) = 0 of the penalized objective with the active
+    sets frozen, X the diagonal mask of A = A+ | A-.  Inactive components
+    vanish, and only the active block, which stays well conditioned
+    uniformly in gamma, is gathered and solved by Cholesky.  `plus` and
+    `minus` are the masks chi+ and chi- of `active_sets`; gamma = 0 or an
+    empty A gives mu = 0.
     """
-    if gamma == 0:
-        return -binv_c
-    signs = plus.astype(float) - minus.astype(float)
+    mu = np.zeros(b.matrix.shape[0])
     active = plus | minus
-    w = -binv_c + gamma * alpha * signs
-    y = w.copy()
-    if np.any(active):
-        inactive = ~active
-        baa = b.matrix[np.ix_(active, active)].copy()
-        baa[np.diag_indices_from(baa)] += 1.0 / gamma
-        rhs = w[active] / gamma - b.matrix[np.ix_(active, inactive)] @ w[inactive]
-        try:
-            factor = cho_factor(baa, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("indefinite Newton system; alpha0 must be positive") from exc
-        y[active] = cho_solve(factor, rhs)
-    return y
+    if gamma == 0 or not np.any(active):
+        return mu
+    baa = b.matrix[np.ix_(active, active)]
+    baa[np.diag_indices_from(baa)] += 1.0 / gamma
+    rhs = vt_ub[active] + alpha * (plus[active].astype(float) - minus[active].astype(float))
+    try:
+        factor = cho_factor(baa, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("indefinite Newton system; alpha0 must be positive") from exc
+    mu[active] = cho_solve(factor, rhs)
+    return mu
 
 
 def penalty_gradient(w, b, vt_ub, alpha, gamma):
-    """Gradient of the penalized dual objective at y, given w = B y (no B^{-1} terms appear).
+    """Gradient B mu + gamma*B*violations of the penalized objective, given w = B mu - vt_ub.
 
     B (max(0, w - alpha) + min(0, w + alpha)) is one product: for alpha > 0
     the two violations have disjoint supports.
@@ -126,15 +125,15 @@ def penalty_gradient(w, b, vt_ub, alpha, gamma):
     return w + vt_ub + gamma * (b.matrix @ (np.maximum(0.0, w - alpha) + np.minimum(0.0, w + alpha)))
 
 
-def penalty_objective(y, w, vt_ub, alpha, gamma):
-    """Penalized dual objective 1/2 y^T B y + y^T vt_ub + gamma/2 * violations^2, given w = B y."""
+def penalty_objective(mu, w, vt_ub, alpha, gamma):
+    """Penalized objective 1/2 mu^T B mu + gamma/2 * violations^2, given w = B mu - vt_ub."""
     up = np.maximum(0.0, w - alpha)
     lo = np.minimum(0.0, w + alpha)
-    return 0.5 * float(y @ w) + float(y @ vt_ub) + 0.5 * gamma * (float(up @ up) + float(lo @ lo))
+    return 0.5 * float(mu @ (w + vt_ub)) + 0.5 * gamma * (float(up @ up) + float(lo @ lo))
 
 
-def path_follow(b, vt_ub, binv_c, alpha, options=None):
-    """Drive gamma along the schedule from y = 0, warm-starting each stage.
+def path_follow(b, vt_ub, mu0, alpha, options=None):
+    """Drive gamma along the schedule from mu0 = B^{-1} vt_ub, warm-starting each stage.
 
     Each stage iterates active-set detection and Newton solves until the
     sets repeat after a full step (the settled solve is then exact for the
@@ -146,18 +145,17 @@ def path_follow(b, vt_ub, binv_c, alpha, options=None):
     permanent active-set cycling.  Exceeding the inner cap keeps the
     current iterate with a warning.
 
-    w = B y is carried beside y and formed once per Newton solve and once
-    per backtracking trial; `binv_c` is B^{-1} vt_ub, solved once by the
-    caller.
+    w = B mu - vt_ub is carried beside mu: it is 0 at mu0, and formed by
+    one dense product with B per Newton solve and per backtracking trial.
 
-    Returns (y, records, solves, converged): the final iterate, one record
+    Returns (mu, records, solves, converged): the final iterate, one record
     per Newton step taken (a solve whose direction is not a descent
     direction ends its stage unrecorded), the number of Newton solves, and
     whether every stage settled.
     """
     options = options or SsnOptions()
-    y = np.zeros(b.matrix.shape[0])
-    w = np.zeros_like(y)
+    mu = mu0
+    w = np.zeros_like(mu0)
     records = []
     solves = 0
     converged = True
@@ -165,33 +163,28 @@ def path_follow(b, vt_ub, binv_c, alpha, options=None):
         prev = None
         full_step = False
         settled = False
-        energy = penalty_objective(y, w, vt_ub, alpha, gamma)
+        energy = penalty_objective(mu, w, vt_ub, alpha, gamma)
         for it in range(MAX_INNER):
-            plus, minus, _ = active_sets(w, alpha)
-            if (
-                full_step
-                and prev is not None
-                and np.array_equal(plus, prev[0])
-                and np.array_equal(minus, prev[1])
-            ):
+            plus, minus = active_sets(w, alpha)
+            if full_step and np.array_equal(plus, prev[0]) and np.array_equal(minus, prev[1]):
                 settled = True
                 break
-            y_next = ssn_newton_solve(plus, minus, b, binv_c, alpha, gamma)
+            mu_next = ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma)
             solves += 1
-            w_next = b.matrix @ y_next
-            d = y_next - y
+            w_next = b.matrix @ mu_next - vt_ub
+            d = mu_next - mu
             step = 1.0
-            if np.linalg.norm(d) <= 1e-8 * (1.0 + np.linalg.norm(y)):
+            if np.linalg.norm(d) <= 1e-8 * (1.0 + np.linalg.norm(mu)):
                 # negligible Newton increment: floating-point fixed point even
                 # if boundary components keep flickering between the sets
-                y, w = y_next, w_next
+                mu, w = mu_next, w_next
                 settled = True
             else:
-                trial = penalty_objective(y_next, w_next, vt_ub, alpha, gamma)
+                trial = penalty_objective(mu_next, w_next, vt_ub, alpha, gamma)
                 # full steps require strict decrease: an equal-energy plateau
                 # would let two active-set configurations trade places forever
                 if trial < energy:
-                    y, w, energy, full_step = y_next, w_next, trial, True
+                    mu, w, energy, full_step = mu_next, w_next, trial, True
                 else:
                     grad = penalty_gradient(w, b, vt_ub, alpha, gamma)
                     slope = float(grad @ d)  # -d^T H d < 0 for the exact solve
@@ -200,13 +193,13 @@ def path_follow(b, vt_ub, binv_c, alpha, options=None):
                         break  # numerically not a descent direction; keep iterate
                     step = 0.5
                     for _ in range(60):
-                        cand = y + step * d
-                        w_cand = b.matrix @ cand
+                        cand = mu + step * d
+                        w_cand = b.matrix @ cand - vt_ub
                         trial = penalty_objective(cand, w_cand, vt_ub, alpha, gamma)
                         if trial <= energy + 1e-4 * step * slope:
                             break
                         step *= 0.5
-                    y, w, energy = cand, w_cand, trial
+                    mu, w, energy = cand, w_cand, trial
             prev = (plus, minus)
             records.append({
                 "solver": "ssn", "kind": "inner", "gamma": float(gamma), "inner": it,
@@ -219,25 +212,18 @@ def path_follow(b, vt_ub, binv_c, alpha, options=None):
         if not settled:
             warnings.warn(f"active sets cycling at gamma={gamma:g}; keeping current iterate", RuntimeWarning)
             converged = False
-    return y, records, solves, converged
-
-
-def ssn_recover_mu(y, binv_c):
-    """Primal source mu = y + B^{-1} vb^T u_b, given binv_c = B^{-1} vb^T u_b."""
-    return y + binv_c
+    return mu, records, solves, converged
 
 
 def solve_ssn(vb, u_b, reg, options=None):
-    """Assemble B, run the gamma path, and recover the source.
+    """Assemble B and follow the gamma path from mu0 = B^{-1} vb^T u_b to the source.
 
-    B^{-1} vb^T u_b is vb^T G^{-1} u_b, from the factor of the Gram matrix
-    G.  Stops on "path_end" (converged) when every stage settled, else on
-    "cycling".
+    mu0 is vb^T G^{-1} u_b, from the factor of the Gram matrix G.  Stops
+    on "path_end" (converged) when every stage settled, else on "cycling".
     """
     vb, u_b = check_problem(vb, u_b)
     b = build_b_operator(vb, reg)
-    vt_ub = vb.T @ u_b
-    binv_c = vb.T @ cho_solve(b.factor, u_b)
-    y, records, solves, converged = path_follow(b, vt_ub, binv_c, reg.alpha, options=options)
-    return SolveResult(mu=ssn_recover_mu(y, binv_c), converged=converged,
+    mu0 = vb.T @ cho_solve(b.factor, u_b)
+    mu, records, solves, converged = path_follow(b, vb.T @ u_b, mu0, reg.alpha, options=options)
+    return SolveResult(mu=mu, converged=converged,
                        stop_reason="path_end" if converged else "cycling", iterations=solves, records=records)

@@ -20,7 +20,7 @@ from sparsescat.forward import (
     volume_potential_dense,
     volume_potential_fft,
 )
-from sparsescat.grid import Grid, boundary_receivers, homogeneous_medium
+from sparsescat.grid import Grid, boundary_receivers
 from sparsescat.harness import ExperimentConfig, add_noise, run_experiment
 from sparsescat.pda import PdaOptions, solve_pda
 from sparsescat.phantoms import PhantomSpec, make_medium
@@ -213,7 +213,7 @@ def test_criterion_6_forward_analytics():
     t0 = time.perf_counter()
     # delta source vs analytic kernel on 64^2
     g = Grid(dim=2, n_per_axis=64)
-    med = homogeneous_medium(g, 6.0)
+    med = make_medium(g, 6.0)
     delta = np.zeros(g.num_nodes, dtype=complex)
     src = 20 * 64 + 30
     delta[src] = 1.0 / g.cell_volume()
@@ -226,7 +226,7 @@ def test_criterion_6_forward_analytics():
 
     # FFT vs dense on 32^2
     g2 = Grid(dim=2, n_per_axis=32)
-    med2 = homogeneous_medium(g2, 5.0)
+    med2 = make_medium(g2, 5.0)
     rng = np.random.default_rng(106)
     f = rng.standard_normal(g2.num_nodes) + 1j * rng.standard_normal(g2.num_nodes)
     dense = volume_potential_dense(g2, med2, f)

@@ -418,6 +418,23 @@ def test_outer_records_gap_from_scratch():
         assert abs(rec["gap"] - (primal + dual)) <= 1e-12 * (abs(primal) + abs(dual))
 
 
+@pytest.mark.parametrize("seed", [300, 301, 302])
+def test_lasso_without_alpha0_meets_optimality_conditions(seed):
+    # alpha0 = 0 takes the source from the multiplier, mu = -lam; with
+    # g = vb^T (vb mu - u_b) the LASSO conditions are |g| <= alpha everywhere
+    # and g_i = -alpha sign(mu_i) on the support
+    vb, u_b, reg = random_instance(seed, alpha0=0.0)
+    result = solve_alm(vb, u_b, reg)
+    assert result.converged and result.stop_reason == "multiplier_change"
+    mu = result.mu
+    g = vb.T @ (vb @ mu - u_b)
+    support = np.abs(mu) > 1e-8 * np.linalg.norm(mu)
+    assert support.any()
+    assert np.max(np.abs(g)) <= reg.alpha * (1.0 + 1e-8)
+    assert np.max(np.abs(g[support] + reg.alpha * np.sign(mu[support]))) <= 1e-8 * reg.alpha
+    assert np.max(np.abs(mu[~support])) <= 1e-12
+
+
 @pytest.mark.parametrize("u_b, match", [
     (np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0]), "u_b contains NaN"),
     (np.zeros(5), "u_b must have shape"),

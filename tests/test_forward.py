@@ -16,7 +16,8 @@ from sparsescat.forward import (
     volume_potential_dense,
     volume_potential_fft,
 )
-from sparsescat.grid import Grid, Medium, boundary_receivers, homogeneous_medium
+from sparsescat.grid import Grid, Medium, boundary_receivers
+from sparsescat.phantoms import make_medium
 from sparsescat.realfield import realify, realify_matrix
 
 
@@ -73,7 +74,7 @@ def test_self_cell_integral_matches_polar_quadrature(dim):
 
 def test_volume_potential_zero_density():
     g = Grid(dim=2, n_per_axis=8)
-    med = homogeneous_medium(g, 3.0)
+    med = make_medium(g, 3.0)
     z = np.zeros(g.num_nodes, dtype=complex)
     assert not np.any(volume_potential_dense(g, med, z))
     assert not np.any(volume_potential_fft(g, med, z))
@@ -81,7 +82,7 @@ def test_volume_potential_zero_density():
 
 def test_volume_potential_linearity(rng):
     g = Grid(dim=2, n_per_axis=12)
-    med = homogeneous_medium(g, 4.0)
+    med = make_medium(g, 4.0)
     f1 = rng.standard_normal(g.num_nodes) + 1j * rng.standard_normal(g.num_nodes)
     f2 = rng.standard_normal(g.num_nodes) + 1j * rng.standard_normal(g.num_nodes)
     a = 2.3 - 0.7j
@@ -94,7 +95,7 @@ def test_volume_potential_linearity(rng):
 def test_delta_source_matches_kernel_2d():
     # discrete delta radiates the analytic fundamental solution off-source
     g = Grid(dim=2, n_per_axis=64)
-    med = homogeneous_medium(g, 6.0)
+    med = make_medium(g, 6.0)
     delta = np.zeros(g.num_nodes, dtype=complex)
     src = 20 * 64 + 30
     delta[src] = 1.0 / g.cell_volume()
@@ -108,7 +109,7 @@ def test_delta_source_matches_kernel_2d():
 
 def test_delta_source_matches_kernel_3d():
     g = Grid(dim=3, n_per_axis=12)
-    med = homogeneous_medium(g, 3.0)
+    med = make_medium(g, 3.0)
     delta = np.zeros(g.num_nodes, dtype=complex)
     src = (5 * 12 + 6) * 12 + 5
     delta[src] = 1.0 / g.cell_volume()
@@ -123,7 +124,7 @@ def test_delta_source_matches_kernel_3d():
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 10)])
 def test_fft_matches_dense(dim, n, rng):
     g = Grid(dim=dim, n_per_axis=n)
-    med = homogeneous_medium(g, 5.0)
+    med = make_medium(g, 5.0)
     f = rng.standard_normal(g.num_nodes) + 1j * rng.standard_normal(g.num_nodes)
     dense = volume_potential_dense(g, med, f)
     fast = volume_potential_fft(g, med, f)
@@ -132,7 +133,7 @@ def test_fft_matches_dense(dim, n, rng):
 
 def test_fft_translation_equivariance(rng):
     g = Grid(dim=2, n_per_axis=24)
-    med = homogeneous_medium(g, 4.0)
+    med = make_medium(g, 4.0)
     f = np.zeros(g.shape, dtype=complex)
     f[6:10, 6:10] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     out = volume_potential_fft(g, med, f.ravel()).reshape(g.shape)
@@ -144,7 +145,7 @@ def test_fft_translation_equivariance(rng):
 
 def test_ls_solve_homogeneous_identity(rng):
     g = Grid(dim=2, n_per_axis=16)
-    med = homogeneous_medium(g, 2.0)
+    med = make_medium(g, 2.0)
     rhs = rng.standard_normal(g.num_nodes) + 1j * rng.standard_normal(g.num_nodes)
     assert np.array_equal(ls_solve(g, med, rhs), rhs)
 
@@ -187,7 +188,7 @@ def test_ls_solve_unreachable_tolerance_raises(rng):
 
 def test_source_to_measurement_zero_source():
     g = Grid(dim=2, n_per_axis=12)
-    med = homogeneous_medium(g, 4.0)
+    med = make_medium(g, 4.0)
     recv = boundary_receivers(g, 20)
     out = source_to_measurement(g, med, recv, np.zeros(2 * g.num_nodes))
     assert not np.any(out)
@@ -199,7 +200,7 @@ def test_source_to_measurement_zero_source():
 ])
 def test_source_to_measurement_rejects_bad_source(bad, match):
     g = Grid(dim=2, n_per_axis=32)
-    med = homogeneous_medium(g, 4.0)
+    med = make_medium(g, 4.0)
     recv = boundary_receivers(g, 16)
     mu = np.zeros(2 * 16**2) if bad == "short" else np.zeros(2 * g.num_nodes)
     if bad == "nan":
@@ -211,7 +212,7 @@ def test_source_to_measurement_rejects_bad_source(bad, match):
 def test_source_to_measurement_homogeneous_formula(rng):
     # with q == 0 the data are the plain quadrature of Phi against the source
     g = Grid(dim=2, n_per_axis=16)
-    med = homogeneous_medium(g, 5.0)
+    med = make_medium(g, 5.0)
     recv = boundary_receivers(g, 12)
     mu_c = rng.standard_normal(g.num_nodes) + 1j * rng.standard_normal(g.num_nodes)
     out = source_to_measurement(g, med, recv, realify(mu_c))
@@ -227,7 +228,7 @@ def test_source_to_measurement_homogeneous_formula(rng):
 @pytest.mark.parametrize("inhomogeneous", [False, True])
 def test_source_to_measurement_matches_matrix(inhomogeneous, rng):
     g = Grid(dim=2, n_per_axis=16)
-    med = small_bump_medium(g, 4.0, strength=0.5) if inhomogeneous else homogeneous_medium(g, 4.0)
+    med = small_bump_medium(g, 4.0, strength=0.5) if inhomogeneous else make_medium(g, 4.0)
     recv = boundary_receivers(g, 10)
     vb = assemble_vb(g, med, recv, tol=1e-12)
     mu = rng.standard_normal(2 * g.num_nodes)
@@ -252,7 +253,7 @@ def test_source_to_measurement_linearity(rng):
 
 def test_assemble_homogeneous_closed_form():
     g = Grid(dim=2, n_per_axis=12)
-    med = homogeneous_medium(g, 3.0)
+    med = make_medium(g, 3.0)
     recv = boundary_receivers(g, 8)
     vb = assemble_vb(g, med, recv)
     nodes = g.nodes()
@@ -326,7 +327,7 @@ def test_assemble_unreachable_tolerance_raises():
 @pytest.mark.parametrize("dim,n", [(2, 12), (3, 6)])
 def test_fft_batch_matches_rows(dim, n, rng):
     g = Grid(dim=dim, n_per_axis=n)
-    med = homogeneous_medium(g, 3.0)
+    med = make_medium(g, 3.0)
     for batch in (5, 37):  # 37: blocks of 16 rows and a partial last block
         f = rng.standard_normal((batch, g.num_nodes)) + 1j * rng.standard_normal((batch, g.num_nodes))
         rows = np.array([volume_potential_fft(g, med, row) for row in f])
@@ -379,7 +380,7 @@ def test_vb_cache_roundtrip(tmp_path):
 
 def test_vb_cache_rejects_stale(tmp_path):
     g = Grid(dim=2, n_per_axis=10)
-    med = homogeneous_medium(g, 4.0)
+    med = make_medium(g, 4.0)
     recv = boundary_receivers(g, 6)
     vb = assemble_vb(g, med, recv)
     path = tmp_path / "vb.cache"
@@ -394,7 +395,7 @@ def test_vb_cache_rejects_stale(tmp_path):
 
 def test_vb_cache_failed_write_keeps_old_file(tmp_path, monkeypatch):
     g = Grid(dim=2, n_per_axis=10)
-    med = homogeneous_medium(g, 4.0)
+    med = make_medium(g, 4.0)
     recv = boundary_receivers(g, 6)
     vb = assemble_vb(g, med, recv)
     path = tmp_path / "vb.cache"
@@ -428,7 +429,7 @@ def test_vb_cache_failed_write_keeps_old_file(tmp_path, monkeypatch):
 
 def test_vb_cache_truncated_is_a_miss(tmp_path):
     g = Grid(dim=2, n_per_axis=10)
-    med = homogeneous_medium(g, 4.0)
+    med = make_medium(g, 4.0)
     recv = boundary_receivers(g, 6)
     path = tmp_path / "vb.cache"
     save_vb_cache(path, assemble_vb(g, med, recv), g, med, recv)

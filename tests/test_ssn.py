@@ -15,7 +15,6 @@ from sparsescat.ssn import (
     path_follow,
     penalty_gradient,
     ssn_newton_solve,
-    ssn_recover_mu,
     solve_ssn,
 )
 
@@ -51,9 +50,9 @@ def test_push_through_matches_dense_solve(monkeypatch, m, n):
     seen = []
     path = ssn.path_follow
 
-    def path_spy(b, vt_ub, binv_c, *args, **kwargs):
-        seen.append(binv_c)
-        return path(b, vt_ub, binv_c, *args, **kwargs)
+    def path_spy(b, vt_ub, mu0, *args, **kwargs):
+        seen.append(mu0)
+        return path(b, vt_ub, mu0, *args, **kwargs)
 
     monkeypatch.setattr(ssn, "path_follow", path_spy)
     solve_ssn(vb, u_b, reg)
@@ -78,8 +77,8 @@ def test_solve_holds_one_source_space_matrix():
 def test_active_sets_empty_at_zero():
     vb, _, reg = random_instance(3)
     b = build_b_operator(vb, reg)
-    plus, minus, both = active_sets(b.matrix @ np.zeros(vb.shape[1]), 0.5)
-    assert not plus.any() and not minus.any() and not both.any()
+    plus, minus = active_sets(b.matrix @ np.zeros(vb.shape[1]), 0.5)
+    assert not plus.any() and not minus.any()
 
 
 def test_active_sets_boundary_inclusive():
@@ -87,10 +86,9 @@ def test_active_sets_boundary_inclusive():
     alpha = 0.7
     b = build_b_operator(np.zeros((2, 3)), RegParams(alpha=alpha, alpha0=1.0))  # B = I
     y = np.array([alpha, -alpha, 0.5 * alpha])
-    plus, minus, both = active_sets(b.matrix @ y, alpha)
+    plus, minus = active_sets(b.matrix @ y, alpha)
     assert plus.tolist() == [True, False, False]
     assert minus.tolist() == [False, True, False]
-    assert both.tolist() == [True, True, False]
 
 
 def test_active_sets_match_brute_force(rng):
@@ -100,20 +98,20 @@ def test_active_sets_match_brute_force(rng):
     for _ in range(10):
         y = rng.standard_normal(vb.shape[1])
         w = b.matrix @ y
-        plus, minus, both = active_sets(w, alpha)
+        plus, minus = active_sets(w, alpha)
         for i in range(len(w)):
             assert plus[i] == (w[i] >= alpha)
             assert minus[i] == (w[i] <= -alpha)
-            assert both[i] == (plus[i] or minus[i])
 
 
 def test_newton_solve_gamma_zero():
+    # mu = 0 is y = -B^{-1} vb^T u_b
     vb, u_b, reg = random_instance(6)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
     none = np.zeros(vb.shape[1], bool)
-    y = ssn_newton_solve(none, none, b, binv_vt(vb, b, u_b), 0.5, 0.0)
-    assert np.allclose(y, -np.linalg.solve(b.matrix, c), atol=1e-10)
+    mu = ssn_newton_solve(none, none, b, c, 0.5, 0.0)
+    assert np.allclose(mu - binv_vt(vb, b, u_b), -np.linalg.solve(b.matrix, c), atol=1e-10)
 
 
 def test_newton_solve_empty_active_set_matches_gamma_zero():
@@ -121,27 +119,50 @@ def test_newton_solve_empty_active_set_matches_gamma_zero():
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
     none = np.zeros(vb.shape[1], bool)
-    y = ssn_newton_solve(none, none, b, binv_vt(vb, b, u_b), 0.5, 10.0)
-    assert np.allclose(y, -np.linalg.solve(b.matrix, c), atol=1e-10)
+    mu = ssn_newton_solve(none, none, b, c, 0.5, 10.0)
+    assert np.allclose(mu - binv_vt(vb, b, u_b), -np.linalg.solve(b.matrix, c), atol=1e-10)
 
 
 def test_newton_solve_matches_unreduced_system(rng):
-    # the block elimination must solve the full 2N x 2N system exactly
+    # the active-block solve must solve the full 2N x 2N system
+    # (B + gamma B X B) y = -vb^T u_b + gamma alpha B (chi+ - chi-) 1 in y = mu - B^{-1} vb^T u_b
     vb, u_b, reg = random_instance(8, m=4, n=9)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
     n2 = vb.shape[1]
     gamma, alpha = 100.0, 0.2
     y0 = rng.standard_normal(n2)
-    plus, minus, both = active_sets(b.matrix @ y0, alpha)
-    y = ssn_newton_solve(plus, minus, b, binv_vt(vb, b, u_b), alpha, gamma)
+    plus, minus = active_sets(b.matrix @ y0, alpha)
+    y = ssn_newton_solve(plus, minus, b, c, alpha, gamma) - binv_vt(vb, b, u_b)
     bm = b.matrix
-    chi = np.diag(both.astype(float))
+    chi = np.diag((plus | minus).astype(float))
     full = bm + gamma * bm @ chi @ bm
     rhs = -c + gamma * alpha * bm @ (plus.astype(float) - minus.astype(float))
     resid = full @ y - rhs
     scale = np.linalg.norm(full) * np.linalg.norm(y) + np.linalg.norm(rhs)
     assert np.linalg.norm(resid) <= 1e-11 * scale
+
+
+def test_newton_solve_gathers_only_the_active_block():
+    # |A| = 64 of 2N = 2048: the solve holds the 64 x 64 block and a few
+    # 2N vectors, well below a quarter of the |A| x |I| block of B
+    vb, u_b, reg = random_instance(30, m=8, n=1024)
+    b = build_b_operator(vb, reg)
+    c = vb.T @ u_b
+    n2 = vb.shape[1]
+    plus = np.zeros(n2, bool)
+    minus = np.zeros(n2, bool)
+    plus[:32] = True
+    minus[1000:1032] = True
+    gathered = 8 * 64 * (n2 - 64)
+    tracemalloc.start()
+    try:
+        mu = ssn_newton_solve(plus, minus, b, c, reg.alpha, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < gathered / 4
+    assert np.count_nonzero(mu) == 64
 
 
 def test_fixed_point_residual():
@@ -150,17 +171,17 @@ def test_fixed_point_residual():
     # it vanishes absolutely, at large gamma up to backward-error scaling
     vb, u_b, reg = random_instance(9, m=4, n=11, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c, binv_c = vb.T @ u_b, binv_vt(vb, b, u_b)
-    y, _, _, converged = path_follow(b, c, binv_c, reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
+    c, mu0 = vb.T @ u_b, binv_vt(vb, b, u_b)
+    mu, _, _, converged = path_follow(b, c, mu0, reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
     assert converged
-    grad = penalty_gradient(b.matrix @ y, b, c, reg.alpha, 100.0)
+    grad = penalty_gradient(b.matrix @ mu - c, b, c, reg.alpha, 100.0)
     assert np.linalg.norm(grad) <= 1e-9 * max(1.0, np.linalg.norm(c))
 
-    y, _, _, converged = path_follow(b, c, binv_c, reg.alpha, options=SsnOptions())
+    mu, _, _, converged = path_follow(b, c, mu0, reg.alpha, options=SsnOptions())
     gamma = SsnOptions().gammas[-1]
     assert converged
-    grad = penalty_gradient(b.matrix @ y, b, c, reg.alpha, gamma)
-    scale = (1.0 + gamma) * np.linalg.norm(b.matrix) ** 2 * np.linalg.norm(y) + np.linalg.norm(c)
+    grad = penalty_gradient(b.matrix @ mu - c, b, c, reg.alpha, gamma)
+    scale = (1.0 + gamma) * np.linalg.norm(b.matrix) ** 2 * np.linalg.norm(mu - mu0) + np.linalg.norm(c)
     assert np.linalg.norm(grad) <= 1e-12 * scale
 
 
@@ -180,16 +201,18 @@ def test_penalty_gradient_matches_separate_products(rng):
 
 
 def test_path_follow_carries_b_times_y(monkeypatch):
-    # every objective reads w = B y of its y, and the last gradient B y of the returned y, bit for bit
+    # every objective reads w = B mu - vb^T u_b of its mu, bit for bit (at the start
+    # mu0 = B^{-1} vb^T u_b, w is 0 by definition), and the last gradient that of the returned mu
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
+    mu0 = binv_vt(vb, b, u_b)
     objectives, gradients = [], []
     objective, gradient = ssn.penalty_objective, ssn.penalty_gradient
 
-    def objective_spy(y, w, *args):
-        objectives.append(np.array_equal(w, b.matrix @ y))
-        return objective(y, w, *args)
+    def objective_spy(mu, w, *args):
+        objectives.append((mu, w, np.array_equal(w, b.matrix @ mu - c)))
+        return objective(mu, w, *args)
 
     def gradient_spy(w, *args):
         gradients.append(w)
@@ -198,18 +221,20 @@ def test_path_follow_carries_b_times_y(monkeypatch):
     monkeypatch.setattr(ssn, "penalty_objective", objective_spy)
     monkeypatch.setattr(ssn, "penalty_gradient", gradient_spy)
     # the long schedule ends stages on negligible increments; this instance also takes damped steps
-    y, records, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
+    mu, records, _, _ = path_follow(b, c, mu0, reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
     assert any(r["step"] < 1.0 for r in records)
-    assert objectives and all(objectives)
-    assert np.array_equal(gradients[-1], b.matrix @ y)
+    start_mu, start_w, _ = objectives[0]
+    assert start_mu is mu0 and not np.any(start_w)
+    assert len(objectives) > 1 and all(exact for _, _, exact in objectives[1:])
+    assert np.array_equal(gradients[-1], b.matrix @ mu - c)
 
 
 def test_path_follow_zero_data():
     vb, _, reg = random_instance(10)
     b = build_b_operator(vb, reg)
     zeros = np.zeros(vb.shape[1])
-    y, records, _, _ = path_follow(b, zeros, binv_vt(vb, b, np.zeros(vb.shape[0])), 0.5)
-    assert not np.any(y)
+    mu, records, _, _ = path_follow(b, zeros, binv_vt(vb, b, np.zeros(vb.shape[0])), 0.5)
+    assert not np.any(mu)
 
 
 def test_constraint_violation_nonincreasing_along_path():
@@ -218,11 +243,10 @@ def test_constraint_violation_nonincreasing_along_path():
     c = vb.T @ u_b
     options = SsnOptions()
     violations = []
-    y = None
     for i in range(1, len(options.gammas) + 1):
         partial = SsnOptions(gammas=options.gammas[:i])
-        y, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=partial)
-        w = b.matrix @ y
+        mu, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=partial)
+        w = b.matrix @ mu - c
         violations.append(max(0.0, np.max(np.abs(w)) - reg.alpha))
     assert all(b2 <= a * (1 + 1e-9) + 1e-15 for a, b2 in zip(violations, violations[1:]))
 
@@ -231,25 +255,9 @@ def test_final_feasibility_at_large_gamma():
     vb, u_b, reg = random_instance(12, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
-    y, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha)
-    w = b.matrix @ y
+    mu, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha)
+    w = b.matrix @ mu - c
     assert np.max(np.maximum(0.0, np.abs(w) - reg.alpha)) <= reg.alpha * 1e-4
-
-
-def test_recover_mu_zero():
-    vb, _, reg = random_instance(13)
-    b = build_b_operator(vb, reg)
-    zeros = np.zeros(vb.shape[1])
-    assert not np.any(ssn_recover_mu(zeros, binv_vt(vb, b, np.zeros(vb.shape[0]))))
-
-
-def test_recover_mu_gamma_zero_cancellation():
-    # y = -B^{-1} vb^T u_b makes mu vanish identically
-    vb, u_b, reg = random_instance(14)
-    b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
-    y = -binv_vt(vb, b, u_b)
-    assert np.max(np.abs(ssn_recover_mu(y, binv_vt(vb, b, u_b)))) < 1e-10
 
 
 def test_cross_agreement_with_alm():
