@@ -19,7 +19,9 @@ induce the Newton system
 iterated until the active sets repeat.  The dense 2N x 2N matrix B is
 formed once per instance, an O(M N^2) product and 8(2N)^2 bytes in the
 source dimension; that cost is exactly what the measurement-space ALM
-avoids.  B itself is never factored: each Newton solve gathers and
+avoids.  B is formed by one dsyrk and mirrored, so it is exactly
+symmetric, and every product with it is one dsymv, which reads one
+triangle.  B itself is never factored: each Newton solve gathers and
 factors only its active block B_AA.  The path starts at the ridge
 solution mu0 = B^{-1} c, where w = 0, solved once in the measurement
 space by the push-through identity
@@ -27,9 +29,11 @@ space by the push-through identity
     (vb^T vb + alpha0*I)^{-1} vb^T = vb^T (vb vb^T + alpha0*I)^{-1},
 
 that is one Cholesky of the 2M x 2M Gram matrix G = vb vb^T + alpha0*I.
-w is carried beside mu, so an undamped Newton step makes two (2N x 2N)
-products with B: w = B mu - c for the new iterate, which the active sets
-and the penalized objective read, and one for the penalty gradient.
+w is carried beside mu, so an undamped Newton step makes one (2N x 2N)
+product with B: w = B mu - c for the new iterate, which the active sets
+and the penalized objective read.  The penalty gradient is formed only
+for the slope of a damped step; the record's residual is
+||B^{-1} grad E||, which needs no product.
 """
 
 import warnings
@@ -37,11 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsymv, dsyrk
 
 from .prox import SolveResult, check_problem
 
 
 MAX_INNER = 50  # Newton solves per gamma stage before the stage keeps its iterate
+MIRROR_TILE = 32  # side of the square tiles in which B's lower triangle is copied to its upper
 
 
 @dataclass
@@ -65,16 +71,51 @@ class BOperator:
     O(M N^2) product.  `factor` is the (lower) `cho_factor` of the 2M x 2M
     Gram matrix G, 8(2M)^2 bytes and O(M^3) flops, which gives the path's
     start B^{-1} vb^T u_b = vb^T cho_solve(factor, u_b).
+
+    `matrix` is exactly symmetric and C-ordered (see `normal_matrix`).
+    Exact symmetry makes `dot`, which reads one triangle, the product with
+    `matrix` itself; C order keeps the row gather of an active block B_AA
+    contiguous, which is several times slower on a Fortran-ordered B.
     """
 
     matrix: np.ndarray = field(repr=False)
     factor: tuple = field(repr=False)
 
+    def dot(self, x):
+        """B x by dsymv, which reads one triangle of B.
+
+        `matrix.T` is the Fortran-ordered array BLAS expects; passing the
+        C-ordered `matrix` would make f2py copy all of B on every call.
+        """
+        return dsymv(1.0, self.matrix.T, x)
+
+
+def normal_matrix(vb):
+    """vb^T vb as an exactly symmetric, C-ordered array.
+
+    dsyrk forms one triangle with half the flops of a general product.  It
+    takes vb.T, a Fortran-ordered view of the C-contiguous vb, without a
+    copy, and the transpose of its Fortran-ordered result is a C-ordered
+    view whose lower triangle holds vb^T vb.  That triangle is copied to
+    the upper one in square tiles, so the transposed reads stay in cache;
+    numpy's vb.T @ vb makes the same copy element by element, at several
+    times the cost.  A dgemm would need no copy, but its result is not
+    exactly symmetric at every size.
+    """
+    b = dsyrk(1.0, vb.T).T
+    n = b.shape[0]
+    for i in range(0, n, MIRROR_TILE):
+        tile = b[i:i + MIRROR_TILE, i:i + MIRROR_TILE]
+        tile[...] = np.tril(tile) + np.tril(tile, -1).T
+        for j in range(i + MIRROR_TILE, n, MIRROR_TILE):
+            b[i:i + MIRROR_TILE, j:j + MIRROR_TILE] = b[j:j + MIRROR_TILE, i:i + MIRROR_TILE].T
+    return b
+
 
 def build_b_operator(vb, reg):
     if reg.alpha0 <= 0:
         raise ValueError("B is positive definite only for alpha0 > 0")
-    b = vb.T @ vb
+    b = normal_matrix(vb)
     b[np.diag_indices_from(b)] += reg.alpha0
     g = vb @ vb.T
     g[np.diag_indices_from(g)] += reg.alpha0
@@ -116,13 +157,18 @@ def ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma):
     return mu
 
 
+def violation(w, alpha):
+    """max(0, w - alpha) + min(0, w + alpha): the two violations of |w| <= alpha, disjoint for alpha >= 0."""
+    return np.maximum(0.0, w - alpha) + np.minimum(0.0, w + alpha)
+
+
 def penalty_gradient(w, b, vt_ub, alpha, gamma):
     """Gradient B mu + gamma*B*violations of the penalized objective, given w = B mu - vt_ub.
 
-    B (max(0, w - alpha) + min(0, w + alpha)) is one product: for alpha > 0
-    the two violations have disjoint supports.
+    The two violations make one product with B: for alpha >= 0 they have
+    disjoint supports.
     """
-    return w + vt_ub + gamma * (b.matrix @ (np.maximum(0.0, w - alpha) + np.minimum(0.0, w + alpha)))
+    return w + vt_ub + gamma * b.dot(violation(w, alpha))
 
 
 def penalty_objective(mu, w, vt_ub, alpha, gamma):
@@ -147,6 +193,12 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
 
     w = B mu - vt_ub is carried beside mu: it is 0 at mu0, and formed by
     one dense product with B per Newton solve and per backtracking trial.
+    A damped step makes one more, the penalty gradient for its slope.
+
+    Each record's "residual" is ||mu + gamma*violation(w, alpha)||.  The
+    gradient of the penalized objective is B times that vector, so the
+    residual is ||B^{-1} grad E||: it needs no product with B and is zero
+    exactly where the gradient is.
 
     Returns (mu, records, solves, converged): the final iterate, one record
     per Newton step taken (a solve whose direction is not a descent
@@ -171,7 +223,7 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
                 break
             mu_next = ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma)
             solves += 1
-            w_next = b.matrix @ mu_next - vt_ub
+            w_next = b.dot(mu_next) - vt_ub
             d = mu_next - mu
             step = 1.0
             if np.linalg.norm(d) <= 1e-8 * (1.0 + np.linalg.norm(mu)):
@@ -194,7 +246,7 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
                     step = 0.5
                     for _ in range(60):
                         cand = mu + step * d
-                        w_cand = b.matrix @ cand - vt_ub
+                        w_cand = b.dot(cand) - vt_ub
                         trial = penalty_objective(cand, w_cand, vt_ub, alpha, gamma)
                         if trial <= energy + 1e-4 * step * slope:
                             break
@@ -205,7 +257,7 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
                 "solver": "ssn", "kind": "inner", "gamma": float(gamma), "inner": it,
                 "active": int(np.count_nonzero(plus) + np.count_nonzero(minus)),
                 "step": 1.0 if full_step else float(step),
-                "residual": float(np.linalg.norm(penalty_gradient(w, b, vt_ub, alpha, gamma))),
+                "residual": float(np.linalg.norm(mu + gamma * violation(w, alpha))),
             })
             if settled:
                 break

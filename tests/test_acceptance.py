@@ -302,6 +302,16 @@ def test_criterion_7_desk_scale_reconstruction(tmp_path):
         errs[("alm", False)], errs[("alm", True)], errs[("pda", False)], errs[("pda", True)], dt))
 
 
+def best_time(solve, *args, calls=3):
+    """Shortest wall time of `calls` calls: a single call can be slowed several-fold by the machine."""
+    times = []
+    for _ in range(calls):
+        t1 = time.perf_counter()
+        solve(*args)
+        times.append(time.perf_counter() - t1)
+    return min(times)
+
+
 def test_criterion_8_measurement_space_efficiency():
     t0 = time.perf_counter()
     # 2N/2M = 8192/128 = 64
@@ -318,15 +328,12 @@ def test_criterion_8_measurement_space_efficiency():
     u_b = add_noise(source_to_measurement(fine, med_f, recv, mu), 0.01, 7)
     vb = assemble_vb(coarse, med_c, recv)
     reg = RegParams(alpha=9e-4, alpha0=1e-7)
-    t1 = time.perf_counter()
-    solve_alm(vb, u_b, reg)
-    t_alm = time.perf_counter() - t1
-    t1 = time.perf_counter()
-    solve_ssn(vb, u_b, reg)
-    t_ssn = time.perf_counter() - t1
+    t_alm = best_time(solve_alm, vb, u_b, reg)
+    t_ssn = best_time(solve_ssn, vb, u_b, reg)
     dt = time.perf_counter() - t0
     ok = t_alm <= 0.5 * t_ssn and dt < 900.0
-    report(8, ok, f"ALM {t_alm:.2f}s vs SSN {t_ssn:.2f}s (ratio {t_ssn / max(t_alm, 1e-9):.1f}x, need >= 2x), {dt:.0f}s")
+    report(8, ok, f"ALM {t_alm:.2f}s vs SSN {t_ssn:.2f}s, best of 3 calls each "
+                  f"(ratio {t_ssn / max(t_alm, 1e-9):.1f}x, need >= 2x), {dt:.0f}s")
 
 
 @pytest.mark.skipif(not os.environ.get("SPARSESCAT_RUN_3D"), reason="opt-in 3D timing check (SPARSESCAT_RUN_3D=1)")

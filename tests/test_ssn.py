@@ -33,9 +33,35 @@ def test_b_operator_requires_alpha0():
 
 
 def test_b_operator_definition():
+    # the absolute floor covers B's structural zeros (the diagonal of the imaginary
+    # block), where products that cancel exactly leave a few ulps of max|B|
     vb, _, reg = random_instance(2)
     b = build_b_operator(vb, reg)
-    assert np.allclose(b.matrix, vb.T @ vb + reg.alpha0 * np.eye(vb.shape[1]), atol=0)
+    ref = vb.T @ vb + reg.alpha0 * np.eye(vb.shape[1])
+    assert np.allclose(b.matrix, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
+
+
+def test_b_operator_is_c_ordered_and_exactly_symmetric():
+    # exact symmetry lets dot read one triangle; C order keeps the B_AA row gather fast
+    vb, _, reg = random_instance(31, m=8, n=300)
+    b = build_b_operator(vb, reg)
+    assert b.matrix.flags.c_contiguous
+    assert np.array_equal(b.matrix, b.matrix.T)
+
+
+def test_b_dot_does_not_copy_b(rng):
+    # at 2N = 2048 a copy of B is 32 MB; one product allocates only its 2N result
+    vb, _, reg = random_instance(32, m=8, n=1024)
+    b = build_b_operator(vb, reg)
+    x = rng.standard_normal(vb.shape[1])
+    tracemalloc.start()
+    try:
+        got = b.dot(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < b.matrix.nbytes / 8
+    assert np.linalg.norm(got - b.matrix @ x) <= 1e-12 * np.linalg.norm(b.matrix) * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("m, n", [(4, 15), (12, 5)], ids=["wide", "tall"])
@@ -202,31 +228,73 @@ def test_penalty_gradient_matches_separate_products(rng):
 
 def test_path_follow_carries_b_times_y(monkeypatch):
     # every objective reads w = B mu - vb^T u_b of its mu, bit for bit (at the start
-    # mu0 = B^{-1} vb^T u_b, w is 0 by definition), and the last gradient that of the returned mu
+    # mu0 = B^{-1} vb^T u_b, w is 0 by definition), and the last record's residual
+    # is that of the returned mu
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
     mu0 = binv_vt(vb, b, u_b)
-    objectives, gradients = [], []
-    objective, gradient = ssn.penalty_objective, ssn.penalty_gradient
+    objectives = []
+    objective = ssn.penalty_objective
 
     def objective_spy(mu, w, *args):
-        objectives.append((mu, w, np.array_equal(w, b.matrix @ mu - c)))
+        objectives.append((mu, w, np.array_equal(w, b.dot(mu) - c)))
         return objective(mu, w, *args)
 
-    def gradient_spy(w, *args):
-        gradients.append(w)
-        return gradient(w, *args)
-
     monkeypatch.setattr(ssn, "penalty_objective", objective_spy)
-    monkeypatch.setattr(ssn, "penalty_gradient", gradient_spy)
     # the long schedule ends stages on negligible increments; this instance also takes damped steps
     mu, records, _, _ = path_follow(b, c, mu0, reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
     assert any(r["step"] < 1.0 for r in records)
     start_mu, start_w, _ = objectives[0]
     assert start_mu is mu0 and not np.any(start_w)
     assert len(objectives) > 1 and all(exact for _, _, exact in objectives[1:])
-    assert np.array_equal(gradients[-1], b.matrix @ mu - c)
+    w = b.dot(mu) - c
+    gamma = records[-1]["gamma"]
+    expected = np.linalg.norm(mu + gamma * (np.maximum(0.0, w - reg.alpha) + np.minimum(0.0, w + reg.alpha)))
+    assert records[-1]["residual"] == float(expected)
+
+
+def test_path_follow_counts_b_products(monkeypatch):
+    # one product per Newton solve, per backtracking trial and per damped-step
+    # gradient; the records add none
+    vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
+    b = build_b_operator(vb, reg)
+    c = vb.T @ u_b
+    counts = {"dot": 0, "gradient": 0}
+    dot, gradient = ssn.BOperator.dot, ssn.penalty_gradient
+
+    def dot_spy(self, x):
+        counts["dot"] += 1
+        return dot(self, x)
+
+    def gradient_spy(*args):
+        counts["gradient"] += 1
+        return gradient(*args)
+
+    monkeypatch.setattr(ssn.BOperator, "dot", dot_spy)
+    monkeypatch.setattr(ssn, "penalty_gradient", gradient_spy)
+    _, records, solves, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
+    damped = [r["step"] for r in records if r["step"] < 1.0]
+    trials = sum(round(np.log2(1.0 / s)) for s in damped)  # halvings from 1 to the accepted step
+    assert damped and counts["gradient"] == len(damped)
+    assert counts["dot"] == solves + trials + counts["gradient"]
+
+
+def test_record_residual_is_preconditioned_gradient(monkeypatch):
+    # residual = ||B^{-1} grad E|| at the recorded iterate; one Newton step per
+    # stage makes the returned mu the recorded one
+    vb, u_b, reg = random_instance(33, m=4, n=12, alpha=0.05, alpha0=0.01)
+    b = build_b_operator(vb, reg)
+    c = vb.T @ u_b
+    monkeypatch.setattr(ssn, "MAX_INNER", 1)
+    for gamma in (1.0, 10.0, 100.0):
+        with pytest.warns(RuntimeWarning, match="cycling"):
+            mu, records, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=(gamma,)))
+        (record,) = records
+        grad = penalty_gradient(b.dot(mu) - c, b, c, reg.alpha, gamma)
+        expected = np.linalg.norm(np.linalg.solve(b.matrix, grad))
+        assert expected > 0
+        assert abs(record["residual"] - expected) <= 1e-10 * expected
 
 
 def test_path_follow_zero_data():
