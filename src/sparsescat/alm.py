@@ -28,11 +28,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .prox import (
     SolveResult,
     check_problem,
+    cholesky_solve,
     dual_objective,
     h_star,
     p_star,
@@ -96,14 +96,6 @@ def _active_set(lam, sigma, vt_y, reg):
     return np.abs(lam + sigma * vt_y) > sigma * reg.alpha
 
 
-def _cholesky_solve(matrix, rhs):
-    try:
-        factor = cho_factor(matrix, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - signals NaN contamination
-        raise RuntimeError("Newton matrix factorization failed") from exc
-    return cho_solve(factor, rhs)
-
-
 def newton_matrix(y, lam, sigma, vb, reg, *, vt_y):
     """Generalized Jacobian I + sigma/(1+sigma*alpha0) * vb X vb^T at y, given vt_y = vb^T y.
 
@@ -136,13 +128,13 @@ def newton_step(y, lam, sigma, vb, reg, *, residual, vt_y):
     active = _active_set(lam, sigma, vt_y, reg)
     n_active = np.count_nonzero(active)
     if n_active >= vb.shape[0]:
-        return _cholesky_solve(newton_matrix(y, lam, sigma, vb, reg, vt_y=vt_y), -residual)
+        return cholesky_solve(newton_matrix(y, lam, sigma, vb, reg, vt_y=vt_y), -residual)
     if n_active == 0:
         return -residual
     va = np.compress(active, vb, axis=1)
     small = va.T @ va
     small[np.diag_indices_from(small)] += (1.0 + sigma * reg.alpha0) / sigma
-    return va @ _cholesky_solve(small, va.T @ residual) - residual
+    return va @ cholesky_solve(small, va.T @ residual) - residual
 
 
 def lagrangian_value(y, lam, sigma, vt_y, u_b, reg):

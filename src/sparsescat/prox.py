@@ -3,13 +3,15 @@
 The regularizer is p(mu) = alpha0/2 ||mu||^2 + alpha ||mu||_1, applied
 componentwise to realified vectors (anisotropic thresholding).  The data
 term conjugate is h*(y) = 1/2 ||y||^2 + <y, u_b>.  `check_problem` is
-the entry check that every solver applies to (vb, u_b), and `SolveResult`
-is what every solver returns.
+the entry check that every solver applies to (vb, u_b), `SolveResult`
+is what every solver returns, and `cholesky_solve` is the factor-and-solve
+of both Newton solvers.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 
 @dataclass
@@ -125,3 +127,22 @@ def check_problem(vb, u_b):
     if not np.isfinite(u_b).all():
         raise ValueError("u_b contains NaN or inf")
     return vb, u_b
+
+
+def cholesky_solve(matrix, rhs):
+    """Solve matrix @ x = rhs for symmetric positive definite `matrix`, given by its lower triangle.
+
+    The strict upper triangle is never read, and the matrix is not scanned
+    for NaN or inf: the solvers' operands are checked by `check_problem`.
+    RuntimeError is raised when the factorization fails, and when the
+    solution is not finite, since OpenBLAS's potrf carries a NaN entry
+    into the factor without reporting it.
+    """
+    try:
+        factor = cho_factor(matrix, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("Newton matrix is not numerically positive definite") from exc
+    x = cho_solve(factor, rhs, check_finite=False)
+    if not np.isfinite(x).all():
+        raise RuntimeError("Newton solve is not finite")
+    return x

@@ -27,7 +27,7 @@ def complex_dim(v):
 def realify(v):
     """Stack real and imaginary parts of a complex vector: v -> (Re v; Im v)."""
     v = np.asarray(v)
-    return np.concatenate([np.real(v), np.imag(v)]).astype(float)
+    return np.concatenate([np.real(v), np.imag(v)]).astype(float, copy=False)
 
 
 def derealify(v):
@@ -43,4 +43,4 @@ def realify_matrix(a):
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     ar, ai = np.real(a), np.imag(a)
-    return np.block([[ar, -ai], [ai, ar]]).astype(float)
+    return np.block([[ar, -ai], [ai, ar]]).astype(float, copy=False)

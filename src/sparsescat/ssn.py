@@ -19,10 +19,10 @@ induce the Newton system
 iterated until the active sets repeat.  The dense 2N x 2N matrix B is
 formed once per instance, an O(M N^2) product and 8(2N)^2 bytes in the
 source dimension; that cost is exactly what the measurement-space ALM
-avoids.  B is formed by one dsyrk and mirrored, so it is exactly
-symmetric, and every product with it is one dsymv, which reads one
-triangle.  B itself is never factored: each Newton solve gathers and
-factors only its active block B_AA.  The path starts at the ridge
+avoids.  B is formed by one dsyrk, which writes its lower triangle, and
+only that triangle is ever read: every product with B is one dsymv, and
+B itself is never factored; each Newton solve gathers its active block
+B_AA and factors that block's lower triangle.  The path starts at the ridge
 solution mu0 = B^{-1} c, where w = 0, solved once in the measurement
 space by the push-through identity
 
@@ -43,11 +43,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsymv, dsyrk
 
-from .prox import SolveResult, check_problem
+from .prox import SolveResult, check_problem, cholesky_solve
 
 
 MAX_INNER = 50  # Newton solves per gamma stage before the stage keeps its iterate
-MIRROR_TILE = 32  # side of the square tiles in which B's lower triangle is copied to its upper
 
 
 @dataclass
@@ -72,50 +71,33 @@ class BOperator:
     Gram matrix G, 8(2M)^2 bytes and O(M^3) flops, which gives the path's
     start B^{-1} vb^T u_b = vb^T cho_solve(factor, u_b).
 
-    `matrix` is exactly symmetric and C-ordered (see `normal_matrix`).
-    Exact symmetry makes `dot`, which reads one triangle, the product with
-    `matrix` itself; C order keeps the row gather of an active block B_AA
-    contiguous, which is several times slower on a Fortran-ordered B.
+    `matrix` is C-ordered and holds B in its lower triangle, diagonal
+    included; its strict upper triangle is unspecified and never read.
+    `dot` and the Cholesky factor of an active block B_AA read only the
+    lower triangle.  C order keeps the row gather of B_AA contiguous,
+    which is several times slower on a Fortran-ordered B.
     """
 
     matrix: np.ndarray = field(repr=False)
     factor: tuple = field(repr=False)
 
     def dot(self, x):
-        """B x by dsymv, which reads one triangle of B.
+        """B x by dsymv, which reads the lower triangle of B.
 
-        `matrix.T` is the Fortran-ordered array BLAS expects; passing the
+        `matrix.T` is the Fortran-ordered array BLAS expects, with B's
+        lower triangle as its upper one (dsymv's default); passing the
         C-ordered `matrix` would make f2py copy all of B on every call.
         """
         return dsymv(1.0, self.matrix.T, x)
 
 
-def normal_matrix(vb):
-    """vb^T vb as an exactly symmetric, C-ordered array.
-
-    dsyrk forms one triangle with half the flops of a general product.  It
-    takes vb.T, a Fortran-ordered view of the C-contiguous vb, without a
-    copy, and the transpose of its Fortran-ordered result is a C-ordered
-    view whose lower triangle holds vb^T vb.  That triangle is copied to
-    the upper one in square tiles, so the transposed reads stay in cache;
-    numpy's vb.T @ vb makes the same copy element by element, at several
-    times the cost.  A dgemm would need no copy, but its result is not
-    exactly symmetric at every size.
-    """
-    b = dsyrk(1.0, vb.T).T
-    n = b.shape[0]
-    for i in range(0, n, MIRROR_TILE):
-        tile = b[i:i + MIRROR_TILE, i:i + MIRROR_TILE]
-        tile[...] = np.tril(tile) + np.tril(tile, -1).T
-        for j in range(i + MIRROR_TILE, n, MIRROR_TILE):
-            b[i:i + MIRROR_TILE, j:j + MIRROR_TILE] = b[j:j + MIRROR_TILE, i:i + MIRROR_TILE].T
-    return b
-
-
 def build_b_operator(vb, reg):
     if reg.alpha0 <= 0:
         raise ValueError("B is positive definite only for alpha0 > 0")
-    b = normal_matrix(vb)
+    # dsyrk takes vb.T, a Fortran-ordered view of vb, without a copy and
+    # writes one triangle of vb^T vb with half a dgemm's flops; the
+    # transpose of its Fortran-ordered result is C-ordered and lower
+    b = dsyrk(1.0, vb.T).T
     b[np.diag_indices_from(b)] += reg.alpha0
     g = vb @ vb.T
     g[np.diag_indices_from(g)] += reg.alpha0
@@ -138,9 +120,10 @@ def ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma):
     alpha*(chi+ - chi-)) = 0 of the penalized objective with the active
     sets frozen, X the diagonal mask of A = A+ | A-.  Inactive components
     vanish, and only the active block, which stays well conditioned
-    uniformly in gamma, is gathered and solved by Cholesky.  `plus` and
-    `minus` are the masks chi+ and chi- of `active_sets`; gamma = 0 or an
-    empty A gives mu = 0.
+    uniformly in gamma, is gathered and solved by Cholesky; the gather
+    keeps the index order, so B_AA's lower triangle comes from B's.
+    `plus` and `minus` are the masks chi+ and chi- of `active_sets`;
+    gamma = 0 or an empty A gives mu = 0.
     """
     mu = np.zeros(b.matrix.shape[0])
     active = plus | minus
@@ -149,11 +132,7 @@ def ssn_newton_solve(plus, minus, b, vt_ub, alpha, gamma):
     baa = b.matrix[np.ix_(active, active)]
     baa[np.diag_indices_from(baa)] += 1.0 / gamma
     rhs = vt_ub[active] + alpha * (plus[active].astype(float) - minus[active].astype(float))
-    try:
-        factor = cho_factor(baa, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("indefinite Newton system; alpha0 must be positive") from exc
-    mu[active] = cho_solve(factor, rhs)
+    mu[active] = cholesky_solve(baa, rhs)
     return mu
 
 
@@ -173,9 +152,8 @@ def penalty_gradient(w, b, vt_ub, alpha, gamma):
 
 def penalty_objective(mu, w, vt_ub, alpha, gamma):
     """Penalized objective 1/2 mu^T B mu + gamma/2 * violations^2, given w = B mu - vt_ub."""
-    up = np.maximum(0.0, w - alpha)
-    lo = np.minimum(0.0, w + alpha)
-    return 0.5 * float(mu @ (w + vt_ub)) + 0.5 * gamma * (float(up @ up) + float(lo @ lo))
+    v = violation(w, alpha)
+    return 0.5 * float(mu @ (w + vt_ub)) + 0.5 * gamma * float(v @ v)
 
 
 def path_follow(b, vt_ub, mu0, alpha, options=None):

@@ -5,6 +5,7 @@ from conftest import conjugate_resolvent, moreau_complement
 from sparsescat.prox import (
     RegParams,
     check_problem,
+    cholesky_solve,
     dual_objective,
     h_star,
     p_star,
@@ -199,3 +200,19 @@ def test_check_problem_names_bad_argument(vb, u_b, match):
 def test_check_problem_returns_float_arrays():
     vb, u_b = check_problem([[1, 2], [3, 4]], [1, 2])
     assert vb.dtype == float and u_b.dtype == float and vb.shape == (2, 2)
+
+
+@pytest.mark.parametrize("lower, match", [
+    ([[4.0, 0.0], [2.0, -3.0]], "not numerically positive definite"),
+    ([[4.0, 0.0], [np.nan, 5.0]], "not finite"),  # a factorization that does not report the NaN
+], ids=["indefinite", "nan"])
+def test_cholesky_solve_fails_explicitly(lower, match):
+    # no finiteness scan of the matrix: what it would have caught still raises
+    with pytest.raises(RuntimeError, match=match):
+        cholesky_solve(np.array(lower), np.ones(2))
+
+
+def test_cholesky_solve_reads_the_lower_triangle():
+    matrix = np.array([[4.0, np.nan], [2.0, 5.0]])
+    got = cholesky_solve(matrix, np.array([1.0, 2.0]))
+    assert np.allclose(got, np.linalg.solve([[4.0, 2.0], [2.0, 5.0]], [1.0, 2.0]), rtol=1e-14)

@@ -21,6 +21,11 @@ from sparsescat.ssn import (
 LONG_GAMMAS = tuple(10.0**i for i in range(0, 13))
 
 
+def dense_b(b):
+    """The dense B, mirrored from the lower triangle that `b.matrix` stores."""
+    return np.tril(b.matrix) + np.tril(b.matrix, -1).T
+
+
 def binv_vt(vb, b, u_b):
     """B^{-1} vb^T u_b by the push-through identity, as solve_ssn forms it."""
     return vb.T @ cho_solve(b.factor, u_b)
@@ -38,15 +43,30 @@ def test_b_operator_definition():
     vb, _, reg = random_instance(2)
     b = build_b_operator(vb, reg)
     ref = vb.T @ vb + reg.alpha0 * np.eye(vb.shape[1])
-    assert np.allclose(b.matrix, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
+    # only the lower triangle is stored
+    assert np.allclose(np.tril(b.matrix), np.tril(ref), rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
 
 
-def test_b_operator_is_c_ordered_and_exactly_symmetric():
-    # exact symmetry lets dot read one triangle; C order keeps the B_AA row gather fast
+def test_b_operator_is_c_ordered():
+    # C order keeps the B_AA row gather fast
     vb, _, reg = random_instance(31, m=8, n=300)
     b = build_b_operator(vb, reg)
     assert b.matrix.flags.c_contiguous
-    assert np.array_equal(b.matrix, b.matrix.T)
+
+
+def test_upper_triangle_of_b_is_never_read():
+    # NaN in B's strict upper triangle leaves the path bitwise unchanged: the
+    # products, the active-block gathers and their Cholesky factors read the lower triangle
+    vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
+    b = build_b_operator(vb, reg)
+    c, mu0 = vb.T @ u_b, binv_vt(vb, b, u_b)
+    options = SsnOptions(gammas=LONG_GAMMAS)
+    mu, records, solves, converged = path_follow(b, c, mu0, reg.alpha, options=options)
+    b.matrix[np.triu_indices_from(b.matrix, 1)] = np.nan
+    poisoned = path_follow(b, c, mu0, reg.alpha, options=options)
+    assert converged and max(r["active"] for r in records) > 1
+    assert np.array_equal(poisoned[0], mu)
+    assert poisoned[1:] == (records, solves, converged)
 
 
 def test_b_dot_does_not_copy_b(rng):
@@ -61,7 +81,8 @@ def test_b_dot_does_not_copy_b(rng):
     finally:
         tracemalloc.stop()
     assert peak < b.matrix.nbytes / 8
-    assert np.linalg.norm(got - b.matrix @ x) <= 1e-12 * np.linalg.norm(b.matrix) * np.linalg.norm(x)
+    bm = dense_b(b)
+    assert np.linalg.norm(got - bm @ x) <= 1e-12 * np.linalg.norm(bm) * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("m, n", [(4, 15), (12, 5)], ids=["wide", "tall"])
@@ -70,7 +91,7 @@ def test_push_through_matches_dense_solve(monkeypatch, m, n):
     vb, u_b, reg = random_instance(18, m=m, n=n)
     b = build_b_operator(vb, reg)
     assert b.factor[0].shape == (2 * m, 2 * m)
-    oracle = np.linalg.solve(b.matrix, vb.T @ u_b)
+    oracle = np.linalg.solve(dense_b(b), vb.T @ u_b)
     assert np.linalg.norm(binv_vt(vb, b, u_b) - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     seen = []
@@ -103,7 +124,7 @@ def test_solve_holds_one_source_space_matrix():
 def test_active_sets_empty_at_zero():
     vb, _, reg = random_instance(3)
     b = build_b_operator(vb, reg)
-    plus, minus = active_sets(b.matrix @ np.zeros(vb.shape[1]), 0.5)
+    plus, minus = active_sets(dense_b(b) @ np.zeros(vb.shape[1]), 0.5)
     assert not plus.any() and not minus.any()
 
 
@@ -112,7 +133,7 @@ def test_active_sets_boundary_inclusive():
     alpha = 0.7
     b = build_b_operator(np.zeros((2, 3)), RegParams(alpha=alpha, alpha0=1.0))  # B = I
     y = np.array([alpha, -alpha, 0.5 * alpha])
-    plus, minus = active_sets(b.matrix @ y, alpha)
+    plus, minus = active_sets(dense_b(b) @ y, alpha)
     assert plus.tolist() == [True, False, False]
     assert minus.tolist() == [False, True, False]
 
@@ -123,7 +144,7 @@ def test_active_sets_match_brute_force(rng):
     alpha = 0.3
     for _ in range(10):
         y = rng.standard_normal(vb.shape[1])
-        w = b.matrix @ y
+        w = dense_b(b) @ y
         plus, minus = active_sets(w, alpha)
         for i in range(len(w)):
             assert plus[i] == (w[i] >= alpha)
@@ -137,7 +158,7 @@ def test_newton_solve_gamma_zero():
     c = vb.T @ u_b
     none = np.zeros(vb.shape[1], bool)
     mu = ssn_newton_solve(none, none, b, c, 0.5, 0.0)
-    assert np.allclose(mu - binv_vt(vb, b, u_b), -np.linalg.solve(b.matrix, c), atol=1e-10)
+    assert np.allclose(mu - binv_vt(vb, b, u_b), -np.linalg.solve(dense_b(b), c), atol=1e-10)
 
 
 def test_newton_solve_empty_active_set_matches_gamma_zero():
@@ -146,7 +167,7 @@ def test_newton_solve_empty_active_set_matches_gamma_zero():
     c = vb.T @ u_b
     none = np.zeros(vb.shape[1], bool)
     mu = ssn_newton_solve(none, none, b, c, 0.5, 10.0)
-    assert np.allclose(mu - binv_vt(vb, b, u_b), -np.linalg.solve(b.matrix, c), atol=1e-10)
+    assert np.allclose(mu - binv_vt(vb, b, u_b), -np.linalg.solve(dense_b(b), c), atol=1e-10)
 
 
 def test_newton_solve_matches_unreduced_system(rng):
@@ -158,9 +179,9 @@ def test_newton_solve_matches_unreduced_system(rng):
     n2 = vb.shape[1]
     gamma, alpha = 100.0, 0.2
     y0 = rng.standard_normal(n2)
-    plus, minus = active_sets(b.matrix @ y0, alpha)
+    bm = dense_b(b)
+    plus, minus = active_sets(bm @ y0, alpha)
     y = ssn_newton_solve(plus, minus, b, c, alpha, gamma) - binv_vt(vb, b, u_b)
-    bm = b.matrix
     chi = np.diag((plus | minus).astype(float))
     full = bm + gamma * bm @ chi @ bm
     rhs = -c + gamma * alpha * bm @ (plus.astype(float) - minus.astype(float))
@@ -198,16 +219,17 @@ def test_fixed_point_residual():
     vb, u_b, reg = random_instance(9, m=4, n=11, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c, mu0 = vb.T @ u_b, binv_vt(vb, b, u_b)
+    bm = dense_b(b)
     mu, _, _, converged = path_follow(b, c, mu0, reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
     assert converged
-    grad = penalty_gradient(b.matrix @ mu - c, b, c, reg.alpha, 100.0)
+    grad = penalty_gradient(bm @ mu - c, b, c, reg.alpha, 100.0)
     assert np.linalg.norm(grad) <= 1e-9 * max(1.0, np.linalg.norm(c))
 
     mu, _, _, converged = path_follow(b, c, mu0, reg.alpha, options=SsnOptions())
     gamma = SsnOptions().gammas[-1]
     assert converged
-    grad = penalty_gradient(b.matrix @ mu - c, b, c, reg.alpha, gamma)
-    scale = (1.0 + gamma) * np.linalg.norm(b.matrix) ** 2 * np.linalg.norm(mu - mu0) + np.linalg.norm(c)
+    grad = penalty_gradient(bm @ mu - c, b, c, reg.alpha, gamma)
+    scale = (1.0 + gamma) * np.linalg.norm(bm) ** 2 * np.linalg.norm(mu - mu0) + np.linalg.norm(c)
     assert np.linalg.norm(grad) <= 1e-12 * scale
 
 
@@ -215,13 +237,13 @@ def test_penalty_gradient_matches_separate_products(rng):
     # one product with B (max(0, w - alpha) + min(0, w + alpha)) against a product per term
     vb, u_b, reg = random_instance(16, m=4, n=10)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
+    c, bm = vb.T @ u_b, dense_b(b)
     for alpha in (0.0, 0.3):
         for _ in range(5):
             y = rng.standard_normal(vb.shape[1])
-            w = b.matrix @ y
-            ref = w + c + 10.0 * (b.matrix @ np.maximum(0.0, w - alpha)) + 10.0 * (
-                b.matrix @ np.minimum(0.0, w + alpha))
+            w = bm @ y
+            ref = w + c + 10.0 * (bm @ np.maximum(0.0, w - alpha)) + 10.0 * (
+                bm @ np.minimum(0.0, w + alpha))
             got = penalty_gradient(w, b, c, alpha, 10.0)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -292,7 +314,7 @@ def test_record_residual_is_preconditioned_gradient(monkeypatch):
             mu, records, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=(gamma,)))
         (record,) = records
         grad = penalty_gradient(b.dot(mu) - c, b, c, reg.alpha, gamma)
-        expected = np.linalg.norm(np.linalg.solve(b.matrix, grad))
+        expected = np.linalg.norm(np.linalg.solve(dense_b(b), grad))
         assert expected > 0
         assert abs(record["residual"] - expected) <= 1e-10 * expected
 
@@ -314,7 +336,7 @@ def test_constraint_violation_nonincreasing_along_path():
     for i in range(1, len(options.gammas) + 1):
         partial = SsnOptions(gammas=options.gammas[:i])
         mu, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=partial)
-        w = b.matrix @ mu - c
+        w = dense_b(b) @ mu - c
         violations.append(max(0.0, np.max(np.abs(w)) - reg.alpha))
     assert all(b2 <= a * (1 + 1e-9) + 1e-15 for a, b2 in zip(violations, violations[1:]))
 
@@ -324,7 +346,7 @@ def test_final_feasibility_at_large_gamma():
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
     mu, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha)
-    w = b.matrix @ mu - c
+    w = dense_b(b) @ mu - c
     assert np.max(np.maximum(0.0, np.abs(w) - reg.alpha)) <= reg.alpha * 1e-4
 
 
