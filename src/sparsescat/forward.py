@@ -7,9 +7,10 @@ The volume potential applied to a density f is
 discretized by midpoint quadrature over cell centers with an analytic
 correction for the singular self cell.  The scattered field of a source
 mu in a medium with contrast q solves (I - V_k q) u = V_k mu / k^2, and
-boundary data are the field values at the receivers.  A dense quadrature
-path serves as the oracle for the FFT-accelerated path, which evaluates
-the identical discrete kernel by circular convolution on a doubled cell.
+boundary data are the field values at the receivers.  The volume
+potential is evaluated by circular convolution of the discrete kernel on
+a doubled cell; the test suite holds the dense quadrature of the same
+kernel as its oracle.
 
 The work follows the supports: a receiver potential sums only over the
 nodes where its density is nonzero, and the reciprocity field that gives
@@ -33,7 +34,6 @@ from .realfield import derealify, realify, realify_matrix
 _CACHE_MAGIC = b"VBOP"
 _CACHE_VERSION = 2
 _CACHE_HEADER = "<4sIIIIdQI"  # magic, version, dim, n, receivers, k, config hash, payload crc32
-_CHUNK = 512
 _BLOCK = 1 << 19  # kernel points per receiver block: bounds the temporaries to tens of MB
 _FFT_BLOCK = 16  # rows per batched FFT: bounds the padded workspace to 16 * (2n)^d entries
 
@@ -88,37 +88,13 @@ def self_cell_integral(k, spacing, dim):
     raise ValueError("dim must be 2 or 3")
 
 
-def volume_potential_dense(grid, medium, density):
-    """Midpoint-quadrature volume potential V_k at the grid nodes (dense oracle path).
-
-    The self cell uses the analytic disk/ball integral in place of the
-    singular midpoint value.
-    """
-    k = medium.wavenumber
-    density = np.asarray(density)
-    nodes = grid.nodes()
-    n = nodes.shape[0]
-    weight = grid.cell_volume()
-    diag = k**2 * self_cell_integral(k, grid.spacing, grid.dim)
-    out = np.empty(n, dtype=complex)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        diff = nodes[start:stop, None, :] - nodes[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        idx = np.arange(start, stop)
-        r[idx - start, idx] = 1.0  # placeholder; overwritten below
-        block = k**2 * weight * fundamental_solution(k, r, grid.dim)
-        block[idx - start, idx] = diag
-        out[start:stop] = block @ density
-    return out
-
-
 @lru_cache(maxsize=8)
 def _fft_kernel(dim, n, spacing, k):
     """Discrete kernel embedded on the doubled periodic cell, and its FFT.
 
-    Entry at integer offset d (per axis in [-n, n-1], wrapped) is the same
-    quadrature weight the dense path uses at distance spacing*|d|; the
+    Entry at integer offset d (per axis in [-n, n-1], wrapped) is the
+    midpoint quadrature weight k^2 h^dim Phi at distance h*|d| (h the
+    spacing), and k^2 times the analytic self-cell integral at d = 0; the
     doubling makes the circular convolution exact for supports in the box.
     """
     m = 2 * n
@@ -133,7 +109,7 @@ def _fft_kernel(dim, n, spacing, k):
 
 
 def volume_potential_fft(grid, medium, density):
-    """FFT evaluation of the same discrete volume potential as the dense path.
+    """FFT evaluation of the midpoint-quadrature volume potential V_k at the grid nodes.
 
     `density` is one node vector (N,) or a batch of them (B, N); the
     result has the same shape.  A batch is transformed in blocks of

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .alm import AlmOptions, solve_alm
 from .export import write_field, write_jsonl
@@ -181,7 +182,9 @@ def _run_solver(config, vb, u_b):
 def _export(config, result, coarse_grid):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {"diagnostics": out / "diagnostics.jsonl"}
+    paths = {"config": out / "config.json", "diagnostics": out / "diagnostics.jsonl"}
+    with open(paths["config"], "w", encoding="utf-8") as f:
+        json.dump(config.to_dict(), f, indent=2, sort_keys=True)
     write_jsonl(paths["diagnostics"], result.records)
     paths["mu_csv"], paths["mu_pgm"], *_ = write_field(
         out / "mu_rec", coarse_grid, result.mu_rec[: coarse_grid.num_nodes])
@@ -196,6 +199,7 @@ def _export(config, result, coarse_grid):
                 "stop_reason": result.stop_reason,
                 "seed": result.seed,
                 "rng": result.rng,
+                "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
             },
             f,
             indent=2,

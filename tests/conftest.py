@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparsescat.forward import fundamental_solution, self_cell_integral
 from sparsescat.prox import RegParams, prox_p
 from sparsescat.realfield import realify_matrix
 
@@ -25,6 +26,34 @@ def random_instance(seed, m=None, n=None, alpha=None, alpha0=None, sparsity=3):
     alpha = float(10 ** rng.uniform(-3, -1)) if alpha is None else alpha
     alpha0 = float(10 ** rng.uniform(-4, -2)) if alpha0 is None else alpha0
     return vb, u_b, RegParams(alpha=alpha, alpha0=alpha0)
+
+
+_CHUNK = 512  # rows of the dense kernel block per pass: bounds the block to 512 x N entries
+
+
+def volume_potential_dense(grid, medium, density):
+    """Midpoint-quadrature volume potential V_k at the grid nodes: the dense oracle of the FFT path.
+
+    The self cell uses the analytic disk/ball integral in place of the
+    singular midpoint value.
+    """
+    k = medium.wavenumber
+    density = np.asarray(density)
+    nodes = grid.nodes()
+    n = nodes.shape[0]
+    weight = grid.cell_volume()
+    diag = k**2 * self_cell_integral(k, grid.spacing, grid.dim)
+    out = np.empty(n, dtype=complex)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        diff = nodes[start:stop, None, :] - nodes[None, :, :]
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        idx = np.arange(start, stop)
+        r[idx - start, idx] = 1.0  # placeholder; overwritten below
+        block = k**2 * weight * fundamental_solution(k, r, grid.dim)
+        block[idx - start, idx] = diag
+        out[start:stop] = block @ density
+    return out
 
 
 def derealify_matrix(b):

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import moreau_complement, random_instance
+from conftest import moreau_complement, random_instance, volume_potential_dense
 
 from sparsescat.alm import AlmOptions, newton_matrix, residual_F, solve_alm
 from sparsescat.forward import (
@@ -17,7 +17,6 @@ from sparsescat.forward import (
     fundamental_solution,
     ls_solve,
     source_to_measurement,
-    volume_potential_dense,
     volume_potential_fft,
 )
 from sparsescat.grid import Grid, boundary_receivers

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import commutes_with_rotation, derealify_matrix
+from conftest import commutes_with_rotation, derealify_matrix, volume_potential_dense
 
 from sparsescat import forward
 from sparsescat.forward import (
@@ -13,7 +13,6 @@ from sparsescat.forward import (
     save_vb_cache,
     self_cell_integral,
     source_to_measurement,
-    volume_potential_dense,
     volume_potential_fft,
 )
 from sparsescat.grid import Grid, Medium, boundary_receivers

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 from conftest import random_instance
 
 from sparsescat import alm, harness, pda, ssn
@@ -241,6 +242,15 @@ def test_solver_contract(solver, tmp_path, monkeypatch):
     for key in ("iterations", "converged", "stop_reason"):
         assert saved[key] == getattr(experiment, key) == getattr(solved, key)
     assert np.array_equal(experiment.mu_rec, solved.mu)
+
+
+def test_export_writes_config_and_versions(tmp_path):
+    config = small_config(output_dir=str(tmp_path / "run"))
+    result = run_experiment(config)
+    assert result.output_paths["config"] == str(tmp_path / "run" / "config.json")
+    assert ExperimentConfig.from_dict(json.loads((tmp_path / "run" / "config.json").read_text())) == config
+    saved = json.loads((tmp_path / "run" / "result.json").read_text())
+    assert saved["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def test_suite_empty(tmp_path):

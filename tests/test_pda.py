@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from conftest import random_instance
 
+from sparsescat import pda
 from sparsescat.alm import AlmOptions, solve_alm
 from sparsescat.pda import (
     CERTIFY_RTOL,
+    AdjointScreen,
     PdaOptions,
     default_steps,
     pda_dual_step,
@@ -14,6 +16,7 @@ from sparsescat.pda import (
     solve_pda,
 )
 from sparsescat.prox import RegParams, primal_objective, prox_p
+from sparsescat.realfield import realify_matrix
 
 
 def test_dual_step_cancellation():
@@ -156,3 +159,83 @@ def test_options_defaults():
 def test_options_reject_bad_values(bad, match):
     with pytest.raises(ValueError, match=match):
         PdaOptions(**bad)
+
+
+def wide_instance(seed, alpha_frac, alpha0=1e-3):
+    """Realified complex Gaussian 16 x 1024 operator and noisy data of a 3-sparse source.
+
+    alpha is `alpha_frac` of ||vb^T u_b||_inf, the smallest alpha at which the minimizer is 0.
+    """
+    rng = np.random.default_rng(seed)
+    vb = realify_matrix(rng.standard_normal((16, 1024)) + 1j * rng.standard_normal((16, 1024)))
+    mu = np.zeros(vb.shape[1])
+    mu[rng.choice(vb.shape[1], size=3, replace=False)] = 2.0 * rng.standard_normal(3)
+    u_b = vb @ mu + 0.01 * rng.standard_normal(vb.shape[0])
+    return vb, u_b, RegParams(alpha=alpha_frac * float(np.max(np.abs(vb.T @ u_b))), alpha0=alpha0)
+
+
+def screened_run(monkeypatch, vb, u_b, reg, iters):
+    """solve_pda with one record, at the last step, and the iterate of every step."""
+    steps = []
+    step = pda.pda_primal_step
+
+    def spy(*args, **kwargs):
+        steps.append(step(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(pda, "pda_primal_step", spy)
+    result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=iters, record_every=iters))
+    return result, steps
+
+
+def test_screened_steps_match_dense_loop(monkeypatch):
+    vb, u_b, reg = wide_instance(11, alpha_frac=0.1)
+    result, steps = screened_run(monkeypatch, vb, u_b, reg, iters=2000)
+    assert result.iterations == len(steps) == 2000
+    # the same loop with both products dense
+    sigma, tau = default_steps(vb, PdaOptions().sigma)
+    p = np.zeros(vb.shape[0])
+    mu = np.zeros(vb.shape[1])
+    mu_bar = mu.copy()
+    for it, screened in enumerate(steps, start=1):
+        p = (p + sigma * (vb @ mu_bar) - sigma * u_b) / (1.0 + sigma)
+        mu_next = prox_p(mu - tau * (vb.T @ p), tau, reg)
+        assert np.array_equal(screened != 0, mu_next != 0), f"support differs at step {it}"
+        assert np.linalg.norm(screened - mu_next) <= 1e-12 * np.linalg.norm(mu_next), f"step {it}"
+        mu_bar = mu_next + (mu_next - mu)
+        mu = mu_next
+    assert 0 < np.count_nonzero(mu) < 20
+    # the only record is the last step, whose product is dense; so the screen refreshed with a
+    # dense product on some steps (dense >= 2) and skipped it on most of the others
+    dense = result.records[-1]["dense_adjoints"]
+    assert 2 <= dense < result.iterations // 2
+
+
+def test_screen_is_dense_at_alpha_zero():
+    # every coordinate is a candidate for the L1 weight 0 (alpha0 = 0: the run does not certify)
+    vb, u_b, reg = wide_instance(11, alpha_frac=0.0, alpha0=0.0)
+    result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=300, record_every=100))
+    assert [r["dense_adjoints"] for r in result.records] == [100, 200, 300]
+
+
+def test_screen_excludes_only_zero_steps(rng):
+    # outside the candidates, mu is 0 and the computed |vb^T p| is at most alpha
+    vb, _, _ = wide_instance(12, alpha_frac=0.1)
+    for scale in (1e-8, 1e-4, 1e-2, 1.0):
+        p_ref = rng.standard_normal(vb.shape[0])
+        g_ref = vb.T @ p_ref
+        alpha = float(np.sort(np.abs(g_ref))[-11])  # 10 coordinates exceed it at p_ref
+        screen = AdjointScreen(vb, alpha)
+        idx, g = screen.adjoint(p_ref, np.zeros(vb.shape[1]), g_ref)
+        assert idx is None and g is g_ref and screen.dense == 1
+        p = p_ref + scale * rng.standard_normal(vb.shape[0]) / np.sqrt(vb.shape[0])
+        mu = np.zeros(vb.shape[1])
+        mu[rng.choice(vb.shape[1], size=5, replace=False)] = 1.0
+        idx, g = screen.adjoint(p, mu)
+        if idx is None:  # more than 2M = 32 candidates
+            assert screen.dense == 2 and scale > 1e-4
+            continue
+        assert np.array_equal(g, screen.vt[idx] @ p)
+        outside = np.setdiff1d(np.arange(vb.shape[1]), idx)
+        assert not np.any(mu[outside])
+        assert np.max(np.abs(vb.T @ p)[outside]) <= alpha

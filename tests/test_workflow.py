@@ -1,5 +1,7 @@
-"""The CI workflow parses, and the suite configs it writes still load."""
+"""The CI workflow parses, the suite configs it writes still load, and the
+functions that its traced benchmark step wraps still exist."""
 
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -8,7 +10,9 @@ import yaml
 
 from sparsescat.harness import ExperimentConfig
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+LAYERS = ROOT / "perfbench" / "layers.py"
 HEREDOC = re.compile(r"<<'JSON'\n(.*?)\nJSON$", re.DOTALL | re.MULTILINE)
 
 
@@ -37,3 +41,15 @@ def test_suite_configs_load():
         assert entries
         for entry in entries:
             ExperimentConfig.from_dict(entry)
+
+
+def test_traced_benchmark_wraps_exist():
+    # `perfbench/run.py --trace 1` wraps every (module, attribute) of layers.WRAPS and stops on a
+    # missing one; this catches a rename in sparsescat without running the benchmark
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert len(layers.WRAPS) >= 20
+    for module, attr, _, _ in layers.WRAPS:
+        owner = importlib.import_module(f"sparsescat.{module}")
+        assert callable(getattr(owner, attr, None)), f"sparsescat.{module}.{attr} is not a function"
