@@ -42,12 +42,13 @@ from .prox import (
 )
 
 
-# Loop constants: the first penalty and its growth factor, the Armijo
+# Loop constants: the first penalty, its growth factor and its cap, the Armijo
 # constant, the inner tolerance schedule eps_k = EPS0/(k+1)^2 (summable)
 # with the relative criterion delta'_k = DELTA_PRIME0/(k+1), and the caps
 # on Newton steps per outer iteration and on backtracks per line search.
 SIGMA0 = 1.0
 SIGMA_GROWTH = 6.0
+SIGMA_MAX = 1e8
 ARMIJO_C = 1e-4
 EPS0 = 1e-2
 DELTA_PRIME0 = 1.0
@@ -57,13 +58,12 @@ MAX_BACKTRACKS = 30
 
 @dataclass
 class AlmOptions:
-    """Penalty cap, Armijo backtracking factor, outer-step cap and the two stopping tolerances.
+    """Armijo backtracking factor, outer-step cap and the two stopping tolerances.
 
     The penalty starts at SIGMA0 = 1 and grows sixfold per outer step up
-    to sigma_max; the other loop constants are module constants.
+    to SIGMA_MAX; the other loop constants are module constants.
     """
 
-    sigma_max: float = 1e8
     beta: float = 0.3
     max_outer: int = 12
     lam_tol: float = 1e-7
@@ -269,7 +269,7 @@ def solve_alm(vb, u_b, reg, options=None):
         })
         lam = lam_new
         lam_history.append(lam.copy())
-        sigma = min(SIGMA_GROWTH * sigma, options.sigma_max)
+        sigma = min(SIGMA_GROWTH * sigma, SIGMA_MAX)
         if lam_change <= options.lam_tol:
             converged, stop_reason = True, "multiplier_change"
             break

@@ -8,9 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from .export import write_field
-from .forward import assemble_vb, save_vb_cache
 from .grid import Grid
-from .harness import ExperimentConfig, coarse_problem, run_experiment, run_suite
+from .harness import ExperimentConfig, coarse_problem, load_or_assemble, run_experiment, run_suite
 from .phantoms import PhantomSpec, make_phantom
 
 
@@ -23,7 +22,7 @@ def _cmd_reconstruct(args):
     if args.output is not None:
         config.output_dir = args.output
     result = run_experiment(config)
-    print(f"solver={result.solver} n_error={result.n_error:.4e} "
+    print(f"solver={config.solver} n_error={result.n_error:.4e} "
           f"times={{simulate: {result.wall_times['simulate']:.2f}s, "
           f"assembly: {result.wall_times['assembly']:.2f}s, "
           f"solve: {result.wall_times['solve']:.2f}s}}")
@@ -49,13 +48,9 @@ def _cmd_suite(args):
 
 def _cmd_assemble(args):
     config = _load_config(args.config)
-    coarse, medium, receivers = coarse_problem(config)
-    vb = assemble_vb(coarse, medium, receivers)
-    out = Path(config.output_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "vb.cache"
-    save_vb_cache(path, vb, coarse, medium, receivers)
-    print(f"wrote {path} ({vb.shape[0]}x{vb.shape[1]})")
+    config.output_dir = config.output_dir or "."
+    vb = load_or_assemble(config, *coarse_problem(config))
+    print(f"{Path(config.output_dir) / 'vb.cache'} holds the {vb.shape[0]}x{vb.shape[1]} operator")
     return 0
 
 
@@ -87,7 +82,7 @@ def build_parser():
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_suite)
 
-    p = sub.add_parser("assemble", help="assemble and cache the measurement operator only")
+    p = sub.add_parser("assemble", help="assemble and cache the measurement operator only (a valid cache is kept)")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_assemble)
 

@@ -3,13 +3,16 @@
 Synthetic data are generated on a fine grid and inverted on a coarser,
 non-nested grid (different discretizations guard against the inverse
 crime).  All randomness flows through one seeded 64-bit permuted
-congruential generator (PCG64), so a config + seed reproduces every
-artifact byte-for-byte.
+congruential generator (PCG64), so a config + seed reproduces
+`diagnostics.jsonl`, the `mu_rec` files and `vb.cache` byte for byte;
+`result.json` differs only in its wall times, and `config.json` in its
+output_dir.
 """
 
 import csv
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -54,7 +57,6 @@ class ExperimentConfig:
     seed: int = 0
     solver_options: dict = field(default_factory=dict)
     output_dir: str = None
-    label: str = None
 
     def __post_init__(self):
         if self.solver not in SOLVER_OPTIONS:
@@ -105,15 +107,12 @@ def _validate_solver_options(solver, options):
 class ExperimentResult:
     n_error: float
     wall_times: dict
-    solver: str
     iterations: int
     converged: bool
     stop_reason: str
     mu_rec: np.ndarray = field(repr=False)
     mu_exact: np.ndarray = field(repr=False)
     records: list = field(repr=False)
-    seed: int = 0
-    rng: str = RNG_NAME
     output_paths: dict = field(default_factory=dict)
 
 
@@ -193,12 +192,12 @@ def _export(config, result, coarse_grid):
             {
                 "n_error": result.n_error,
                 "wall_times": result.wall_times,
-                "solver": result.solver,
+                "solver": config.solver,
                 "iterations": result.iterations,
                 "converged": result.converged,
                 "stop_reason": result.stop_reason,
-                "seed": result.seed,
-                "rng": result.rng,
+                "seed": config.seed,
+                "rng": RNG_NAME,
                 "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
             },
             f,
@@ -216,68 +215,61 @@ def coarse_problem(config):
     return coarse, make_medium(coarse, config.wavenumber, config.inhomogeneous), receivers
 
 
+def load_or_assemble(config, coarse, medium, receivers):
+    """The operator of `config`: loaded from `<output_dir>/vb.cache` when that cache is valid,
+    otherwise assembled and, when there is an output directory, saved there atomically."""
+    cache_path = Path(config.output_dir) / "vb.cache" if config.output_dir else None
+    vb = None if cache_path is None else load_vb_cache(cache_path, coarse, medium, receivers)
+    if vb is None:
+        vb = assemble_vb(coarse, medium, receivers)
+        if cache_path is not None:
+            cache_path.parent.mkdir(parents=True, exist_ok=True)
+            save_vb_cache(cache_path, vb, coarse, medium, receivers)
+    return vb
+
+
+@contextmanager
+def _phase(name, times=None):
+    """Record the phase's wall time in `times` (when given); re-raise its failure as ExperimentError."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise ExperimentError(name, exc) from exc
+    if times is not None:
+        times[name] = time.perf_counter() - t0
+
+
 def run_experiment(config):
     """Simulate, add noise, assemble (or load) the operator, solve, and score."""
     fine = Grid(dim=config.dim, n_per_axis=config.fine_n, half_width=config.half_width)
     coarse, medium_coarse, receivers = coarse_problem(config)
     times = {}
-
-    try:
+    with _phase("simulate", times):
         mu_exact_fine = make_phantom(config.phantom, fine)
         medium_fine = make_medium(fine, config.wavenumber, config.inhomogeneous)
-        t0 = time.perf_counter()
         u_b = source_to_measurement(fine, medium_fine, receivers, mu_exact_fine)
-        times["simulate"] = time.perf_counter() - t0
-    except Exception as exc:
-        raise ExperimentError("simulate", exc) from exc
-
     u_noisy = add_noise(u_b, config.noise_level, config.seed)
-
-    try:
-        t0 = time.perf_counter()
-        vb = None
-        cache_path = Path(config.output_dir) / "vb.cache" if config.output_dir else None
-        if cache_path is not None:
-            vb = load_vb_cache(cache_path, coarse, medium_coarse, receivers)
-        if vb is None:
-            vb = assemble_vb(coarse, medium_coarse, receivers)
-            if cache_path is not None:
-                cache_path.parent.mkdir(parents=True, exist_ok=True)
-                save_vb_cache(cache_path, vb, coarse, medium_coarse, receivers)
-        times["assembly"] = time.perf_counter() - t0
-    except Exception as exc:
-        raise ExperimentError("assembly", exc) from exc
-
-    try:
-        t0 = time.perf_counter()
+    with _phase("assembly", times):
+        vb = load_or_assemble(config, coarse, medium_coarse, receivers)
+    with _phase("solve", times):
         solved = _run_solver(config, vb, u_noisy)
-        times["solve"] = time.perf_counter() - t0
-    except Exception as exc:
-        raise ExperimentError("solve", exc) from exc
-
-    try:
+    with _phase("metric"):
         mu_exact_coarse = restrict_to_coarse(mu_exact_fine, fine, coarse)
         err = n_error(solved.mu, mu_exact_coarse)
-    except Exception as exc:
-        raise ExperimentError("metric", exc) from exc
-
     result = ExperimentResult(
         n_error=err,
         wall_times=times,
-        solver=config.solver,
         iterations=solved.iterations,
         converged=solved.converged,
         stop_reason=solved.stop_reason,
         mu_rec=solved.mu,
         mu_exact=mu_exact_coarse,
         records=solved.records,
-        seed=config.seed,
     )
     if config.output_dir:
-        try:
+        with _phase("export"):
             _export(config, result, coarse)
-        except Exception as exc:
-            raise ExperimentError("export", exc) from exc
     return result
 
 
@@ -285,8 +277,6 @@ SUITE_COLUMNS = ("Method", "Source", "Medium", "Time(s)", "N-Error")
 
 
 def _source_label(config):
-    if config.label:
-        return config.label
     p = config.phantom
     return f"{p.kind}:{p.count}" if p.kind == "peaks" else p.kind
 

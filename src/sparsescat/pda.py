@@ -124,26 +124,24 @@ def default_steps(vb, sigma=0.5):
     return sigma, tau
 
 
-def pda_dual_step(p, mu_bar, vb, u_b, sigma, vt=None):
+def pda_dual_step(p, mu_bar, vt, u_b, sigma):
     """Resolvent of the data-term conjugate: (p + sigma*(vb@mu_bar - u_b)) / (1+sigma).
 
-    vb @ mu_bar sums the rows of vt = vb^T (by default a view of vb) on
-    supp mu_bar only; it is 0 when mu_bar is.
+    vb @ mu_bar sums the rows of vt = vb^T on supp mu_bar only; it is 0
+    when mu_bar is.
     """
-    vt = vb.T if vt is None else vt
     s = np.flatnonzero(mu_bar != 0)  # on the mask: several times faster than on the floats
     return (p + sigma * (mu_bar[s] @ vt[s]) - sigma * u_b) / (1.0 + sigma)
 
 
-def pda_primal_step(mu, p_next, vb, tau, reg, screen=None, vt_p=None):
+def pda_primal_step(mu, p_next, screen, tau, reg, vt_p=None):
     """Prox step on the regularizer at mu - tau * vb^T p_next.
 
-    Without a `screen` the adjoint is the dense vb.T @ p_next.  With an
-    `AdjointScreen` it is computed on the screen's candidates only, and
+    The adjoint is computed on the `AdjointScreen`'s candidates only, and
     the step is exactly 0 elsewhere; `vt_p` is the dense vb^T p_next when
     the caller has it.
     """
-    idx, g = (None, vb.T @ p_next) if screen is None else screen.adjoint(p_next, mu, vt_p)
+    idx, g = screen.adjoint(p_next, mu, vt_p)
     if idx is None:
         return prox_p(mu - tau * g, tau, reg)
     out = np.zeros_like(mu)
@@ -176,10 +174,10 @@ def solve_pda(vb, u_b, reg, options=None):
     best = np.inf
     converged = False
     for it in range(1, options.iters + 1):
-        p = pda_dual_step(p, mu_bar, vb, u_b, sigma, vt=screen.vt)
+        p = pda_dual_step(p, mu_bar, screen.vt, u_b, sigma)
         record = it % options.record_every == 0 or it == options.iters
         vt_p = screen.vt @ p if record else None
-        mu_next = pda_primal_step(mu, p, vb, tau, reg, screen, vt_p)
+        mu_next = pda_primal_step(mu, p, screen, tau, reg, vt_p)
         mu_bar = mu_next + (mu_next - mu)
         mu = mu_next
         if record:

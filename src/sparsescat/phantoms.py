@@ -35,19 +35,19 @@ _PEAK_FRACTIONS = (
     (0.5, 0.82),
     (0.18, 0.5),
 )
+BALL_RADIUS_FRAC = 0.15  # balls: radius as a fraction of the half width
+BAR_LENGTH_FRAC = 0.4  # strips and tripod bars: length as a fraction of the box
 
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Declarative source description; geometry fields are optional overrides."""
+    """Declarative source description; `positions` optionally overrides the default layout."""
 
     kind: str
     count: int = 1
     amplitude: float = 1.0
     dirac_scaling: bool = False
     positions: tuple = None  # fractional coordinates in (0, 1)^dim
-    radius_frac: float = 0.15  # balls: radius as a fraction of the half width
-    length_frac: float = 0.4  # strips and tripod bars: length as a fraction of the box
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -97,7 +97,7 @@ def make_phantom(spec, grid):
     elif spec.kind in ("strip_diag", "strip_skew"):
         if grid.dim != 2:
             raise ValueError("strip phantoms are two-dimensional")
-        half = spec.length_frac / 2.0
+        half = BAR_LENGTH_FRAC / 2.0
         lo, hi = _frac_to_index(0.5 - half, n), _frac_to_index(0.5 + half, n)
         for i in range(lo, hi + 1):
             j = i if spec.kind == "strip_diag" else n - 1 - i
@@ -107,7 +107,7 @@ def make_phantom(spec, grid):
             raise ValueError("ball phantoms are three-dimensional")
         centers = spec.positions or ((0.35, 0.35, 0.35), (0.65, 0.65, 0.65))
         nodes = grid.nodes().reshape(grid.shape + (3,))
-        radius = spec.radius_frac * grid.half_width
+        radius = BALL_RADIUS_FRAC * grid.half_width
         for frac in centers:
             cidx = tuple(_frac_to_index(f, n) for f in frac)
             center = nodes[cidx]
@@ -116,7 +116,7 @@ def make_phantom(spec, grid):
     elif spec.kind in ("tripod_right_up", "tripod_left_down", "two_tripods"):
         if grid.dim != 3:
             raise ValueError("tripod phantoms are three-dimensional")
-        bars = int(round(spec.length_frac * n))
+        bars = int(round(BAR_LENGTH_FRAC * n))
         tripods = []
         if spec.kind in ("tripod_right_up", "two_tripods"):
             tripods.append(((0.3, 0.3, 0.3), +1))

@@ -236,9 +236,10 @@ def test_multiplier_update_maintains_z_invariant():
         assert np.array_equal(result.lam_history[k + 1], lam_k + sigma_k * (vb.T @ result.y + result.z))
 
 
-def test_sigma_growth_capped():
+def test_sigma_growth_capped(monkeypatch):
     vb, u_b, reg = random_instance(17, m=3, n=8)
-    options = AlmOptions(sigma_max=100.0, max_outer=6, lam_tol=0.0, gap_tol=0.0)
+    monkeypatch.setattr(alm, "SIGMA_MAX", 100.0)
+    options = AlmOptions(max_outer=6, lam_tol=0.0, gap_tol=0.0)
     result = solve_alm(vb, u_b, reg, options=options)
     seq = [r["sigma"] for r in result.records if r["kind"] == "outer"]
     assert seq == [1.0, 6.0, 36.0, 100.0, 100.0, 100.0]

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from sparsescat import harness
 from sparsescat.cli import main
 
 ALIGNED = 46.5 / 96.0
@@ -48,7 +49,7 @@ def test_cli_phantom(tmp_path, capsys):
 
 def test_cli_phantom_3d(tmp_path, capsys):
     rc = main([
-        "phantom", "--spec", '{"kind": "balls3d", "radius_frac": 0.2}',
+        "phantom", "--spec", '{"kind": "balls3d"}',
         "--out", str(tmp_path / "ball"), "--dim", "3", "--n", "8",
     ])
     assert rc == 0
@@ -76,6 +77,23 @@ def test_cli_assemble(tmp_path, capsys):
     rc = main(["assemble", "--config", path])
     assert rc == 0
     assert (tmp_path / "out" / "vb.cache").exists()
+
+
+def test_cli_assemble_keeps_a_valid_cache(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, base_config(tmp_path, fine_n=24, coarse_n=16, half_width=3.0, receivers=8))
+    cache = tmp_path / "out" / "vb.cache"
+    assert main(["assemble", "--config", path]) == 0
+    first = (cache.stat().st_ino, cache.read_bytes())
+    assert main(["assemble", "--config", path]) == 0
+    assert (cache.stat().st_ino, cache.read_bytes()) == first
+
+    def fail(*args, **kwargs):
+        raise AssertionError("assembled although vb.cache is valid")
+
+    # reconstruct into the same directory loads the cache that assemble wrote
+    monkeypatch.setattr(harness, "assemble_vb", fail)
+    assert main(["reconstruct", "--config", path]) == 0
+    assert (cache.stat().st_ino, cache.read_bytes()) == first
 
 
 def test_cli_suite(tmp_path, capsys):

@@ -127,9 +127,14 @@ def test_config_rejects_unknown_keys():
     data["solver"] = "pda"
     with pytest.raises(ValueError, match="unknown pda options"):
         ExperimentConfig.from_dict(data)
-    # loop constants that were options once are rejected like any unknown key
-    for solver, removed in (("alm", {"sigma0": 2}), ("ssn", {"max_inner": 5}), ("pda", {"theta": 1}),
-                            ("pda", {"gap_tol": 1e-9})):
+    # fields and options that were settable once are rejected like any unknown key
+    for entry, match in (({**data, "label": None}, "unknown config keys"),
+                         ({**data, "phantom": {**data["phantom"], "radius_frac": 0.15}}, "unknown phantom keys"),
+                         ({**data, "phantom": {**data["phantom"], "length_frac": 0.4}}, "unknown phantom keys")):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict(entry)
+    for solver, removed in (("alm", {"sigma0": 2}), ("alm", {"sigma_max": 1e8}), ("ssn", {"max_inner": 5}),
+                            ("pda", {"theta": 1}), ("pda", {"gap_tol": 1e-9})):
         data["solver"], data["solver_options"] = solver, removed
         with pytest.raises(ValueError, match=f"unknown {solver} options"):
             ExperimentConfig.from_dict(data)
@@ -169,8 +174,14 @@ def test_run_experiment_deterministic(tmp_path):
     out2 = tmp_path / "b"
     r1 = run_experiment(small_config(noise_level=0.01, output_dir=str(out1)))
     r2 = run_experiment(small_config(noise_level=0.01, output_dir=str(out2)))
-    assert (out1 / "mu_rec.csv").read_bytes() == (out2 / "mu_rec.csv").read_bytes()
     assert r1.n_error == r2.n_error
+    # what the README promises: these artifacts are byte-equal, and the JSON ones differ
+    # only in the wall times (result.json) and the output directory (config.json)
+    for name in ("diagnostics.jsonl", "mu_rec.csv", "mu_rec.pgm", "vb.cache"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    for name, differs in (("result.json", "wall_times"), ("config.json", "output_dir")):
+        a, b = (json.loads((out / name).read_text()) for out in (out1, out2))
+        assert a.pop(differs) != b.pop(differs) and a == b, name
 
 
 def test_run_experiment_uses_cache(tmp_path):
@@ -194,6 +205,20 @@ def test_run_experiment_phase_errors_tagged():
     with pytest.raises(ExperimentError) as err:
         run_experiment(bad)
     assert err.value.phase == "simulate"
+
+
+@pytest.mark.parametrize("phase, name", [
+    ("assembly", "assemble_vb"), ("solve", "solve_alm"), ("metric", "n_error"), ("export", "_export"),
+])
+def test_run_experiment_tags_each_phase(phase, name, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError(f"{name} failed")
+
+    monkeypatch.setattr(harness, name, fail)
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(small_config(output_dir=str(tmp_path / "run"), **TINY))
+    assert err.value.phase == phase
+    assert isinstance(err.value.__cause__, RuntimeError)
 
 
 # every stop reason of each solver, and whether it is a convergence exit
@@ -325,7 +350,7 @@ def test_run_experiment_3d(tmp_path):
         solver="alm",
         alpha=1e-4,
         alpha0=1e-9,
-        phantom=PhantomSpec(kind="balls3d", amplitude=2.0, dirac_scaling=True, radius_frac=0.12),
+        phantom=PhantomSpec(kind="balls3d", amplitude=2.0, dirac_scaling=True),
         dim=3,
         wavenumber=4.0,
         fine_n=24,

@@ -23,20 +23,22 @@ def test_dual_step_cancellation():
     u_b = np.array([1.0, -2.0, 0.5, 3.0])
     p = u_b.copy()
     vb = np.zeros((4, 6))
-    out = pda_dual_step(p, np.zeros(6), vb, u_b, sigma=1.0)
+    out = pda_dual_step(p, np.zeros(6), vb.T, u_b, sigma=1.0)
     assert np.array_equal(out, np.zeros(4))
 
 
 def test_dual_step_geometric_decay(rng):
     p = rng.standard_normal(8)
     vb = np.zeros((8, 10))
-    out = pda_dual_step(p, np.zeros(10), vb, np.zeros(8), sigma=0.5)
+    out = pda_dual_step(p, np.zeros(10), vb.T, np.zeros(8), sigma=0.5)
     assert np.allclose(out, p / 1.5, atol=0)
 
 
 def test_primal_step_zero_argument():
     vb = np.zeros((4, 6))
-    out = pda_primal_step(np.zeros(6), np.zeros(4), vb, 0.7, RegParams(alpha=0.3, alpha0=0.1))
+    p = np.zeros(4)
+    reg = RegParams(alpha=0.3, alpha0=0.1)
+    out = pda_primal_step(np.zeros(6), p, AdjointScreen(vb, reg.alpha), 0.7, reg, vt_p=vb.T @ p)
     assert not np.any(out)
 
 
@@ -47,7 +49,8 @@ def test_primal_step_alpha_zero(rng):
     p = rng.standard_normal(vb.shape[0])
     tau = 0.9
     expected = (mu - tau * (vb.T @ p)) / (1.0 + tau * reg.alpha0)
-    assert np.max(np.abs(pda_primal_step(mu, p, vb, tau, reg) - expected)) < 1e-15
+    step = pda_primal_step(mu, p, AdjointScreen(vb, reg.alpha), tau, reg, vt_p=vb.T @ p)
+    assert np.max(np.abs(step - expected)) < 1e-15
 
 
 def test_primal_step_equals_prox(rng):
@@ -56,7 +59,7 @@ def test_primal_step_equals_prox(rng):
         mu = rng.standard_normal(vb.shape[1])
         p = rng.standard_normal(vb.shape[0])
         tau = float(rng.uniform(0.1, 3.0))
-        lhs = pda_primal_step(mu, p, vb, tau, reg)
+        lhs = pda_primal_step(mu, p, AdjointScreen(vb, reg.alpha), tau, reg, vt_p=vb.T @ p)
         rhs = prox_p(mu - tau * (vb.T @ p), tau, reg)
         assert np.array_equal(lhs, rhs)
 

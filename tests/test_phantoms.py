@@ -37,8 +37,8 @@ def test_dirac_scaling():
 
 def test_strip_lengths():
     g = Grid(dim=2, n_per_axis=64)
-    diag = make_phantom(PhantomSpec(kind="strip_diag", length_frac=0.4), g)
-    skew = make_phantom(PhantomSpec(kind="strip_skew", length_frac=0.4), g)
+    diag = make_phantom(PhantomSpec(kind="strip_diag"), g)
+    skew = make_phantom(PhantomSpec(kind="strip_skew"), g)
     lo = round(0.3 * 64 - 0.5)
     hi = round(0.7 * 64 - 0.5)
     assert nonzero_count(diag, g) == hi - lo + 1

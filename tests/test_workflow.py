@@ -32,14 +32,15 @@ def test_every_step_runs_or_uses():
 
 
 def test_suite_configs_load():
-    # the configs the console-script steps write; at least two, so a heredoc
-    # that the pattern stopped matching cannot pass unchecked
+    # the configs the console-script steps write: a suite (a list) or a single
+    # config (an object); at least two, so a heredoc that the pattern stopped
+    # matching cannot pass unchecked
     configs = suite_configs()
     assert len(configs) >= 2
     for config in configs:
         entries = json.loads(config)
         assert entries
-        for entry in entries:
+        for entry in [entries] if isinstance(entries, dict) else entries:
             ExperimentConfig.from_dict(entry)
 
 
