@@ -93,10 +93,22 @@ def p_star(z, reg):
     return np.inf
 
 
+# A column of the row-major vb is a strided gather, so summing the columns on supp mu beats the dense
+# vb @ mu only for a small support: the two cost the same at about 2N/32 nonzeros on 512 x 8192 and on
+# 128 x 8192 (2 cores, OpenBLAS; at |supp mu| = 3474 of 8192 the sum takes 23 ms, the product 0.8 ms).
+SUPPORT_SUM_DIVISOR = 64  # sum over supp mu when it holds at most 2N/64 entries
+
+
 def primal_objective(mu, vb, u_b, reg):
-    """P(mu) = 1/2||vb@mu - u_b||^2 + alpha0/2 ||mu||^2 + alpha ||mu||_1."""
+    """P(mu) = 1/2||vb@mu - u_b||^2 + alpha0/2 ||mu||^2 + alpha ||mu||_1.
+
+    vb@mu sums the columns of vb on supp mu when the support holds at
+    most 2N/SUPPORT_SUM_DIVISOR entries, and is the dense product
+    otherwise.
+    """
     mu = np.asarray(mu, dtype=float)
-    r = vb @ mu - u_b
+    s = np.flatnonzero(mu != 0)
+    r = (vb[:, s] @ mu[s] if s.size <= mu.size // SUPPORT_SUM_DIVISOR else vb @ mu) - u_b
     return (
         0.5 * float(r @ r)
         + 0.5 * reg.alpha0 * float(mu @ mu)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sparsescat.forward import fundamental_solution, self_cell_integral
+from sparsescat.harness import ExperimentConfig
+from sparsescat.phantoms import PhantomSpec
 from sparsescat.prox import RegParams, prox_p
 from sparsescat.realfield import realify_matrix
 
@@ -26,6 +28,32 @@ def random_instance(seed, m=None, n=None, alpha=None, alpha0=None, sparsity=3):
     alpha = float(10 ** rng.uniform(-3, -1)) if alpha is None else alpha
     alpha0 = float(10 ** rng.uniform(-4, -2)) if alpha0 is None else alpha0
     return vb, u_b, RegParams(alpha=alpha, alpha0=alpha0)
+
+
+# fine cell 94 center == coarse cell 31 center for the 192 vs 64 pair
+ALIGNED_192_64 = 94.5 / 192.0
+
+
+def desk_config(solver, inhomogeneous, **overrides):
+    """The criterion-7 desk run (256 receivers, one Dirac peak on an aligned node), with `overrides`."""
+    base = dict(
+        solver=solver,
+        alpha=9e-4,
+        alpha0=1e-7,
+        phantom=PhantomSpec(kind="peaks", count=1, amplitude=4.0, dirac_scaling=True,
+                            positions=((ALIGNED_192_64, ALIGNED_192_64),)),
+        dim=2,
+        wavenumber=6.0,
+        fine_n=192,
+        coarse_n=64,
+        half_width=3.0,
+        receivers=256,
+        inhomogeneous=inhomogeneous,
+        noise_level=0.01,
+        seed=123,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
 
 
 _CHUNK = 512  # rows of the dense kernel block per pass: bounds the block to 512 x N entries

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import moreau_complement, random_instance, volume_potential_dense
+from conftest import ALIGNED_192_64, desk_config, moreau_complement, random_instance, volume_potential_dense
 
 from sparsescat.alm import AlmOptions, newton_matrix, residual_F, solve_alm
 from sparsescat.forward import (
@@ -20,7 +20,7 @@ from sparsescat.forward import (
     volume_potential_fft,
 )
 from sparsescat.grid import Grid, boundary_receivers
-from sparsescat.harness import ExperimentConfig, add_noise, run_experiment
+from sparsescat.harness import add_noise, run_experiment
 from sparsescat.pda import PdaOptions, solve_pda
 from sparsescat.phantoms import PhantomSpec, make_medium
 from sparsescat.prox import RegParams, primal_objective, prox_p, soft_threshold
@@ -31,9 +31,6 @@ N_CROSS = 20
 # so the batch runs until the relative lambda change is tiny
 TIGHT_ALM = dict(lam_tol=1e-9, gap_tol=1e-16, max_outer=30)
 LONG_GAMMAS = tuple(10.0**i for i in range(0, 13))
-
-# fine cell 94 center == coarse cell 31 center for the 192 vs 64 pair
-ALIGNED_192_64 = 94.5 / 192.0
 
 
 def report(num, ok, detail):
@@ -256,27 +253,6 @@ def test_criterion_6_forward_analytics():
 
 
 # --------------------------------------------------- criteria 7, 8 and 11
-
-
-def desk_config(solver, inhomogeneous, **overrides):
-    base = dict(
-        solver=solver,
-        alpha=9e-4,
-        alpha0=1e-7,
-        phantom=PhantomSpec(kind="peaks", count=1, amplitude=4.0, dirac_scaling=True,
-                            positions=((ALIGNED_192_64, ALIGNED_192_64),)),
-        dim=2,
-        wavenumber=6.0,
-        fine_n=192,
-        coarse_n=64,
-        half_width=3.0,
-        receivers=256,
-        inhomogeneous=inhomogeneous,
-        noise_level=0.01,
-        seed=123,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
 
 
 def test_criterion_7_desk_scale_reconstruction(tmp_path):

@@ -8,6 +8,7 @@ from sparsescat import pda
 from sparsescat.alm import AlmOptions, solve_alm
 from sparsescat.pda import (
     CERTIFY_RTOL,
+    SCREEN_MIN_ENTRIES,
     AdjointScreen,
     PdaOptions,
     default_steps,
@@ -219,6 +220,18 @@ def test_screen_is_dense_at_alpha_zero():
     vb, u_b, reg = wide_instance(11, alpha_frac=0.0, alpha0=0.0)
     result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=300, record_every=100))
     assert [r["dense_adjoints"] for r in result.records] == [100, 200, 300]
+
+
+def test_screen_runs_only_on_operators_where_it_can_pay():
+    # at p = p_ref = 0 and mu = 0 the candidate test finds no candidate; on an operator with
+    # fewer than SCREEN_MIN_ENTRIES entries the test is skipped and the product is dense
+    small, wide = random_instance(511)[0], wide_instance(11, alpha_frac=0.1)[0]
+    assert small.size < SCREEN_MIN_ENTRIES <= wide.size
+    for vb, screened in ((small, False), (wide, True)):
+        screen = AdjointScreen(vb, 0.1)
+        idx, g = screen.adjoint(np.zeros(vb.shape[0]), np.zeros(vb.shape[1]))
+        assert (idx is not None) == screened and screen.dense == (not screened)
+        assert not np.any(g) and g.size == (0 if screened else vb.shape[1])
 
 
 def test_screen_excludes_only_zero_steps(rng):

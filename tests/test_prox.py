@@ -3,6 +3,7 @@ import pytest
 from conftest import conjugate_resolvent, moreau_complement
 
 from sparsescat.prox import (
+    SUPPORT_SUM_DIVISOR,
     RegParams,
     check_problem,
     cholesky_solve,
@@ -13,6 +14,7 @@ from sparsescat.prox import (
     prox_p,
     soft_threshold,
 )
+from sparsescat.realfield import realify_matrix
 
 
 def brute_force_soft(z, sigma, levels=6, width=None, points=201):
@@ -182,6 +184,19 @@ def test_weak_duality(rng):
         mu = rng.standard_normal(vb.shape[1])
         y = rng.standard_normal(vb.shape[0])
         assert primal_objective(mu, vb, u_b, reg) + dual_objective(y, vb.T @ y, u_b, reg) >= -1e-10
+
+
+def test_primal_objective_matches_dense_formula(rng):
+    # the sum over supp mu (at most 2N/64 = 16 nonzeros here) and the dense product differ only by rounding
+    vb = realify_matrix(rng.standard_normal((4, 512)) + 1j * rng.standard_normal((4, 512)))
+    u_b = rng.standard_normal(vb.shape[0])
+    reg = RegParams(alpha=0.1, alpha0=0.01)
+    for size in (0, 3, vb.shape[1] // SUPPORT_SUM_DIVISOR, vb.shape[1] // SUPPORT_SUM_DIVISOR + 1, vb.shape[1]):
+        mu = np.zeros(vb.shape[1])
+        mu[rng.choice(vb.shape[1], size=size, replace=False)] = rng.standard_normal(size)
+        r = vb @ mu - u_b
+        dense = 0.5 * float(r @ r) + 0.5 * reg.alpha0 * float(mu @ mu) + reg.alpha * float(np.sum(np.abs(mu)))
+        assert abs(primal_objective(mu, vb, u_b, reg) - dense) <= 1e-14 * dense
 
 
 @pytest.mark.parametrize("vb, u_b, match", [
