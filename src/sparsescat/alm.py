@@ -5,7 +5,7 @@ Each outer iteration drives the multiplier lam and penalty sigma; the
 inner problem is reduced (via Moreau's identity) to the nonlinear
 measurement-space equation
 
-    F(y) = y + u_b - vb @ prox_p(-lam - sigma * vb^T y, sigma) = 0,
+    F(y) = y + u_b - vb prox_p(-lam - sigma * vb^T y, sigma) = 0,
 
 whose generalized Jacobian I + c * V_A V_A^T, c = sigma/(1+sigma*alpha0),
 is symmetric with eigenvalues >= 1; V_A holds the columns of vb on the
@@ -13,7 +13,8 @@ active set A of the prox.  The source is recovered in closed form from
 the converged dual variable.
 
 Each Newton step costs three products with vb: vb^T y at the loop head,
-vb @ prox(...) in the residual, and vb^T d for the direction.
+vb prox(...) in the residual (a sum over the active columns once A is
+small), and vb^T d for the direction.
 `solve_alm` passes them down and no helper forms one itself: the
 Lagrangian along y + t*d is a function of y and vb^T y = vt_y + t*vt_d
 only, the line search returns its value at the accepted point for the
@@ -30,12 +31,23 @@ V_add V_add^T and subtracts V_rem V_rem^T for the columns that entered
 (add = A - A_prev) or left (rem = A_prev - A) the active set, and
 rebuilds G from V_A when |add| + |rem| >= |A|, that is, when the update
 would gather at least as many columns as the rebuild.
+
+Every product with vb or its column blocks goes through
+`scipy.linalg.blas`, the library of `prox.cholesky_solve`: `prox.matvec`
+and `prox.rmatvec` (dgemv) for the products with vectors, dgemm for the
+Gram matrices, each on the Fortran-ordered view of a C-ordered operand,
+which f2py takes without a copy.  numpy and scipy each load their own
+OpenBLAS with its own thread pool; a Newton loop that made its products
+in numpy and its Cholesky in scipy had the idle-spinning workers of one
+pool take the cores from the other, which made the desk solve 3-5x
+slower at 2 threads on 2 cores.  Only vector dots stay in numpy.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .prox import (
     SolveResult,
@@ -43,9 +55,11 @@ from .prox import (
     cholesky_solve,
     dual_objective,
     h_star,
+    matvec,
     p_star,
     primal_objective,
     prox_p,
+    rmatvec,
     soft_threshold,
 )
 
@@ -95,13 +109,28 @@ class AlmResult(SolveResult):
 
 
 def residual_F(y, lam, sigma, vb, u_b, reg, vt_y):
-    """Nonlinear measurement-space residual F(y), given vt_y = vb^T y."""
-    return y + u_b - vb @ prox_p(-lam - sigma * vt_y, sigma, reg)
+    """Nonlinear measurement-space residual F(y), given vt_y = vb^T y.
+
+    The prox is nonzero only on the active set, so `matvec` sums the
+    active columns once the set is small.
+    """
+    return y + u_b - matvec(vb, prox_p(-lam - sigma * vt_y, sigma, reg))
 
 
 def _active_set(lam, sigma, vt_y, reg):
     """Mask of the components where |lam + sigma*vb^T y| exceeds sigma*alpha."""
     return np.abs(lam + sigma * vt_y) > sigma * reg.alpha
+
+
+def _gram(v, gram=None, sign=1.0):
+    """V V^T of a C-ordered block V by dgemm on the Fortran-ordered view V^T, or gram + sign * V V^T in place.
+
+    The result is the full symmetric matrix, Fortran-ordered; an update
+    writes into `gram` when it is a Fortran-ordered float array.
+    """
+    if gram is None:
+        return dgemm(1.0, v.T, v.T, trans_a=1)
+    return dgemm(sign, v.T, v.T, beta=1.0, c=gram, trans_a=1, overwrite_c=1)
 
 
 @dataclass
@@ -130,16 +159,13 @@ class CarriedGram:
             rem = self.mask & ~active
             n_change = int(np.count_nonzero(add) + np.count_nonzero(rem))
         if self.mask is None or n_change >= n_active:
-            va = np.compress(active, vb, axis=1)
-            self.gram = va @ va.T
+            self.gram = _gram(np.compress(active, vb, axis=1))
             self.gathered += n_active
         else:
             if add.any():
-                v = np.compress(add, vb, axis=1)
-                self.gram += v @ v.T
+                self.gram = _gram(np.compress(add, vb, axis=1), self.gram)
             if rem.any():
-                v = np.compress(rem, vb, axis=1)
-                self.gram -= v @ v.T
+                self.gram = _gram(np.compress(rem, vb, axis=1), self.gram, -1.0)
             self.gathered += n_change
         self.mask = active
 
@@ -184,9 +210,9 @@ def newton_step(y, lam, sigma, vb, reg, *, residual, vt_y, carry=None):
     if n_active == 0:
         return -residual
     va = np.compress(active, vb, axis=1)
-    small = va.T @ va
+    small = dgemm(1.0, va.T, va.T, trans_b=1)  # V_A^T V_A
     small[np.diag_indices_from(small)] += (1.0 + sigma * reg.alpha0) / sigma
-    return va @ cholesky_solve(small, va.T @ residual) - residual
+    return matvec(va, cholesky_solve(small, rmatvec(va, residual))) - residual
 
 
 def lagrangian_value(y, lam, sigma, vt_y, u_b, reg):
@@ -270,7 +296,7 @@ def solve_alm(vb, u_b, reg, options=None):
         delta_k = DELTA_PRIME0 / (k + 1)
         inner_stop = "max_inner"
         for l in range(MAX_INNER + 1):
-            vt_y = vb.T @ y
+            vt_y = rmatvec(vb, y)
             resid = residual_F(y, lam, sigma, vb, u_b, reg, vt_y)
             norm_f = np.linalg.norm(resid)
             z = recover_z(vt_y, lam, sigma, reg)
@@ -287,7 +313,7 @@ def solve_alm(vb, u_b, reg, options=None):
                 break
             gathered = carry.gathered
             d = newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vt_y, carry=carry)
-            vt_d = vb.T @ d
+            vt_d = rmatvec(vb, d)
             step, accepted, objective = armijo_search(y, d, lam, sigma, vt_y, vt_d, u_b, reg, options.beta)
             if not accepted:
                 warnings.warn("line search exhausted; taking smallest trial step", RuntimeWarning)

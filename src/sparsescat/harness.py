@@ -198,7 +198,7 @@ def _export(config, result, coarse_grid):
                 "stop_reason": result.stop_reason,
                 "seed": config.seed,
                 "rng": RNG_NAME,
-                "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+                "versions": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas_libraries()},
             },
             f,
             indent=2,
@@ -206,6 +206,18 @@ def _export(config, result, coarse_grid):
         )
     paths["result"] = out / "result.json"
     result.output_paths = {k: str(v) for k, v in paths.items()}
+
+
+def _blas_libraries():
+    """The BLAS library of numpy and that of scipy, each as "<name> <version>".
+
+    They are two libraries, each with its own thread pool: the wheels of
+    numpy and scipy each bring their own OpenBLAS.
+    """
+    return {
+        module.__name__: "{name} {version}".format(**module.show_config(mode="dicts")["Build Dependencies"]["blas"])
+        for module in (np, scipy)
+    }
 
 
 def coarse_problem(config):

@@ -10,7 +10,9 @@ C-contiguous copy vt of vb^T whose rows are those columns:
 
 - The dual step needs vb @ mu_bar, which sums the rows of vt on
   supp mu_bar only; the iterate is sparse (at most 32 of 8192 entries on
-  the 64-receiver desk-geometry instance).
+  the 64-receiver desk-geometry instance).  On an operator with fewer
+  than SCREEN_MIN_ENTRIES entries the gather of those rows costs more
+  than the dense product, which is taken instead.
 - The primal step needs (vb^T p)_j only where the prox can be nonzero.
   A safe screen (after El Ghaoui, Viallon & Rabbani, 2012) keeps a
   reference dual point p_ref with |vb^T p_ref|.  By Cauchy-Schwarz,
@@ -26,7 +28,7 @@ C-contiguous copy vt of vb^T whose rows are those columns:
   candidate (barring zero columns, or p = 0), and every product is dense.
   On an operator with fewer than SCREEN_MIN_ENTRIES entries the test
   costs more than the dense product it could save, so it is not run and
-  every product is dense.
+  every adjoint is dense.
 
 The oracle certifies itself.  For alpha0 > 0 the primal P is
 alpha0-strongly convex, so any dual point p bounds the distance of the
@@ -53,7 +55,8 @@ GAP_ULPS = 4  # rounding allowance of the computed gap, in ulps of |P| + |D|
 SCREEN_EPS_PER_TERM = 2
 # The screen's candidate test costs about 15-25 us per step whatever the size (a dozen numpy calls), and
 # a dense vb^T p over fewer than 2^16 entries of vb costs less than that (2 cores, OpenBLAS: 2 us at
-# 12 x 48, 14-15 us at 2^16 entries, 226 us at 128 x 8192); on such operators every product is dense.
+# 12 x 48, 14-15 us at 2^16 entries, 226 us at 128 x 8192); on such operators every product is dense,
+# the dual step's too (its row gather took 16.9 us per step at 12 x 48, against 7.7 us dense).
 SCREEN_MIN_ENTRIES = 2**16
 
 
@@ -138,10 +141,15 @@ def pda_dual_step(p, mu_bar, vt, u_b, sigma):
     """Resolvent of the data-term conjugate: (p + sigma*(vb@mu_bar - u_b)) / (1+sigma).
 
     vb @ mu_bar sums the rows of vt = vb^T on supp mu_bar only; it is 0
-    when mu_bar is.
+    when mu_bar is.  Below SCREEN_MIN_ENTRIES entries it is the dense
+    product mu_bar @ vt.
     """
-    s = np.flatnonzero(mu_bar != 0)  # on the mask: several times faster than on the floats
-    return (p + sigma * (mu_bar[s] @ vt[s]) - sigma * u_b) / (1.0 + sigma)
+    if vt.size < SCREEN_MIN_ENTRIES:
+        product = mu_bar @ vt
+    else:
+        s = np.flatnonzero(mu_bar != 0)  # on the mask: several times faster than on the floats
+        product = mu_bar[s] @ vt[s]
+    return (p + sigma * product - sigma * u_b) / (1.0 + sigma)
 
 
 def pda_primal_step(mu, p_next, screen, tau, reg, vt_p=None):

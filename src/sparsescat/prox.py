@@ -6,12 +6,22 @@ term conjugate is h*(y) = 1/2 ||y||^2 + <y, u_b>.  `check_problem` is
 the entry check that every solver applies to (vb, u_b), `SolveResult`
 is what every solver returns, and `cholesky_solve` is the factor-and-solve
 of both Newton solvers.
+
+`matvec` and `rmatvec`, the products of both Newton solvers with vb, go
+through `scipy.linalg.blas` like `cholesky_solve`, not through numpy.
+numpy and scipy each load their own OpenBLAS, each with its own thread
+pool, and when a loop alternates between the two, the idle-spinning
+workers of one pool take the cores from the other: with both pools at
+2 threads on 2 cores, a 512 x 512 Cholesky right after a numpy product
+took up to 350 ms instead of 2-3 ms.  One library per Newton loop leaves
+one pool, at its default thread count.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dgemv
 
 
 @dataclass
@@ -93,22 +103,38 @@ def p_star(z, reg):
     return np.inf
 
 
-# A column of the row-major vb is a strided gather, so summing the columns on supp mu beats the dense
-# vb @ mu only for a small support: the two cost the same at about 2N/32 nonzeros on 512 x 8192 and on
-# 128 x 8192 (2 cores, OpenBLAS; at |supp mu| = 3474 of 8192 the sum takes 23 ms, the product 0.8 ms).
-SUPPORT_SUM_DIVISOR = 64  # sum over supp mu when it holds at most 2N/64 entries
+# A column of the row-major vb is a strided gather, so summing the columns on supp x beats the dense
+# vb @ x only for a small support: the two cost the same at about 2N/32 nonzeros on 512 x 8192 and on
+# 128 x 8192 (2 cores, OpenBLAS; at |supp x| = 3474 of 8192 the sum takes 23 ms, the product 0.8 ms).
+SUPPORT_SUM_DIVISOR = 64  # sum over supp x when it holds at most 2N/64 entries
+
+
+def matvec(vb, x):
+    """vb @ x by scipy's dgemv (see the module docstring).
+
+    The product sums the columns of vb on supp x when the support holds
+    at most 2N/SUPPORT_SUM_DIVISOR entries, and is dense otherwise.  A
+    C-ordered vb (as `check_problem` returns it) is passed as the
+    Fortran-ordered view vb.T, which f2py takes without a copy; so is the
+    gathered block of the support sum.
+    """
+    s = np.flatnonzero(x != 0)
+    if s.size > x.size // SUPPORT_SUM_DIVISOR:
+        return dgemv(1.0, vb.T, x, trans=1)
+    if s.size == 0:
+        return np.zeros(vb.shape[0])
+    return dgemv(1.0, np.take(vb, s, axis=1).T, x[s], trans=1)
+
+
+def rmatvec(vb, y):
+    """vb^T @ y by scipy's dgemv on the Fortran-ordered view vb.T of a C-ordered vb (no copy)."""
+    return dgemv(1.0, vb.T, y)
 
 
 def primal_objective(mu, vb, u_b, reg):
-    """P(mu) = 1/2||vb@mu - u_b||^2 + alpha0/2 ||mu||^2 + alpha ||mu||_1.
-
-    vb@mu sums the columns of vb on supp mu when the support holds at
-    most 2N/SUPPORT_SUM_DIVISOR entries, and is the dense product
-    otherwise.
-    """
+    """P(mu) = 1/2||vb@mu - u_b||^2 + alpha0/2 ||mu||^2 + alpha ||mu||_1, with vb@mu from `matvec`."""
     mu = np.asarray(mu, dtype=float)
-    s = np.flatnonzero(mu != 0)
-    r = (vb[:, s] @ mu[s] if s.size <= mu.size // SUPPORT_SUM_DIVISOR else vb @ mu) - u_b
+    r = matvec(vb, mu) - u_b
     return (
         0.5 * float(r @ r)
         + 0.5 * reg.alpha0 * float(mu @ mu)
@@ -122,14 +148,16 @@ def dual_objective(y, vt_y, u_b, reg):
 
 
 def check_problem(vb, u_b):
-    """Solver-entry check of the realified operator and data; returns both as float arrays.
+    """Solver-entry check of the realified operator and data; returns both as C-contiguous float arrays.
 
-    Raises ValueError naming the argument when vb is not a 2-D array with
-    even dimensions, when u_b does not have shape (vb.shape[0],), or when
+    A C-ordered float vb is returned as it is, any other is copied once
+    here, so that `matvec` and `rmatvec` never copy it.  Raises
+    ValueError naming the argument when vb is not a 2-D array with even
+    dimensions, when u_b does not have shape (vb.shape[0],), or when
     either holds NaN or inf.
     """
-    vb = np.asarray(vb, dtype=float)
-    u_b = np.asarray(u_b, dtype=float)
+    vb = np.ascontiguousarray(vb, dtype=float)
+    u_b = np.ascontiguousarray(u_b, dtype=float)
     if vb.ndim != 2 or vb.shape[0] % 2 or vb.shape[1] % 2:
         raise ValueError(f"vb must be a 2-D array with even dimensions, got shape {vb.shape}")
     if u_b.shape != (vb.shape[0],):

@@ -34,6 +34,12 @@ product with B: w = B mu - c for the new iterate, which the active sets
 and the penalized objective read.  The penalty gradient is formed only
 for the slope of a damped step; the record's residual is
 ||B^{-1} grad E||, which needs no product.
+
+Every product, the set-up's included, goes through `scipy.linalg.blas`,
+the library of the Cholesky factors: dsyrk forms B and G, `prox.rmatvec`
+(dgemv) gives vb^T u_b and the start, and dsymv the products with B.
+numpy loads a second OpenBLAS with its own thread pool, which would
+contend with scipy's for the cores (see `prox`).
 """
 
 import warnings
@@ -43,7 +49,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsymv, dsyrk
 
-from .prox import SolveResult, check_problem, cholesky_solve
+from .prox import SolveResult, check_problem, cholesky_solve, rmatvec
 
 
 MAX_INNER = 50  # Newton solves per gamma stage before the stage keeps its iterate
@@ -96,10 +102,12 @@ def build_b_operator(vb, reg):
         raise ValueError("B is positive definite only for alpha0 > 0")
     # dsyrk takes vb.T, a Fortran-ordered view of vb, without a copy and
     # writes one triangle of vb^T vb with half a dgemm's flops; the
-    # transpose of its Fortran-ordered result is C-ordered and lower
+    # transpose of its Fortran-ordered result is C-ordered and lower.
+    # G is the lower triangle of vb vb^T (trans=1), which is all the
+    # lower Cholesky factor reads
     b = dsyrk(1.0, vb.T).T
     b[np.diag_indices_from(b)] += reg.alpha0
-    g = vb @ vb.T
+    g = dsyrk(1.0, vb.T, trans=1, lower=1)
     g[np.diag_indices_from(g)] += reg.alpha0
     return BOperator(matrix=b, factor=cho_factor(g, lower=True))
 
@@ -253,7 +261,7 @@ def solve_ssn(vb, u_b, reg, options=None):
     """
     vb, u_b = check_problem(vb, u_b)
     b = build_b_operator(vb, reg)
-    mu0 = vb.T @ cho_solve(b.factor, u_b)
-    mu, records, solves, converged = path_follow(b, vb.T @ u_b, mu0, reg.alpha, options=options)
+    mu0 = rmatvec(vb, cho_solve(b.factor, u_b))
+    mu, records, solves, converged = path_follow(b, rmatvec(vb, u_b), mu0, reg.alpha, options=options)
     return SolveResult(mu=mu, converged=converged,
                        stop_reason="path_end" if converged else "cycling", iterations=solves, records=records)

@@ -275,7 +275,11 @@ def test_export_writes_config_and_versions(tmp_path):
     assert result.output_paths["config"] == str(tmp_path / "run" / "config.json")
     assert ExperimentConfig.from_dict(json.loads((tmp_path / "run" / "config.json").read_text())) == config
     saved = json.loads((tmp_path / "run" / "result.json").read_text())
+    blas = saved["versions"].pop("blas")
     assert saved["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
+    for module in (np, scipy):
+        library = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert blas[module.__name__] == f"{library['name']} {library['version']}"
 
 
 def test_suite_empty(tmp_path):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import conjugate_resolvent, moreau_complement
+from conftest import conjugate_resolvent, moreau_complement, random_instance
 
+from sparsescat.alm import solve_alm
 from sparsescat.prox import (
     SUPPORT_SUM_DIVISOR,
     RegParams,
@@ -9,12 +12,15 @@ from sparsescat.prox import (
     cholesky_solve,
     dual_objective,
     h_star,
+    matvec,
     p_star,
     primal_objective,
     prox_p,
+    rmatvec,
     soft_threshold,
 )
 from sparsescat.realfield import realify_matrix
+from sparsescat.ssn import solve_ssn
 
 
 def brute_force_soft(z, sigma, levels=6, width=None, points=201):
@@ -215,6 +221,42 @@ def test_check_problem_names_bad_argument(vb, u_b, match):
 def test_check_problem_returns_float_arrays():
     vb, u_b = check_problem([[1, 2], [3, 4]], [1, 2])
     assert vb.dtype == float and u_b.dtype == float and vb.shape == (2, 2)
+
+
+def test_check_problem_keeps_a_c_ordered_operator():
+    vb = np.ones((4, 6))
+    checked, _ = check_problem(vb, np.ones(4))
+    assert checked is vb
+    for layout in (np.asfortranarray(vb), np.ones((4, 12))[:, ::2]):
+        checked, _ = check_problem(layout, np.ones(4))
+        assert checked.flags["C_CONTIGUOUS"] and np.array_equal(checked, vb)
+
+
+@pytest.mark.parametrize("solve", [solve_alm, solve_ssn])
+def test_solvers_agree_on_every_operator_layout(solve):
+    vb, u_b, reg = random_instance(3, m=6, n=40)
+    wide = np.zeros((vb.shape[0], 2 * vb.shape[1]))
+    wide[:, ::2] = vb
+    reference = solve(vb, u_b, reg).mu
+    assert np.any(reference)
+    for layout in (np.asfortranarray(vb), wide[:, ::2]):
+        mu = solve(layout, u_b, reg).mu
+        assert np.linalg.norm(mu - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_matvec_and_rmatvec_do_not_copy_the_operator(rng):
+    # f2py copies an operand that is not Fortran-ordered; vb.T of the C-ordered vb is, so the products
+    # allocate only their vectors, far below the 32 MB of vb
+    vb = rng.standard_normal((512, 8192))
+    x, y = rng.standard_normal(vb.shape[1]), rng.standard_normal(vb.shape[0])
+    for product, vector in ((matvec, x), (rmatvec, y)):
+        tracemalloc.start()
+        try:
+            product(vb, vector)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vb.nbytes / 8, (product.__name__, peak)
 
 
 @pytest.mark.parametrize("lower, match", [
