@@ -11,7 +11,7 @@ from .alm import AlmOptions, AlmResult, solve_alm
 from .forward import assemble_vb, ls_solve, source_to_measurement
 from .grid import Grid, Medium, ReceiverSet, boundary_receivers
 from .harness import ExperimentConfig, ExperimentResult, add_noise, n_error, run_experiment, run_suite
-from .pda import PdaOptions, PdaResult, solve_pda
+from .pda import PdaOptions, solve_pda
 from .phantoms import PhantomSpec, make_medium, make_phantom
 from .prox import RegParams, SolveResult, prox_p, soft_threshold
 from .realfield import derealify, realify, realify_matrix
@@ -24,7 +24,7 @@ __all__ = [
     "assemble_vb", "ls_solve", "source_to_measurement",
     "Grid", "Medium", "ReceiverSet", "boundary_receivers",
     "ExperimentConfig", "ExperimentResult", "add_noise", "n_error", "run_experiment", "run_suite",
-    "PdaOptions", "PdaResult", "solve_pda",
+    "PdaOptions", "solve_pda",
     "PhantomSpec", "make_medium", "make_phantom",
     "RegParams", "SolveResult", "prox_p", "soft_threshold",
     "derealify", "realify", "realify_matrix",

@@ -98,14 +98,18 @@ class AlmOptions:
 
 @dataclass
 class AlmResult(SolveResult):
-    """`SolveResult` with the dual iterate, multiplier, z, last gap and outer count."""
+    """`SolveResult` with the dual iterate, multiplier, z, last gap and the multiplier of every outer step."""
 
     y: np.ndarray
     lam: np.ndarray
     z: np.ndarray
     gap: float
-    outer_iters: int
     lam_history: list = field(repr=False)
+
+    @property
+    def outer_iters(self):
+        """Outer steps taken: `lam_history` holds the first multiplier and one more per step."""
+        return len(self.lam_history) - 1
 
 
 def residual_F(y, lam, sigma, vb, u_b, reg, vt_y):
@@ -360,6 +364,5 @@ def solve_alm(vb, u_b, reg, options=None):
 
     return AlmResult(
         mu=mu, converged=converged, stop_reason=stop_reason, iterations=inner_total,
-        records=records, y=y, lam=lam, z=z, gap=gap, outer_iters=len(lam_history) - 1,
-        lam_history=lam_history,
+        records=records, y=y, lam=lam, z=z, gap=gap, lam_history=lam_history,
     )

@@ -25,7 +25,7 @@ from .forward import assemble_vb, load_vb_cache, save_vb_cache, source_to_measur
 from .grid import Grid, boundary_receivers, default_receiver_count
 from .phantoms import PhantomSpec, make_medium, make_phantom
 from .pda import PdaOptions, solve_pda
-from .prox import RegParams
+from .prox import RegParams, SolveResult
 from .ssn import SsnOptions, solve_ssn
 
 RNG_NAME = "pcg64"
@@ -42,6 +42,10 @@ class ExperimentError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment.  `phantom` may be given as a dict of `PhantomSpec` fields and
+    `solver_options` as a dict of the solver's options fields; each is built into its
+    object, and checked, when the config is."""
+
     solver: str
     alpha: float
     alpha0: float
@@ -55,7 +59,7 @@ class ExperimentConfig:
     inhomogeneous: bool = False
     noise_level: float = 0.01
     seed: int = 0
-    solver_options: dict = field(default_factory=dict)
+    solver_options: AlmOptions | SsnOptions | PdaOptions = field(default_factory=dict)
     output_dir: str = None
 
     def __post_init__(self):
@@ -65,27 +69,13 @@ class ExperimentConfig:
             raise ValueError("inverse-crime guard: fine and coarse grids must differ")
         if self.noise_level < 0:
             raise ValueError("noise level must be nonnegative")
+        self.phantom = _build(PhantomSpec, self.phantom, "phantom keys")
+        self.solver_options = _build(SOLVER_OPTIONS[self.solver], self.solver_options, f"{self.solver} options")
 
     @classmethod
     def from_dict(cls, data):
         """Build from a JSON-style dict, rejecting unknown keys at every level."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(data)
-        phantom = data.pop("phantom")
-        if isinstance(phantom, dict):
-            pknown = {f.name for f in fields(PhantomSpec)}
-            punknown = set(phantom) - pknown
-            if punknown:
-                raise ValueError(f"unknown phantom keys: {sorted(punknown)}")
-            if "positions" in phantom and phantom["positions"] is not None:
-                phantom["positions"] = tuple(tuple(p) for p in phantom["positions"])
-            phantom = PhantomSpec(**phantom)
-        cfg = cls(phantom=phantom, **data)
-        _validate_solver_options(cfg.solver, cfg.solver_options)
-        return cfg
+        return _build(cls, data, "config keys")
 
     @classmethod
     def from_json(cls, path):
@@ -93,26 +83,32 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
     def to_dict(self):
+        """The config as JSON-style values, every option included: `from_dict` rebuilds an equal config."""
         return asdict(self)
 
 
-def _validate_solver_options(solver, options):
-    unknown = set(options) - {f.name for f in fields(SOLVER_OPTIONS[solver])}
+def _build(cls, value, what):
+    """`value` as an instance of the dataclass `cls`: as it is if it is one, else built from
+    the dict `value`, whose keys must all name fields of `cls` (the others are `what`)."""
+    if isinstance(value, cls):
+        return value
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a {cls.__name__} or a dict, got {type(value).__name__}")
+    unknown = set(value) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"unknown {solver} options: {sorted(unknown)}")
-    SOLVER_OPTIONS[solver](**options)  # raises ValueError on an out-of-range value
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+    return cls(**value)
 
 
 @dataclass
 class ExperimentResult:
+    """The N-Error of a run, its phase wall times, the exact source on the coarse grid, the
+    solver's own `SolveResult` and the paths of the files `run_experiment` wrote."""
+
     n_error: float
     wall_times: dict
-    iterations: int
-    converged: bool
-    stop_reason: str
-    mu_rec: np.ndarray = field(repr=False)
+    solved: SolveResult = field(repr=False)
     mu_exact: np.ndarray = field(repr=False)
-    records: list = field(repr=False)
     output_paths: dict = field(default_factory=dict)
 
 
@@ -175,7 +171,7 @@ def _run_solver(config, vb, u_b):
     # looked up at call time, so that rebinding harness.solve_* (as a tracer does) takes effect
     solve = {"alm": solve_alm, "ssn": solve_ssn, "pda": solve_pda}[config.solver]
     reg = RegParams(alpha=config.alpha, alpha0=config.alpha0)
-    return solve(vb, u_b, reg, options=SOLVER_OPTIONS[config.solver](**config.solver_options))
+    return solve(vb, u_b, reg, options=config.solver_options)
 
 
 def _export(config, result, coarse_grid):
@@ -184,18 +180,18 @@ def _export(config, result, coarse_grid):
     paths = {"config": out / "config.json", "diagnostics": out / "diagnostics.jsonl"}
     with open(paths["config"], "w", encoding="utf-8") as f:
         json.dump(config.to_dict(), f, indent=2, sort_keys=True)
-    write_jsonl(paths["diagnostics"], result.records)
-    paths["mu_csv"], paths["mu_pgm"], *_ = write_field(
-        out / "mu_rec", coarse_grid, result.mu_rec[: coarse_grid.num_nodes])
+    solved = result.solved
+    write_jsonl(paths["diagnostics"], solved.records)
+    paths["mu_csv"], paths["mu_pgm"], *_ = write_field(out / "mu_rec", coarse_grid, solved.mu[: coarse_grid.num_nodes])
     with open(out / "result.json", "w", encoding="utf-8") as f:
         json.dump(
             {
                 "n_error": result.n_error,
                 "wall_times": result.wall_times,
                 "solver": config.solver,
-                "iterations": result.iterations,
-                "converged": result.converged,
-                "stop_reason": result.stop_reason,
+                "iterations": solved.iterations,
+                "converged": solved.converged,
+                "stop_reason": solved.stop_reason,
                 "seed": config.seed,
                 "rng": RNG_NAME,
                 "versions": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas_libraries()},
@@ -269,16 +265,7 @@ def run_experiment(config):
     with _phase("metric"):
         mu_exact_coarse = restrict_to_coarse(mu_exact_fine, fine, coarse)
         err = n_error(solved.mu, mu_exact_coarse)
-    result = ExperimentResult(
-        n_error=err,
-        wall_times=times,
-        iterations=solved.iterations,
-        converged=solved.converged,
-        stop_reason=solved.stop_reason,
-        mu_rec=solved.mu,
-        mu_exact=mu_exact_coarse,
-        records=solved.records,
-    )
+    result = ExperimentResult(n_error=err, wall_times=times, solved=solved, mu_exact=mu_exact_coarse)
     if config.output_dir:
         with _phase("export"):
             _export(config, result, coarse)

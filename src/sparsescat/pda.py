@@ -78,13 +78,6 @@ class PdaOptions:
             raise ValueError("record_every must be at least 1")
 
 
-@dataclass
-class PdaResult(SolveResult):
-    """`SolveResult` with the final dual iterate p."""
-
-    p: np.ndarray
-
-
 class AdjointScreen:
     """Safe screen of vb^T p for the primal step (see the module docstring).
 
@@ -92,8 +85,8 @@ class AdjointScreen:
     and the reference point p_ref with |vb^T p_ref|, which starts at
     p_ref = 0.  `limit` is the most candidates a screened product may
     have, 2M, or 0 where the test is not run (fewer than
-    SCREEN_MIN_ENTRIES entries).  `dense` counts the dense products, each
-    of which refreshes the reference.
+    SCREEN_MIN_ENTRIES entries).  `dense` counts the dense products; where
+    the screen runs, each of them refreshes the reference.
     """
 
     def __init__(self, vb, alpha):
@@ -111,7 +104,8 @@ class AdjointScreen:
 
         The product is dense when `vt_p`, the dense product, is given, when
         the screen does not run, and when there are more than 2M
-        candidates; a dense product becomes the new reference.
+        candidates; where the screen runs, a dense product becomes the new
+        reference.
         """
         if vt_p is None:
             if self.limit:
@@ -120,7 +114,8 @@ class AdjointScreen:
                 if idx.size <= self.limit:
                     return idx, self.vt[idx] @ p
             vt_p = self.vt @ p
-        self.p_ref, self.abs_ref, self.ref_norm = p, np.abs(vt_p), np.linalg.norm(p)
+        if self.limit:
+            self.p_ref, self.abs_ref, self.ref_norm = p, np.abs(vt_p), np.linalg.norm(p)
         self.dense += 1
         return None, vt_p
 
@@ -213,5 +208,5 @@ def solve_pda(vb, u_b, reg, options=None):
                 if rec["bound"] <= CERTIFY_RTOL * np.linalg.norm(mu):
                     converged = True
                     break
-    return PdaResult(mu=mu, converged=converged, stop_reason="certified" if converged else "max_iters",
-                     iterations=it, records=records, p=p)
+    return SolveResult(mu=mu, converged=converged, stop_reason="certified" if converged else "max_iters",
+                       iterations=it, records=records)

@@ -54,6 +54,8 @@ class PhantomSpec:
             raise ValueError(f"unknown phantom kind {self.kind!r}; expected one of {KINDS}")
         if self.count < 1:
             raise ValueError("count must be positive")
+        if self.positions is not None:  # as tuples, so that a spec read from JSON equals the one written
+            object.__setattr__(self, "positions", tuple(tuple(p) for p in self.positions))
 
 
 def _frac_to_index(frac, n):
@@ -62,10 +64,9 @@ def _frac_to_index(frac, n):
 
 def _peak_positions(spec, dim):
     if spec.positions is not None:
-        pts = [tuple(p) for p in spec.positions]
-        if len(pts) != spec.count:
+        if len(spec.positions) != spec.count:
             raise ValueError("positions must match count")
-        return pts
+        return spec.positions
     if dim == 2 and spec.count <= len(_PEAK_FRACTIONS):
         return list(_PEAK_FRACTIONS[: spec.count])
     # fall back to a centered sub-lattice

@@ -60,6 +60,7 @@ class SsnOptions:
     gammas: tuple = tuple(10.0**i for i in range(0, 9))  # 1, 10, ..., 1e8
 
     def __post_init__(self):
+        self.gammas = tuple(self.gammas)
         if len(self.gammas) == 0:
             raise ValueError("gamma schedule must not be empty")
         if self.gammas[0] < 0:

@@ -425,7 +425,7 @@ def test_carried_gram_on_desk_instance(monkeypatch):
     assert max(sigma for sigma, *_ in steps) >= 1e3  # there c * G outweighs I, so the Gram's deviation shows
     assert all(dev <= CARRY_RTOL for *_, dev in steps), steps
     # each inner record counts the columns its step gathered; updates gather a quarter of what rebuilds would
-    inner = [r for r in result.records if r["kind"] == "inner"]
+    inner = [r for r in result.solved.records if r["kind"] == "inner"]
     assert all(type(r["gram_cols"]) is int for r in inner)  # diagnostics.jsonl holds them as JSON numbers
     assert sum(r["gram_cols"] for r in inner) == sum(cols for _, _, cols, _ in steps)
     assert steps[0][2] == steps[0][1]  # the first Gram step builds from every active column

@@ -79,15 +79,6 @@ def test_solve_zero_data():
     assert not np.any(result.mu)
 
 
-def test_fixed_point_saddle_relation():
-    # at the saddle point the dual variable equals the data residual
-    vb, u_b, reg = random_instance(5, m=4, n=10, alpha=0.05, alpha0=0.01)
-    result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=10**6, record_every=200))
-    assert result.stop_reason == "certified"
-    resid = vb @ result.mu - u_b
-    assert np.linalg.norm(result.p - resid) <= 1e-6 * max(1.0, np.linalg.norm(resid))
-
-
 def test_long_run_matches_alm_objective():
     vb, u_b, reg = random_instance(6, m=4, n=12, alpha=0.1, alpha0=0.01)
     alm = solve_alm(vb, u_b, reg, options=AlmOptions(lam_tol=1e-10, gap_tol=1e-12, max_outer=25))
@@ -232,6 +223,14 @@ def test_screen_runs_only_on_operators_where_it_can_pay():
         idx, g = screen.adjoint(np.zeros(vb.shape[0]), np.zeros(vb.shape[1]))
         assert (idx is not None) == screened and screen.dense == (not screened)
         assert not np.any(g) and g.size == (0 if screened else vb.shape[1])
+    # a dense product refreshes the reference only where the screen runs, which reads it
+    for vb, screened in ((small, False), (wide, True)):
+        screen = AdjointScreen(vb, 0.1)
+        p = np.ones(vb.shape[0])
+        idx, g = screen.adjoint(p, np.zeros(vb.shape[1]), screen.vt @ p)
+        assert idx is None and screen.dense == 1
+        assert (screen.p_ref is p) == screened and (screen.ref_norm > 0) == screened
+        assert np.array_equal(screen.abs_ref, np.abs(g) if screened else np.zeros(vb.shape[1]))
 
 
 def test_screen_excludes_only_zero_steps(rng):
