@@ -32,11 +32,10 @@ V_add V_add^T and subtracts V_rem V_rem^T for the columns that entered
 rebuilds G from V_A when |add| + |rem| >= |A|, that is, when the update
 would gather at least as many columns as the rebuild.
 
-Every product with vb or its column blocks goes through
-`scipy.linalg.blas`, the library of `prox.cholesky_solve`: `prox.matvec`
-and `prox.rmatvec` (dgemv) for the products with vectors, dgemm for the
-Gram matrices, each on the Fortran-ordered view of a C-ordered operand,
-which f2py takes without a copy.  numpy and scipy each load their own
+Every product with vb or its column blocks (from `prox.columns`) goes
+through `scipy.linalg.blas`, the library of `prox.cholesky_solve`:
+`prox.matvec` and `prox.rmatvec` (dgemv) for the products with vectors,
+dgemm for the Gram matrices.  numpy and scipy each load their own
 OpenBLAS with its own thread pool; a Newton loop that made its products
 in numpy and its Cholesky in scipy had the idle-spinning workers of one
 pool take the cores from the other, which made the desk solve 3-5x
@@ -53,6 +52,7 @@ from .prox import (
     SolveResult,
     check_problem,
     cholesky_solve,
+    columns,
     dual_objective,
     h_star,
     matvec,
@@ -127,14 +127,10 @@ def _active_set(lam, sigma, vt_y, reg):
 
 
 def _gram(v, gram=None, sign=1.0):
-    """V V^T of a C-ordered block V by dgemm on the Fortran-ordered view V^T, or gram + sign * V V^T in place.
-
-    The result is the full symmetric matrix, Fortran-ordered; an update
-    writes into `gram` when it is a Fortran-ordered float array.
-    """
+    """V V^T of a column block V by dgemm, in full and column-major, or gram + sign * V V^T in place in `gram`."""
     if gram is None:
-        return dgemm(1.0, v.T, v.T, trans_a=1)
-    return dgemm(sign, v.T, v.T, beta=1.0, c=gram, trans_a=1, overwrite_c=1)
+        return dgemm(1.0, v, v, trans_b=1)
+    return dgemm(sign, v, v, beta=1.0, c=gram, trans_b=1, overwrite_c=1)
 
 
 @dataclass
@@ -163,13 +159,13 @@ class CarriedGram:
             rem = self.mask & ~active
             n_change = int(np.count_nonzero(add) + np.count_nonzero(rem))
         if self.mask is None or n_change >= n_active:
-            self.gram = _gram(np.compress(active, vb, axis=1))
+            self.gram = _gram(columns(vb, active))
             self.gathered += n_active
         else:
             if add.any():
-                self.gram = _gram(np.compress(add, vb, axis=1), self.gram)
+                self.gram = _gram(columns(vb, add), self.gram)
             if rem.any():
-                self.gram = _gram(np.compress(rem, vb, axis=1), self.gram, -1.0)
+                self.gram = _gram(columns(vb, rem), self.gram, -1.0)
             self.gathered += n_change
         self.mask = active
 
@@ -183,8 +179,7 @@ def newton_matrix(y, lam, sigma, vb, reg, *, vt_y, carry=None):
     bounded below by 1.  The matrix depends on y only through vt_y.
     vb X vb^T is the Gram V_A V_A^T held by `carry`, a `CarriedGram`
     brought to the current active set (see the module docstring); with
-    no carry it is built from the active columns, gathered with
-    np.compress.
+    no carry it is built from the active columns.
     """
     carry = CarriedGram() if carry is None else carry
     carry.update(vb, _active_set(lam, sigma, vt_y, reg))
@@ -213,8 +208,8 @@ def newton_step(y, lam, sigma, vb, reg, *, residual, vt_y, carry=None):
         return cholesky_solve(newton_matrix(y, lam, sigma, vb, reg, vt_y=vt_y, carry=carry), -residual)
     if n_active == 0:
         return -residual
-    va = np.compress(active, vb, axis=1)
-    small = dgemm(1.0, va.T, va.T, trans_b=1)  # V_A^T V_A
+    va = columns(vb, active)
+    small = dgemm(1.0, va, va, trans_a=1)  # V_A^T V_A
     small[np.diag_indices_from(small)] += (1.0 + sigma * reg.alpha0) / sigma
     return matvec(va, cholesky_solve(small, rmatvec(va, residual))) - residual
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .export import write_field
 from .grid import Grid
-from .harness import ExperimentConfig, coarse_problem, load_or_assemble, run_experiment, run_suite
+from .harness import ExperimentConfig, _build, coarse_problem, load_or_assemble, run_experiment, run_suite
 from .phantoms import PhantomSpec, make_phantom
 
 
@@ -55,8 +55,7 @@ def _cmd_assemble(args):
 
 
 def _cmd_phantom(args):
-    spec_data = json.loads(args.spec)
-    spec = PhantomSpec(**spec_data)
+    spec = _build(PhantomSpec, json.loads(args.spec), "phantom keys")
     grid = Grid(dim=args.dim, n_per_axis=args.n, half_width=args.half_width)
     mu = make_phantom(spec, grid)
     real_block = mu[: grid.num_nodes]

@@ -32,9 +32,9 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .realfield import derealify, realify, realify_matrix
 
 _CACHE_MAGIC = b"VBOP"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3  # 3: the payload is vb.T in C order
 _CACHE_HEADER = "<4sIIIIdQI"  # magic, version, dim, n, receivers, k, config hash, payload crc32
-_BLOCK = 1 << 19  # kernel points per receiver block: bounds the temporaries to tens of MB
+_BLOCK = 1 << 19  # kernel points per block of rows: bounds the temporaries to tens of MB
 _FFT_BLOCK = 16  # rows per batched FFT: bounds the padded workspace to 16 * (2n)^d entries
 
 
@@ -252,9 +252,9 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     k = medium.wavenumber
     nodes = grid.nodes()
     points = receivers.points
-    phi = np.empty((points.shape[0], nodes.shape[0]), dtype=complex)
-    for rows, block in _kernel_blocks(k, grid.dim, points, nodes, grid.cell_volume()):
-        phi[rows] = block
+    phi = np.empty((nodes.shape[0], points.shape[0]), dtype=complex).T  # column-major, like vb
+    for cols, block in _kernel_blocks(k, grid.dim, nodes, points, grid.cell_volume()):
+        phi[:, cols] = block.T
     if medium.is_homogeneous:
         return realify_matrix(phi / k**2)
     support = np.flatnonzero(medium.contrast)
@@ -262,9 +262,9 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     system = -q_s[:, None] * _support_matrix(grid, medium, support)
     system[np.diag_indices_from(system)] += 1.0
     rhs = q_s[:, None] * phi[:, support].T
-    psi = np.zeros_like(phi)
+    psi = np.zeros(phi.shape, dtype=complex)  # row-major: the FFT potential transforms it by rows
     psi[:, support] = lu_solve(lu_factor(system, overwrite_a=True, check_finite=False), rhs).T
-    total = phi + volume_potential_fft(grid, medium, psi)
+    total = np.add(phi, volume_potential_fft(grid, medium, psi), out=phi)  # in place: column-major, as vb
     residual = np.linalg.norm(psi[:, support] - q_s * total[:, support], axis=1)
     worst = np.max(residual / np.linalg.norm(rhs, axis=0))
     if worst > tol:
@@ -281,8 +281,8 @@ def _config_hash(grid, medium, receivers):
 
 
 def save_vb_cache(path, vb, grid, medium, receivers):
-    """Persist an assembled operator: magic, version, dims, k, contrast hash, payload crc32, f64 payload."""
-    payload = memoryview(np.ascontiguousarray(vb, dtype="<f8")).cast("B")  # the array's bytes, uncopied
+    """Persist an operator: magic, version, dims, k, contrast hash, payload crc32, f64 payload (vb's own bytes)."""
+    payload = memoryview(np.asarray(vb, dtype="<f8", order="F").T).cast("B")
     header = struct.pack(
         _CACHE_HEADER,
         _CACHE_MAGIC,
@@ -308,14 +308,13 @@ def save_vb_cache(path, vb, grid, medium, receivers):
 
 
 def load_vb_cache(path, grid, medium, receivers):
-    """Load a cached operator; returns None when missing, stale, truncated or corrupt."""
+    """A cached operator, a column-major view of the file's bytes; None when missing, stale, truncated or corrupt."""
     header_size = struct.calcsize(_CACHE_HEADER)
     try:
-        with open(path, "rb") as f:
-            raw = f.read()
+        raw = np.fromfile(path, dtype=np.uint8)
     except FileNotFoundError:
         return None
-    if len(raw) < header_size:
+    if raw.size < header_size:
         return None
     magic, version, dim, n, m, k, qhash, crc = struct.unpack(_CACHE_HEADER, raw[:header_size])
     if (
@@ -329,7 +328,7 @@ def load_vb_cache(path, grid, medium, receivers):
     ):
         return None
     rows, cols = 2 * m, 2 * grid.num_nodes
-    payload = memoryview(raw)[header_size:]
-    if len(payload) != 8 * rows * cols or zlib.crc32(payload) != crc:
+    payload = raw[header_size:]
+    if payload.size != 8 * rows * cols or zlib.crc32(payload) != crc:
         return None
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    return payload.view("<f8").reshape(cols, rows).T

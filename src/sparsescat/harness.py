@@ -13,7 +13,7 @@ import csv
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +88,8 @@ class ExperimentConfig:
 
 
 def _build(cls, value, what):
-    """`value` as an instance of the dataclass `cls`: as it is if it is one, else built from
-    the dict `value`, whose keys must all name fields of `cls` (the others are `what`)."""
+    """`value` as an instance of the dataclass `cls`: as it is if it is one, else built from the dict
+    `value`, which must name every field of `cls` without a default and no other (the others are `what`)."""
     if isinstance(value, cls):
         return value
     if not isinstance(value, dict):
@@ -97,6 +97,10 @@ def _build(cls, value, what):
     unknown = set(value) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what}: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls)
+               if f.name not in value and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {what}: {missing}")
     return cls(**value)
 
 

@@ -5,14 +5,12 @@ oracle for cross-validating the Newton-based solvers.  Both resolvents
 are closed-form: the dual step is an affine shrink toward the data, the
 primal step is the combined L1+L2 prox.
 
-Each step reads only the columns of vb that can matter, from one
-C-contiguous copy vt of vb^T whose rows are those columns:
+Each step reads only the columns of vb that can matter, and every
+product goes through `scipy.linalg.blas` (see `prox`):
 
-- The dual step needs vb @ mu_bar, which sums the rows of vt on
-  supp mu_bar only; the iterate is sparse (at most 32 of 8192 entries on
-  the 64-receiver desk-geometry instance).  On an operator with fewer
-  than SCREEN_MIN_ENTRIES entries the gather of those rows costs more
-  than the dense product, which is taken instead.
+- The dual step needs vb @ mu_bar, which `prox.matvec` sums over
+  supp mu_bar once it is small; the iterate is sparse (at most 32 of
+  8192 entries on the 64-receiver desk-geometry instance).
 - The primal step needs (vb^T p)_j only where the prox can be nonzero.
   A safe screen (after El Ghaoui, Viallon & Rabbani, 2012) keeps a
   reference dual point p_ref with |vb^T p_ref|.  By Cauchy-Schwarz,
@@ -43,8 +41,10 @@ certificate is computed exactly as without screening.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh
+from scipy.linalg.blas import dsyrk
 
-from .prox import SolveResult, check_problem, dual_objective, primal_objective, prox_p
+from .prox import SolveResult, check_problem, columns, dual_objective, matvec, primal_objective, prox_p, rmatvec
 
 CERTIFY_RTOL = 1e-5  # certified stop: distance bound <= CERTIFY_RTOL * ||mu||
 GAP_ULPS = 4  # rounding allowance of the computed gap, in ulps of |P| + |D|
@@ -55,8 +55,7 @@ GAP_ULPS = 4  # rounding allowance of the computed gap, in ulps of |P| + |D|
 SCREEN_EPS_PER_TERM = 2
 # The screen's candidate test costs about 15-25 us per step whatever the size (a dozen numpy calls), and
 # a dense vb^T p over fewer than 2^16 entries of vb costs less than that (2 cores, OpenBLAS: 2 us at
-# 12 x 48, 14-15 us at 2^16 entries, 226 us at 128 x 8192); on such operators every product is dense,
-# the dual step's too (its row gather took 16.9 us per step at 12 x 48, against 7.7 us dense).
+# 12 x 48, 14-15 us at 2^16 entries, 226 us at 128 x 8192); on such operators every adjoint is dense.
 SCREEN_MIN_ENTRIES = 2**16
 
 
@@ -81,18 +80,18 @@ class PdaOptions:
 class AdjointScreen:
     """Safe screen of vb^T p for the primal step (see the module docstring).
 
-    Holds vt, the C-contiguous copy of vb^T, the column norms ||vb_j||,
-    and the reference point p_ref with |vb^T p_ref|, which starts at
-    p_ref = 0.  `limit` is the most candidates a screened product may
-    have, 2M, or 0 where the test is not run (fewer than
-    SCREEN_MIN_ENTRIES entries).  `dense` counts the dense products; where
-    the screen runs, each of them refreshes the reference.
+    Holds vb, the column norms ||vb_j||, and the reference point p_ref
+    with |vb^T p_ref|, which starts at p_ref = 0.  `limit` is the most
+    candidates a screened product may have, 2M, or 0 where the test is
+    not run (fewer than SCREEN_MIN_ENTRIES entries).  `dense` counts the
+    dense products; where the screen runs, each of them refreshes the
+    reference.
     """
 
     def __init__(self, vb, alpha):
         m2 = vb.shape[0]
-        self.vt = np.ascontiguousarray(vb.T)
-        self.col_norms = np.linalg.norm(vb, axis=0)
+        self.vb = vb
+        self.col_norms = np.sqrt(np.einsum("ij,ij->j", vb, vb))  # no temporary the size of vb
         self.slack = SCREEN_EPS_PER_TERM * (m2 + 4) * np.finfo(float).eps
         self.threshold = alpha * (1.0 - self.slack)  # so that a rounded "<=" still means "<= alpha"
         self.limit = m2 if vb.size >= SCREEN_MIN_ENTRIES else 0
@@ -112,8 +111,8 @@ class AdjointScreen:
                 r = np.linalg.norm(p - self.p_ref) + self.slack * (np.linalg.norm(p) + self.ref_norm)
                 idx = np.flatnonzero((self.abs_ref + r * self.col_norms > self.threshold) | (mu != 0))
                 if idx.size <= self.limit:
-                    return idx, self.vt[idx] @ p
-            vt_p = self.vt @ p
+                    return idx, rmatvec(columns(self.vb, idx), p) if idx.size else np.zeros(0)
+            vt_p = rmatvec(self.vb, p)
         if self.limit:
             self.p_ref, self.abs_ref, self.ref_norm = p, np.abs(vt_p), np.linalg.norm(p)
         self.dense += 1
@@ -126,25 +125,15 @@ def default_steps(vb, sigma=0.5):
     ||vb||^2 is the largest eigenvalue of the smaller Gram matrix, so
     sigma*tau*||vb||^2 <= 1, the standard convergence condition.
     """
-    gram = vb @ vb.T if vb.shape[0] <= vb.shape[1] else vb.T @ vb
-    norm_sq = float(np.linalg.eigvalsh(gram)[-1])
+    gram = dsyrk(1.0, vb, trans=int(vb.shape[0] > vb.shape[1]))  # the upper triangle, all eigvalsh reads
+    norm_sq = float(eigvalsh(gram, lower=False, check_finite=False)[-1])
     tau = 1.0 / ((norm_sq + 1e-6) * sigma)
     return sigma, tau
 
 
-def pda_dual_step(p, mu_bar, vt, u_b, sigma):
-    """Resolvent of the data-term conjugate: (p + sigma*(vb@mu_bar - u_b)) / (1+sigma).
-
-    vb @ mu_bar sums the rows of vt = vb^T on supp mu_bar only; it is 0
-    when mu_bar is.  Below SCREEN_MIN_ENTRIES entries it is the dense
-    product mu_bar @ vt.
-    """
-    if vt.size < SCREEN_MIN_ENTRIES:
-        product = mu_bar @ vt
-    else:
-        s = np.flatnonzero(mu_bar != 0)  # on the mask: several times faster than on the floats
-        product = mu_bar[s] @ vt[s]
-    return (p + sigma * product - sigma * u_b) / (1.0 + sigma)
+def pda_dual_step(p, mu_bar, vb, u_b, sigma):
+    """Resolvent of the data-term conjugate: (p + sigma*(vb@mu_bar - u_b)) / (1+sigma), vb@mu_bar by `matvec`."""
+    return (p + sigma * matvec(vb, mu_bar) - sigma * u_b) / (1.0 + sigma)
 
 
 def pda_primal_step(mu, p_next, screen, tau, reg, vt_p=None):
@@ -187,9 +176,9 @@ def solve_pda(vb, u_b, reg, options=None):
     best = np.inf
     converged = False
     for it in range(1, options.iters + 1):
-        p = pda_dual_step(p, mu_bar, screen.vt, u_b, sigma)
+        p = pda_dual_step(p, mu_bar, vb, u_b, sigma)
         record = it % options.record_every == 0 or it == options.iters
-        vt_p = screen.vt @ p if record else None
+        vt_p = rmatvec(vb, p) if record else None
         mu_next = pda_primal_step(mu, p, screen, tau, reg, vt_p)
         mu_bar = mu_next + (mu_next - mu)
         mu = mu_next

@@ -7,14 +7,20 @@ the entry check that every solver applies to (vb, u_b), `SolveResult`
 is what every solver returns, and `cholesky_solve` is the factor-and-solve
 of both Newton solvers.
 
-`matvec` and `rmatvec`, the products of both Newton solvers with vb, go
+The realified operator vb is column-major (Fortran order) from the moment
+`realify_matrix`, `assemble_vb` or `load_vb_cache` returns it, and
+`check_problem` copies any other layout once.  So the columns that the
+solvers read (ALM's active set, PDA's candidates, `matvec`'s support sum)
+are contiguous, `columns` gathers them into a column-major block, and vb
+and such blocks go to BLAS without a copy.
+
+`matvec` and `rmatvec`, the products of every solver with vb, go
 through `scipy.linalg.blas` like `cholesky_solve`, not through numpy.
-numpy and scipy each load their own OpenBLAS, each with its own thread
-pool, and when a loop alternates between the two, the idle-spinning
-workers of one pool take the cores from the other: with both pools at
-2 threads on 2 cores, a 512 x 512 Cholesky right after a numpy product
-took up to 350 ms instead of 2-3 ms.  One library per Newton loop leaves
-one pool, at its default thread count.
+numpy and scipy each load their own OpenBLAS with its own thread pool,
+and when a loop alternates between the two, the idle-spinning workers of
+one pool take the cores from the other (2 threads each on 2 cores: a
+512 x 512 Cholesky right after a numpy product took up to 350 ms instead
+of 2-3 ms).  One library per solver loop leaves one pool.
 """
 
 from dataclasses import dataclass, field
@@ -103,32 +109,36 @@ def p_star(z, reg):
     return np.inf
 
 
-# A column of the row-major vb is a strided gather, so summing the columns on supp x beats the dense
-# vb @ x only for a small support: the two cost the same at about 2N/32 nonzeros on 512 x 8192 and on
-# 128 x 8192 (2 cores, OpenBLAS; at |supp x| = 3474 of 8192 the sum takes 23 ms, the product 0.8 ms).
+# Summing the columns of vb on supp x beats the dense vb @ x for a small support: on 512 x 8192 (2 cores,
+# OpenBLAS) the sum over 128 columns takes 36 us against 0.8 ms dense, and the two cost the same between 2N/8
+# and 2N/4 columns.  The divisor dates from a row-major vb, whose strided columns made that sum 0.3 ms.
 SUPPORT_SUM_DIVISOR = 64  # sum over supp x when it holds at most 2N/64 entries
+
+
+def columns(vb, select):
+    """The columns of vb that `select` (a mask or indices) picks, gathered as rows of vb.T: a column-major block."""
+    if select.dtype == bool:
+        return np.compress(select, vb.T, axis=0).T
+    return vb.T[select].T
 
 
 def matvec(vb, x):
     """vb @ x by scipy's dgemv (see the module docstring).
 
     The product sums the columns of vb on supp x when the support holds
-    at most 2N/SUPPORT_SUM_DIVISOR entries, and is dense otherwise.  A
-    C-ordered vb (as `check_problem` returns it) is passed as the
-    Fortran-ordered view vb.T, which f2py takes without a copy; so is the
-    gathered block of the support sum.
+    at most 2N/SUPPORT_SUM_DIVISOR entries, and is dense otherwise.
     """
     s = np.flatnonzero(x != 0)
     if s.size > x.size // SUPPORT_SUM_DIVISOR:
-        return dgemv(1.0, vb.T, x, trans=1)
+        return dgemv(1.0, vb, x)
     if s.size == 0:
         return np.zeros(vb.shape[0])
-    return dgemv(1.0, np.take(vb, s, axis=1).T, x[s], trans=1)
+    return dgemv(1.0, columns(vb, s), x[s])
 
 
 def rmatvec(vb, y):
-    """vb^T @ y by scipy's dgemv on the Fortran-ordered view vb.T of a C-ordered vb (no copy)."""
-    return dgemv(1.0, vb.T, y)
+    """vb^T @ y by scipy's dgemv (see the module docstring)."""
+    return dgemv(1.0, vb, y, trans=1)
 
 
 def primal_objective(mu, vb, u_b, reg):
@@ -148,15 +158,14 @@ def dual_objective(y, vt_y, u_b, reg):
 
 
 def check_problem(vb, u_b):
-    """Solver-entry check of the realified operator and data; returns both as C-contiguous float arrays.
+    """Solver-entry check of the realified operator and data; returns vb column-major and u_b contiguous, as floats.
 
-    A C-ordered float vb is returned as it is, any other is copied once
-    here, so that `matvec` and `rmatvec` never copy it.  Raises
-    ValueError naming the argument when vb is not a 2-D array with even
-    dimensions, when u_b does not have shape (vb.shape[0],), or when
-    either holds NaN or inf.
+    A column-major float vb is returned as it is, any other is copied once
+    here (see the module docstring).  Raises ValueError naming the
+    argument when vb is not a 2-D array with even dimensions, when u_b
+    does not have shape (vb.shape[0],), or when either holds NaN or inf.
     """
-    vb = np.ascontiguousarray(vb, dtype=float)
+    vb = np.asarray(vb, dtype=float, order="F")
     u_b = np.ascontiguousarray(u_b, dtype=float)
     if vb.ndim != 2 or vb.shape[0] % 2 or vb.shape[1] % 2:
         raise ValueError(f"vb must be a 2-D array with even dimensions, got shape {vb.shape}")

@@ -38,9 +38,14 @@ def derealify(v):
 
 
 def realify_matrix(a):
-    """Real 2M x 2N block representation [[A_R, -A_I], [A_I, A_R]] of a complex matrix."""
+    """Real 2M x 2N block representation [[A_R, -A_I], [A_I, A_R]] of a complex matrix, column-major (see `prox`)."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
+    m, n = a.shape
     ar, ai = np.real(a), np.imag(a)
-    return np.block([[ar, -ai], [ai, ar]]).astype(float, copy=False)
+    vb = np.empty((2 * n, 2 * m)).T  # the blocks are copied in place: a column-major `a` copies contiguously
+    vb[:m, :n] = vb[m:, n:] = ar
+    vb[m:, :n] = ai
+    np.negative(ai, out=vb[:m, n:])
+    return vb

@@ -101,14 +101,13 @@ class BOperator:
 def build_b_operator(vb, reg):
     if reg.alpha0 <= 0:
         raise ValueError("B is positive definite only for alpha0 > 0")
-    # dsyrk takes vb.T, a Fortran-ordered view of vb, without a copy and
-    # writes one triangle of vb^T vb with half a dgemm's flops; the
-    # transpose of its Fortran-ordered result is C-ordered and lower.
-    # G is the lower triangle of vb vb^T (trans=1), which is all the
+    # dsyrk writes one triangle of vb^T vb (trans=1) with half a dgemm's
+    # flops; the transpose of its column-major upper result is C-ordered
+    # and lower.  G is the lower triangle of vb vb^T, which is all the
     # lower Cholesky factor reads
-    b = dsyrk(1.0, vb.T).T
+    b = dsyrk(1.0, vb, trans=1).T
     b[np.diag_indices_from(b)] += reg.alpha0
-    g = dsyrk(1.0, vb.T, trans=1, lower=1)
+    g = dsyrk(1.0, vb, lower=1)
     g[np.diag_indices_from(g)] += reg.alpha0
     return BOperator(matrix=b, factor=cho_factor(g, lower=True))
 

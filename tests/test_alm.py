@@ -17,7 +17,7 @@ from sparsescat.alm import (
 )
 from sparsescat.harness import run_experiment
 from sparsescat.pda import PdaOptions, solve_pda
-from sparsescat.prox import RegParams, dual_objective, primal_objective
+from sparsescat.prox import RegParams, check_problem, dual_objective, primal_objective, rmatvec
 
 
 def three_regime_resolvent(x, sigma, reg):
@@ -228,14 +228,17 @@ def test_multiplier_update_maintains_z_invariant():
     # the run stopped after outer iteration k ends with the y of that iteration,
     # so each multiplier step lam_{k+1} = lam_k + sigma_k (vb^T y + z) is checked
     # on its own run, with z the Moreau recovery at the pre-update multiplier
+    # (vb^T y is the solver's own product, rmatvec on the checked operator)
     vb, u_b, reg = random_instance(33, m=3, n=8)
+    vb, u_b = check_problem(vb, u_b)
     for k in range(4):
         result = solve_alm(vb, u_b, reg, options=AlmOptions(max_outer=k + 1, lam_tol=0.0, gap_tol=0.0))
         assert result.outer_iters == k + 1
         lam_k = result.lam_history[k]
         sigma_k = [r["sigma"] for r in result.records if r["kind"] == "outer"][k]
-        assert np.array_equal(result.z, recover_z(vb.T @ result.y, lam_k, sigma_k, reg))
-        assert np.array_equal(result.lam_history[k + 1], lam_k + sigma_k * (vb.T @ result.y + result.z))
+        vt_y = rmatvec(vb, result.y)
+        assert np.array_equal(result.z, recover_z(vt_y, lam_k, sigma_k, reg))
+        assert np.array_equal(result.lam_history[k + 1], lam_k + sigma_k * (vt_y + result.z))
 
 
 def test_sigma_growth_capped(monkeypatch):

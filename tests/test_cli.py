@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sparsescat import harness
 from sparsescat.cli import main
@@ -45,6 +46,17 @@ def test_cli_phantom(tmp_path, capsys):
     matrix = np.loadtxt(tmp_path / "phantom.csv", delimiter=",", ndmin=2)
     assert matrix.shape == (64, 64)
     assert (matrix != 0).sum() == 4
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"kind": "peaks", "bogus": 1}', "unknown phantom keys: ['bogus']"),
+    ('{"count": 2}', "missing phantom keys: ['kind']"),
+], ids=["unknown", "missing"])
+def test_cli_phantom_names_bad_spec_keys(spec, message, tmp_path, capsys):
+    rc = main(["phantom", "--spec", spec, "--out", str(tmp_path / "phantom")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_phantom_3d(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from conftest import commutes_with_rotation, derealify_matrix, volume_potential_dense
@@ -17,6 +19,7 @@ from sparsescat.forward import (
 )
 from sparsescat.grid import Grid, Medium, boundary_receivers
 from sparsescat.phantoms import make_medium
+from sparsescat.prox import check_problem
 from sparsescat.realfield import realify, realify_matrix
 
 
@@ -375,6 +378,35 @@ def test_vb_cache_roundtrip(tmp_path):
     save_vb_cache(path, vb, g, med, recv)
     loaded = load_vb_cache(path, g, med, recv)
     assert np.array_equal(loaded, vb)
+
+
+def test_operator_is_column_major_from_assembly_to_the_solvers(tmp_path):
+    # assembly, the cache and realify_matrix give the layout check_problem keeps without a copy
+    g = Grid(dim=2, n_per_axis=10)
+    med = small_bump_medium(g, 4.0, strength=0.3)
+    recv = boundary_receivers(g, 6)
+    vb = assemble_vb(g, med, recv)
+    save_vb_cache(tmp_path / "vb.cache", vb, g, med, recv)
+    t = np.arange(6.0).reshape(2, 3) + 1j
+    for op in (vb, load_vb_cache(tmp_path / "vb.cache", g, med, recv), realify_matrix(t)):
+        assert op.flags["F_CONTIGUOUS"] and op.flags["WRITEABLE"]
+        assert check_problem(op, np.zeros(op.shape[0]))[0] is op
+
+
+def test_vb_cache_of_another_version_is_a_miss(tmp_path):
+    # a version-2 payload held vb in C order: it has the size and the CRC of a version-3 one and would
+    # load as the transposed operator, so the version field alone must turn it away
+    g = Grid(dim=2, n_per_axis=10)
+    med = make_medium(g, 4.0)
+    recv = boundary_receivers(g, 6)
+    path = tmp_path / "vb.cache"
+    save_vb_cache(path, assemble_vb(g, med, recv), g, med, recv)
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<I", raw, 4) == (forward._CACHE_VERSION,)
+    assert load_vb_cache(path, g, med, recv) is not None
+    struct.pack_into("<I", raw, 4, 2)
+    path.write_bytes(raw)
+    assert load_vb_cache(path, g, med, recv) is None
 
 
 def test_vb_cache_rejects_stale(tmp_path):

@@ -143,6 +143,17 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict(data)
 
 
+def test_config_names_missing_keys():
+    # a dict that lacks a required key fails as a ValueError naming it, at the top level and in the phantom
+    data = {"solver": "alm", "alpha": 1e-3, "phantom": {"kind": "peaks", "count": 1}, "fine_n": 96, "coarse_n": 64}
+    with pytest.raises(ValueError, match=r"missing config keys: \['alpha0'\]"):
+        ExperimentConfig.from_dict(data)
+    data["alpha0"] = 1e-7
+    del data["phantom"]["kind"]
+    with pytest.raises(ValueError, match=r"missing phantom keys: \['kind'\]"):
+        ExperimentConfig.from_dict(data)
+
+
 def test_config_inverse_crime_guard():
     with pytest.raises(ValueError, match="inverse-crime"):
         small_config(fine_n=64, coarse_n=64)

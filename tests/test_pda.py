@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -24,14 +25,14 @@ def test_dual_step_cancellation():
     u_b = np.array([1.0, -2.0, 0.5, 3.0])
     p = u_b.copy()
     vb = np.zeros((4, 6))
-    out = pda_dual_step(p, np.zeros(6), vb.T, u_b, sigma=1.0)
+    out = pda_dual_step(p, np.zeros(6), vb, u_b, sigma=1.0)
     assert np.array_equal(out, np.zeros(4))
 
 
 def test_dual_step_geometric_decay(rng):
     p = rng.standard_normal(8)
     vb = np.zeros((8, 10))
-    out = pda_dual_step(p, np.zeros(10), vb.T, np.zeros(8), sigma=0.5)
+    out = pda_dual_step(p, np.zeros(10), vb, np.zeros(8), sigma=0.5)
     assert np.allclose(out, p / 1.5, atol=0)
 
 
@@ -227,7 +228,7 @@ def test_screen_runs_only_on_operators_where_it_can_pay():
     for vb, screened in ((small, False), (wide, True)):
         screen = AdjointScreen(vb, 0.1)
         p = np.ones(vb.shape[0])
-        idx, g = screen.adjoint(p, np.zeros(vb.shape[1]), screen.vt @ p)
+        idx, g = screen.adjoint(p, np.zeros(vb.shape[1]), vb.T @ p)
         assert idx is None and screen.dense == 1
         assert (screen.p_ref is p) == screened and (screen.ref_norm > 0) == screened
         assert np.array_equal(screen.abs_ref, np.abs(g) if screened else np.zeros(vb.shape[1]))
@@ -250,7 +251,23 @@ def test_screen_excludes_only_zero_steps(rng):
         if idx is None:  # more than 2M = 32 candidates
             assert screen.dense == 2 and scale > 1e-4
             continue
-        assert np.array_equal(g, screen.vt[idx] @ p)
+        assert np.array_equal(g, vb.T[idx] @ p)
         outside = np.setdiff1d(np.arange(vb.shape[1]), idx)
         assert not np.any(mu[outside])
         assert np.max(np.abs(vb.T @ p)[outside]) <= alpha
+
+
+def test_solve_pda_does_not_copy_the_operator(rng):
+    # every product reads vb itself, as check_problem returns it: a few steps on a 512 x 8192 operator,
+    # screened adjoints and records included, allocate far less than the 32 MB of vb
+    vb = realify_matrix(rng.standard_normal((256, 4096)) + 1j * rng.standard_normal((256, 4096)))
+    u_b = vb[:, :3].sum(axis=1)  # the data of a 3-sparse source
+    reg = RegParams(alpha=0.5 * float(np.max(np.abs(vb.T @ u_b))), alpha0=1e-3)
+    tracemalloc.start()
+    try:
+        result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=6, record_every=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.records[-1]["dense_adjoints"] < result.iterations  # the screen ran
+    assert peak < vb.nbytes / 2, peak

@@ -223,13 +223,13 @@ def test_check_problem_returns_float_arrays():
     assert vb.dtype == float and u_b.dtype == float and vb.shape == (2, 2)
 
 
-def test_check_problem_keeps_a_c_ordered_operator():
-    vb = np.ones((4, 6))
+def test_check_problem_keeps_a_column_major_operator():
+    vb = np.asfortranarray(np.ones((4, 6)))
     checked, _ = check_problem(vb, np.ones(4))
     assert checked is vb
-    for layout in (np.asfortranarray(vb), np.ones((4, 12))[:, ::2]):
+    for layout in (np.ascontiguousarray(vb), np.ones((4, 12))[:, ::2]):
         checked, _ = check_problem(layout, np.ones(4))
-        assert checked.flags["C_CONTIGUOUS"] and np.array_equal(checked, vb)
+        assert checked.flags["F_CONTIGUOUS"] and np.array_equal(checked, vb)
 
 
 @pytest.mark.parametrize("solve", [solve_alm, solve_ssn])
@@ -245,11 +245,15 @@ def test_solvers_agree_on_every_operator_layout(solve):
 
 
 def test_matvec_and_rmatvec_do_not_copy_the_operator(rng):
-    # f2py copies an operand that is not Fortran-ordered; vb.T of the C-ordered vb is, so the products
-    # allocate only their vectors, far below the 32 MB of vb
-    vb = rng.standard_normal((512, 8192))
+    # f2py copies an operand that is not column-major; the operator as check_problem returns it is, and
+    # so is the block of columns that the support sum gathers, so the products allocate only that block
+    # and their vectors, far below the 32 MB of vb
+    vb, _ = check_problem(rng.standard_normal((512, 8192)), np.zeros(512))
     x, y = rng.standard_normal(vb.shape[1]), rng.standard_normal(vb.shape[0])
-    for product, vector in ((matvec, x), (rmatvec, y)):
+    sparse = np.zeros(vb.shape[1])
+    support = rng.choice(vb.shape[1], size=vb.shape[1] // SUPPORT_SUM_DIVISOR, replace=False)
+    sparse[support] = rng.standard_normal(support.size)
+    for product, vector in ((matvec, x), (matvec, sparse), (rmatvec, y)):
         tracemalloc.start()
         try:
             product(vb, vector)
