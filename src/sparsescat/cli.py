@@ -36,7 +36,6 @@ def _cmd_suite(args):
         raise ValueError("suite config must be a JSON list of experiment configs")
     configs = [ExperimentConfig.from_dict(entry) for entry in data]
     out = Path(args.output or ".")
-    out.mkdir(parents=True, exist_ok=True)
     for i, config in enumerate(configs):
         if config.output_dir is None:
             config.output_dir = str(out / f"run{i:03d}")
@@ -59,9 +58,7 @@ def _cmd_phantom(args):
     grid = Grid(dim=args.dim, n_per_axis=args.n, half_width=args.half_width)
     mu = make_phantom(spec, grid)
     real_block = mu[: grid.num_nodes]
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = write_field(out, grid, real_block)[0]
+    csv_path = write_field(args.out, grid, real_block)[0]
     print(f"wrote {csv_path} ({int(np.count_nonzero(real_block))} nonzero cells)")
     return 0
 

@@ -19,9 +19,7 @@ LU solves it for every receiver at once.
 """
 
 import hashlib
-import os
 import struct
-import tempfile
 import zlib
 from functools import lru_cache
 
@@ -29,6 +27,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from .export import write_file
 from .realfield import derealify, realify, realify_matrix
 
 _CACHE_MAGIC = b"VBOP"
@@ -294,17 +293,7 @@ def save_vb_cache(path, vb, grid, medium, receivers):
         _config_hash(grid, medium, receivers),
         zlib.crc32(payload),
     )
-    # write beside the target and rename over it, so a reader (or a second
-    # run sharing the directory) sees the old file or the new one, never a torn one
-    fd, tmp = tempfile.mkstemp(prefix=".vb-", suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(header)
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_file(path, header, payload)
 
 
 def load_vb_cache(path, grid, medium, receivers):

@@ -9,7 +9,6 @@ congruential generator (PCG64), so a config + seed reproduces
 output_dir.
 """
 
-import csv
 import json
 import time
 from contextlib import contextmanager
@@ -20,7 +19,7 @@ import numpy as np
 import scipy
 
 from .alm import AlmOptions, solve_alm
-from .export import write_field, write_jsonl
+from .export import write_field, write_json, write_jsonl, write_suite_csv
 from .forward import assemble_vb, load_vb_cache, save_vb_cache, source_to_measurement
 from .grid import Grid, boundary_receivers, default_receiver_count
 from .phantoms import PhantomSpec, make_medium, make_phantom
@@ -180,31 +179,27 @@ def _run_solver(config, vb, u_b):
 
 def _export(config, result, coarse_grid):
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {"config": out / "config.json", "diagnostics": out / "diagnostics.jsonl"}
-    with open(paths["config"], "w", encoding="utf-8") as f:
-        json.dump(config.to_dict(), f, indent=2, sort_keys=True)
+    write_json(paths["config"], config.to_dict())
     solved = result.solved
     write_jsonl(paths["diagnostics"], solved.records)
-    paths["mu_csv"], paths["mu_pgm"], *_ = write_field(out / "mu_rec", coarse_grid, solved.mu[: coarse_grid.num_nodes])
-    with open(out / "result.json", "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "n_error": result.n_error,
-                "wall_times": result.wall_times,
-                "solver": config.solver,
-                "iterations": solved.iterations,
-                "converged": solved.converged,
-                "stop_reason": solved.stop_reason,
-                "seed": config.seed,
-                "rng": RNG_NAME,
-                "versions": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas_libraries()},
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
+    paths["mu_csv"], paths["mu_pgm"], *slices = write_field(out / "mu_rec", coarse_grid, solved.mu[: coarse_grid.num_nodes])
+    paths.update((p.stem, p) for p in slices)  # 3D: the slices after z000, keyed mu_rec_z001, ...
     paths["result"] = out / "result.json"
+    write_json(
+        paths["result"],
+        {
+            "n_error": result.n_error,
+            "wall_times": result.wall_times,
+            "solver": config.solver,
+            "iterations": solved.iterations,
+            "converged": solved.converged,
+            "stop_reason": solved.stop_reason,
+            "seed": config.seed,
+            "rng": RNG_NAME,
+            "versions": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas_libraries()},
+        },
+    )
     result.output_paths = {k: str(v) for k, v in paths.items()}
 
 
@@ -235,7 +230,6 @@ def load_or_assemble(config, coarse, medium, receivers):
     if vb is None:
         vb = assemble_vb(coarse, medium, receivers)
         if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
             save_vb_cache(cache_path, vb, coarse, medium, receivers)
     return vb
 
@@ -276,9 +270,6 @@ def run_experiment(config):
     return result
 
 
-SUITE_COLUMNS = ("Method", "Source", "Medium", "Time(s)", "N-Error")
-
-
 def _source_label(config):
     p = config.phantom
     return f"{p.kind}:{p.count}" if p.kind == "peaks" else p.kind
@@ -313,10 +304,3 @@ def run_suite(configs, csv_path=None, workers=1):
     if csv_path is not None:
         write_suite_csv(csv_path, rows)
     return rows, results
-
-
-def write_suite_csv(path, rows):
-    with open(path, "w", encoding="ascii", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=SUITE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)

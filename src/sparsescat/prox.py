@@ -109,10 +109,10 @@ def p_star(z, reg):
     return np.inf
 
 
-# Summing the columns of vb on supp x beats the dense vb @ x for a small support: on 512 x 8192 (2 cores,
-# OpenBLAS) the sum over 128 columns takes 36 us against 0.8 ms dense, and the two cost the same between 2N/8
-# and 2N/4 columns.  The divisor dates from a row-major vb, whose strided columns made that sum 0.3 ms.
-SUPPORT_SUM_DIVISOR = 64  # sum over supp x when it holds at most 2N/64 entries
+# Summing the columns of vb on supp x beats the dense vb @ x up to about 2N/6 columns: on a column-major
+# 512 x 8192 vb (2 cores, OpenBLAS) the sum takes 40 us over 128 columns (2N/64) and 0.6 ms over 1024 (2N/8),
+# against 0.75 ms dense, and 1.1 ms over 2048 (2N/4).
+SUPPORT_SUM_DIVISOR = 8  # sum over supp x when it holds at most 2N/8 entries
 
 
 def columns(vb, select):

@@ -1,10 +1,12 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import commutes_with_rotation, derealify_matrix, volume_potential_dense
 
-from sparsescat import forward
+from sparsescat import export, forward, harness
+from sparsescat.export import write_csv_matrix, write_jsonl, write_pgm, write_suite_csv
 from sparsescat.forward import (
     LsSolveError,
     assemble_vb,
@@ -18,8 +20,9 @@ from sparsescat.forward import (
     volume_potential_fft,
 )
 from sparsescat.grid import Grid, Medium, boundary_receivers
+from sparsescat.harness import ExperimentConfig, ExperimentResult
 from sparsescat.phantoms import make_medium
-from sparsescat.prox import check_problem
+from sparsescat.prox import SolveResult, check_problem
 from sparsescat.realfield import realify, realify_matrix
 
 
@@ -424,18 +427,44 @@ def test_vb_cache_rejects_stale(tmp_path):
     assert load_vb_cache(tmp_path / "missing.cache", g, med, recv) is None
 
 
-def test_vb_cache_failed_write_keeps_old_file(tmp_path, monkeypatch):
+def _write_vb_cache(path, version):
     g = Grid(dim=2, n_per_axis=10)
     med = make_medium(g, 4.0)
     recv = boundary_receivers(g, 6)
-    vb = assemble_vb(g, med, recv)
-    path = tmp_path / "vb.cache"
-    save_vb_cache(path, vb, g, med, recv)
+    save_vb_cache(path, version * assemble_vb(g, med, recv), g, med, recv)
 
-    real_fdopen = forward.os.fdopen
+
+def _export_result_json(path, version):
+    grid = Grid(dim=2, n_per_axis=8)
+    config = ExperimentConfig(solver="alm", alpha=1e-3, alpha0=0.0, phantom={"kind": "peaks"}, fine_n=12,
+                              coarse_n=8, output_dir=str(path.parent))
+    solved = SolveResult(mu=np.full(2 * grid.num_nodes, version), converged=True, stop_reason="duality_gap",
+                         iterations=version, records=[{"kind": "inner", "step": version}])
+    harness._export(config, ExperimentResult(version / 3, {}, solved, solved.mu), grid)
+
+
+SUITE_ROW = {"Method": "ALM", "Source": "peaks:1", "Medium": "homo", "Time(s)": "0.25", "N-Error": "1.00e-01"}
+# each writes version 1 or 2 of one kind of artifact to `path`
+WRITES = {
+    "vb.cache": _write_vb_cache,
+    "result.json": _export_result_json,
+    "diagnostics.jsonl": lambda path, version: write_jsonl(path, [{"step": i, "value": version * i} for i in range(8)]),
+    "m.csv": lambda path, version: write_csv_matrix(path, version * np.arange(12.0).reshape(3, 4) / 7),
+    "img.pgm": lambda path, version: write_pgm(path, np.arange(256.0).reshape(16, 16) ** version),
+    "results.csv": lambda path, version: write_suite_csv(path, [SUITE_ROW] * (1 + version)),
+}
+
+
+@pytest.mark.parametrize("name", WRITES)
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    WRITES[name](path, 1)
+    old, names = path.read_bytes(), sorted(tmp_path.iterdir())
+
+    real_open = open
 
     class DiskFull:
-        # writes the header, then fails halfway into the payload
+        # writes the small chunks (vb.cache's header), then fails halfway into the first large one
         def __init__(self, f):
             self.f = f
 
@@ -451,11 +480,16 @@ def test_vb_cache_failed_write_keeps_old_file(tmp_path, monkeypatch):
                 raise OSError("no space left on device")
             self.f.write(data)
 
-    monkeypatch.setattr(forward.os, "fdopen", lambda fd, mode: DiskFull(real_fdopen(fd, mode)))
+    def failing_open(file, *args, **kwargs):
+        # only the writes of `name` fail: _export writes other files first
+        f = real_open(file, *args, **kwargs)
+        return DiskFull(f) if name in Path(file).name else f
+
+    monkeypatch.setattr(export, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="no space"):
-        save_vb_cache(path, 2.0 * vb, g, med, recv)
-    assert np.array_equal(load_vb_cache(path, g, med, recv), vb)
-    assert [p.name for p in tmp_path.iterdir()] == ["vb.cache"]
+        WRITES[name](path, 2)
+    assert path.read_bytes() == old
+    assert sorted(tmp_path.iterdir()) == names
 
 
 def test_vb_cache_truncated_is_a_miss(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import json
+import stat
 
 import numpy as np
 import pytest
@@ -307,6 +308,10 @@ def test_export_writes_config_and_versions(tmp_path):
     config = small_config(output_dir=str(tmp_path / "run"))
     result = run_experiment(config)
     assert result.output_paths["config"] == str(tmp_path / "run" / "config.json")
+    # every artifact, vb.cache included, gets the one mode that open() gives a new file
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "run").iterdir()}
+    (tmp_path / "plain").write_bytes(b"")
+    assert set(modes.values()) == {stat.S_IMODE((tmp_path / "plain").stat().st_mode)}, modes
     assert ExperimentConfig.from_dict(json.loads((tmp_path / "run" / "config.json").read_text())) == config
     saved = json.loads((tmp_path / "run" / "result.json").read_text())
     blas = saved["versions"].pop("blas")
@@ -346,6 +351,15 @@ def test_suite_records_failures(tmp_path):
     assert rows[0]["N-Error"].startswith("FAILED")
     assert results[0] is None
     assert float(rows[1]["N-Error"]) <= 0.05
+
+
+def test_suite_table_keeps_a_non_ascii_failure(tmp_path):
+    (tmp_path / "file").touch()
+    bad = small_config(fine_n=24, coarse_n=16, receivers=16, output_dir=str(tmp_path / "file" / "résultat"))
+    rows, _ = run_suite([bad], csv_path=tmp_path / "results.csv")
+    assert rows[0]["N-Error"].startswith("FAILED") and "résultat" in rows[0]["N-Error"]
+    with open(tmp_path / "results.csv", newline="", encoding="utf-8") as f:
+        assert list(csv.DictReader(f)) == rows
 
 
 # aligned fractions for the 96 vs 32 pair: fine index 3j+1 shares the center
@@ -405,6 +419,8 @@ def test_run_experiment_3d(tmp_path):
     assert (out / "mu_rec.csv").exists()
     slices = sorted(out.glob("mu_rec_z*.pgm"))
     assert len(slices) == 12
+    # output_paths names every file the export wrote, each slice included
+    assert sorted(result.output_paths.values()) == sorted(str(p) for p in out.iterdir() if p.name != "vb.cache")
     matrix = np.loadtxt(out / "mu_rec.csv", delimiter=",", ndmin=2)
     assert matrix.shape == (144, 12)
 
