@@ -15,7 +15,9 @@ kernel as its oracle.
 The work follows the supports: a receiver potential sums only over the
 nodes where its density is nonzero, and the reciprocity field that gives
 the measurement operator lives on the K nodes of supp(q), where one K x K
-LU solves it for every receiver at once.
+LU solves it for every receiver at once.  Between receivers and nodes,
+Phi is evaluated once per distinct combination of per-axis offsets, and
+the kernel blocks are gathered from that table (`_kernel_blocks`).
 """
 
 import hashlib
@@ -181,14 +183,48 @@ def ls_solve(grid, medium, rhs, tol=1e-10):
 def _kernel_blocks(k, dim, points, nodes, weight):
     """Yield (rows, k^2 * weight * Phi(points[rows], nodes)) in blocks of about _BLOCK entries.
 
-    No point may coincide with a node.
+    No point may coincide with a node.  Phi depends on a pair only through
+    its per-axis offsets |a - b|, and receivers and grid nodes share few of
+    them: the 256 x 4096 pairs of the desk assembly have 128 per axis.  So
+    Phi is evaluated once per entry of the product of the per-axis distinct
+    offsets (16 384 at the desk), and the blocks are gathered from that
+    table, whenever it has fewer entries than there are pairs; otherwise at
+    every pair.  The table's r adds the same squares in the same axis order
+    as the per-pair sum, so every block is bitwise the per-pair one.
     """
     step = max(1, _BLOCK // max(1, nodes.shape[0]))
+    axes = [_axis_offsets(points[:, a], nodes[:, a]) for a in range(dim)]
+    table = np.prod([values.size for values, *_ in axes]) < points.shape[0] * nodes.shape[0]
+    if table:
+        r2 = np.zeros(())
+        for values, *_ in axes:
+            r2 = r2[..., None] + values * values
+        r = np.sqrt(r2).ravel()
+        used = r > 0  # r = 0 is the offset of a point on a node: it may be in the table but never in a block
+        phi = np.zeros(r.shape, dtype=complex)
+        phi[used] = k**2 * weight * fundamental_solution(k, r[used], dim)
     for start in range(0, points.shape[0], step):
         rows = slice(start, min(start + step, points.shape[0]))
-        diff = points[rows, None, :] - nodes[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        yield rows, k**2 * weight * fundamental_solution(k, r, dim)
+        if table:
+            flat = np.zeros((rows.stop - start, nodes.shape[0]), dtype=np.intp)
+            for values, index, point_of, node_of in axes:
+                flat *= values.size
+                flat += index[point_of[rows, None], node_of]
+            if not used.all() and not used[flat].all():
+                raise ValueError("fundamental solution is singular at r <= 0")
+            yield rows, phi[flat]  # a C-contiguous block: BLAS sums its products as it sums the per-pair block's
+        else:
+            diff = points[rows, None, :] - nodes[None, :, :]
+            r = np.sqrt(np.sum(diff * diff, axis=-1))
+            yield rows, k**2 * weight * fundamental_solution(k, r, dim)
+
+
+def _axis_offsets(a, b):
+    """The distinct |a_i - b_j| and their index for each pair: values, index[a_of[i], b_of[j]], a_of, b_of."""
+    a_values, a_index = np.unique(a, return_inverse=True)
+    b_values, b_index = np.unique(b, return_inverse=True)
+    values, index = np.unique(np.abs(a_values[:, None] - b_values[None, :]), return_inverse=True)
+    return values, index.reshape(a_values.size, b_values.size), a_index.ravel(), b_index.ravel()
 
 
 def evaluate_potential_at(grid, k, points, density):
@@ -241,7 +277,8 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     I - diag(q_S) V_SS (about 16 K^2 bytes), solved for all M receivers
     at once, plus one batched FFT potential, rather than M Krylov solves.
     At the desk bump config (64^2 nodes, K = 360, M = 256, 2 cores) this
-    took 0.85 s against 4.2 s for per-receiver GMRES.  The margin shrinks
+    takes 0.35 s against 4.2 s for per-receiver GMRES, and the homogeneous
+    desk operator 0.06 s.  The margin shrinks
     as K nears N: at half-width 1 (K = 3228 of 4096) it measured 3.1-3.4 s
     and a 560 MB peak against 4.4-4.8 s and 145 MB.  No inhomogeneous 3D
     case has been measured.  Each receiver's relative residual
@@ -255,7 +292,8 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     for cols, block in _kernel_blocks(k, grid.dim, nodes, points, grid.cell_volume()):
         phi[:, cols] = block.T
     if medium.is_homogeneous:
-        return realify_matrix(phi / k**2)
+        phi /= k**2  # in place: no second M x N temporary beside vb
+        return realify_matrix(phi)
     support = np.flatnonzero(medium.contrast)
     q_s = medium.contrast[support]
     system = -q_s[:, None] * _support_matrix(grid, medium, support)
@@ -268,7 +306,8 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     worst = np.max(residual / np.linalg.norm(rhs, axis=0))
     if worst > tol:
         raise LsSolveError(worst, tol)
-    return realify_matrix(total / k**2)
+    total /= k**2
+    return realify_matrix(total)
 
 
 def _config_hash(grid, medium, receivers):

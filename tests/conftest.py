@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparsescat import forward
 from sparsescat.forward import fundamental_solution, self_cell_integral
 from sparsescat.harness import ExperimentConfig
 from sparsescat.phantoms import PhantomSpec
@@ -82,6 +83,20 @@ def volume_potential_dense(grid, medium, density):
         block[idx - start, idx] = diag
         out[start:stop] = block @ density
     return out
+
+
+def kernel_blocks_per_pair(k, dim, points, nodes, weight):
+    """`forward._kernel_blocks` with Phi evaluated at every pair, in the same row blocks: its oracle.
+
+    r is the rounded sum of the squared per-axis offsets, as the table path
+    must reproduce it bitwise; `np.linalg.norm` may round differently.
+    """
+    step = max(1, forward._BLOCK // max(1, nodes.shape[0]))
+    for start in range(0, points.shape[0], step):
+        rows = slice(start, min(start + step, points.shape[0]))
+        diff = points[rows, None, :] - nodes[None, :, :]
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        yield rows, k**2 * weight * fundamental_solution(k, r, dim)
 
 
 def derealify_matrix(b):

@@ -1,9 +1,10 @@
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import commutes_with_rotation, derealify_matrix, volume_potential_dense
+from conftest import commutes_with_rotation, derealify_matrix, kernel_blocks_per_pair, volume_potential_dense
 
 from sparsescat import export, forward, harness
 from sparsescat.export import write_csv_matrix, write_jsonl, write_pgm, write_suite_csv
@@ -370,6 +371,127 @@ def test_quadrature_convergence_reported(capsys):
     err_fine = np.max(np.abs(vals[32] - vals[64]))
     assert err_fine < err_coarse
     print(f"\nquadrature convergence factor (16 -> 32): {err_coarse / err_fine:.2f}")
+
+
+DESK_K = 6.0
+# (id, grid, receivers on its boundary); the fine 192^2 grid enters through the receiver potential over
+# supp q only.  The two 2D grids at half-width 1.3 have too few shared offsets for the table: they run per
+# pair.  The 3D spacing 2.6/16 is not dyadic, so the squared offsets round and their order of summation shows.
+KERNEL_GEOMETRIES = [
+    ("desk-64", Grid(dim=2, n_per_axis=64, half_width=3.0), 256),
+    ("hw1-96", Grid(dim=2, n_per_axis=96, half_width=1.0), None),
+    ("per-pair-100-on-64", Grid(dim=2, n_per_axis=64, half_width=1.3), 100),
+    ("per-pair-37-on-48", Grid(dim=2, n_per_axis=48, half_width=1.3), 37),
+    ("3d-16", Grid(dim=3, n_per_axis=16, half_width=1.3), 600),
+]
+GEOMETRY_IDS = [case[0] for case in KERNEL_GEOMETRIES]
+
+
+def _fine_support_potential():
+    """The simulate step's receiver potential at the desk: 256 coarse receivers over supp q of the 192^2 grid."""
+    fine = Grid(dim=2, n_per_axis=192, half_width=3.0)
+    receivers = boundary_receivers(Grid(dim=2, n_per_axis=64, half_width=3.0), 256)
+    q = make_medium(fine, DESK_K, True).contrast
+    density = np.where(q != 0, q * (1.0 + 0.5j), 0.0)
+    return fine, receivers.points, density
+
+
+def _per_pair(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(forward, "_kernel_blocks", kernel_blocks_per_pair)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("case", KERNEL_GEOMETRIES + ["fine-supp-q"], ids=GEOMETRY_IDS + ["fine-supp-q"])
+def test_kernel_blocks_equal_per_pair_oracle(case):
+    if case == "fine-supp-q":
+        grid, points, density = _fine_support_potential()
+        nodes = grid.nodes()[np.flatnonzero(density)]
+    else:
+        _, grid, count = case
+        points, nodes = grid.nodes(), boundary_receivers(grid, count).points
+    args = (DESK_K, grid.dim, points, nodes, grid.cell_volume())
+    pairs = list(kernel_blocks_per_pair(*args))
+    blocks = list(forward._kernel_blocks(*args))
+    assert [rows for rows, _ in blocks] == [rows for rows, _ in pairs]
+    for (_, block), (_, ref) in zip(blocks, pairs):
+        assert block.flags["C_CONTIGUOUS"] and np.array_equal(block, ref)
+
+
+# the bump on the 2D grids but hw1-96, whose K = 7232 nodes need an 840 MB K x K LU; in 3D its batched
+# FFT potential over 600 receivers takes seconds
+ASSEMBLE_CASES = [(case, False) for case in KERNEL_GEOMETRIES] + [(KERNEL_GEOMETRIES[i], True) for i in (0, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "case,inhomogeneous", ASSEMBLE_CASES, ids=[f"{c[0]}-{'bump' if b else 'homogeneous'}" for c, b in ASSEMBLE_CASES]
+)
+def test_assemble_vb_equals_per_pair_oracle(case, inhomogeneous, monkeypatch):
+    _, grid, count = case
+    medium = make_medium(grid, DESK_K, inhomogeneous)
+    receivers = boundary_receivers(grid, count)
+    vb = assemble_vb(grid, medium, receivers)
+    assert np.array_equal(vb, _per_pair(monkeypatch, assemble_vb, grid, medium, receivers))
+
+
+@pytest.mark.parametrize("case", KERNEL_GEOMETRIES + ["fine-supp-q"], ids=GEOMETRY_IDS + ["fine-supp-q"])
+def test_potential_at_equals_per_pair_oracle(case, monkeypatch):
+    if case == "fine-supp-q":
+        grid, points, density = _fine_support_potential()
+    else:
+        _, grid, count = case
+        points = boundary_receivers(grid, count).points
+        x = grid.nodes()[:, 0]
+        density = np.exp(-4.0 * x * x) * (1.0 - 0.3j)
+    args = (grid, DESK_K, points, density)
+    assert np.array_equal(evaluate_potential_at(*args), _per_pair(monkeypatch, evaluate_potential_at, *args))
+
+
+def _kernel_points(monkeypatch, grid, count):
+    """Points at which a homogeneous assemble_vb evaluates Phi, and its M * N pairs."""
+    evaluated = []
+    phi = forward.fundamental_solution
+
+    def counting(k, r, dim):
+        evaluated.append(np.size(r))
+        return phi(k, r, dim)
+
+    monkeypatch.setattr(forward, "fundamental_solution", counting)
+    receivers = boundary_receivers(grid, count)
+    assemble_vb(grid, make_medium(grid, DESK_K), receivers)
+    return sum(evaluated), receivers.count * grid.num_nodes
+
+
+def test_kernel_table_evaluates_distinct_offsets_only(monkeypatch):
+    points, pairs = _kernel_points(monkeypatch, Grid(dim=2, n_per_axis=64, half_width=3.0), 256)
+    assert points < pairs / 10
+
+
+def test_kernel_without_shared_offsets_evaluates_every_pair(monkeypatch):
+    # 37 receivers off the node lattice: the product of the distinct offsets outnumbers the pairs
+    points, pairs = _kernel_points(monkeypatch, Grid(dim=2, n_per_axis=48, half_width=1.3), 37)
+    assert points == pairs
+
+
+def test_kernel_table_rejects_a_point_on_a_node():
+    # 33 x 64 pairs share a few offsets per axis, so the blocks come from the table
+    g = Grid(dim=2, n_per_axis=8)
+    points = np.concatenate([boundary_receivers(g).points, g.nodes()[5:6]])
+    with pytest.raises(ValueError, match="singular"):
+        list(forward._kernel_blocks(DESK_K, 2, points, g.nodes(), g.cell_volume()))
+
+
+def test_assemble_peak_memory_below_two_operators():
+    # phi is scaled in place before realify_matrix: the peak is vb, phi and one kernel block
+    g = Grid(dim=2, n_per_axis=64, half_width=3.0)
+    medium, receivers = make_medium(g, DESK_K), boundary_receivers(g, 256)
+    tracemalloc.start()
+    try:
+        vb = assemble_vb(g, medium, receivers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * vb.nbytes
 
 
 def test_vb_cache_roundtrip(tmp_path):
