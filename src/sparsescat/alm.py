@@ -12,9 +12,9 @@ is symmetric with eigenvalues >= 1; V_A holds the columns of vb on the
 active set A of the prox.  The source is recovered in closed form from
 the converged dual variable.
 
-Each Newton step costs three products with vb: vb^T y at the loop head,
-vb prox(...) in the residual (a sum over the active columns once A is
-small), and vb^T d for the direction.
+Each Newton step costs three products with vb: vb prox(...) in the
+residual (a sum over the active columns once A is small), vb^T d for the
+direction, and vb^T y after the step, the only place y changes.
 `solve_alm` passes them down and no helper forms one itself: the
 Lagrangian along y + t*d is a function of y and vb^T y = vt_y + t*vt_d
 only, the line search returns its value at the accepted point for the
@@ -288,6 +288,7 @@ def solve_alm(vb, u_b, reg, options=None):
     gap = np.inf
     z = np.zeros(n2)
     mu = np.zeros(n2)
+    vt_y = np.zeros(n2)  # vb^T y at y = 0
     carry = CarriedGram()
 
     for k in range(options.max_outer):
@@ -295,7 +296,6 @@ def solve_alm(vb, u_b, reg, options=None):
         delta_k = DELTA_PRIME0 / (k + 1)
         inner_stop = "max_inner"
         for l in range(MAX_INNER + 1):
-            vt_y = rmatvec(vb, y)
             resid = residual_F(y, lam, sigma, vb, u_b, reg, vt_y)
             norm_f = np.linalg.norm(resid)
             z = recover_z(vt_y, lam, sigma, reg)
@@ -317,6 +317,7 @@ def solve_alm(vb, u_b, reg, options=None):
             if not accepted:
                 warnings.warn("line search exhausted; taking smallest trial step", RuntimeWarning)
             y = y + step * d
+            vt_y = rmatvec(vb, y)
             inner_total += 1
             records.append({
                 "solver": "alm", "kind": "inner", "outer": k, "inner": l,

@@ -21,6 +21,7 @@ the kernel blocks are gathered from that table (`_kernel_blocks`).
 """
 
 import hashlib
+import os
 import struct
 import zlib
 from functools import lru_cache
@@ -33,8 +34,8 @@ from .export import write_file
 from .realfield import derealify, realify, realify_matrix
 
 _CACHE_MAGIC = b"VBOP"
-_CACHE_VERSION = 3  # 3: the payload is vb.T in C order
-_CACHE_HEADER = "<4sIIIIdQI"  # magic, version, dim, n, receivers, k, config hash, payload crc32
+_CACHE_VERSION = 4  # 4: the header is magic, key, crc; the payload is vb.T in C order (since 3)
+_CACHE_HEADER = "<4s32sI"  # magic, `_cache_key`, payload crc32: 40 bytes, so the payload stays 8-aligned
 _BLOCK = 1 << 19  # kernel points per block of rows: bounds the temporaries to tens of MB
 _FFT_BLOCK = 16  # rows per batched FFT: bounds the padded workspace to 16 * (2n)^d entries
 
@@ -283,7 +284,8 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     and a 560 MB peak against 4.4-4.8 s and 145 MB.  No inhomogeneous 3D
     case has been measured.  Each receiver's relative residual
     psi_S - q_S (phi + V psi)_S, with V applied by FFT, is checked
-    against `tol` (LsSolveError otherwise).
+    against `tol` (LsSolveError otherwise).  No kernel block, psi or FFT
+    potential is alive beside phi when `realify_matrix` allocates vb.
     """
     k = medium.wavenumber
     nodes = grid.nodes()
@@ -291,9 +293,15 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     phi = np.empty((nodes.shape[0], points.shape[0]), dtype=complex).T  # column-major, like vb
     for cols, block in _kernel_blocks(k, grid.dim, nodes, points, grid.cell_volume()):
         phi[:, cols] = block.T
-    if medium.is_homogeneous:
-        phi /= k**2  # in place: no second M x N temporary beside vb
-        return realify_matrix(phi)
+    del block  # one block of rows, 8 MB at the desk
+    if not medium.is_homogeneous:
+        _add_scattered_rows(grid, medium, phi, tol)
+    phi /= k**2  # in place: no second M x N temporary beside vb
+    return realify_matrix(phi)
+
+
+def _add_scattered_rows(grid, medium, phi, tol):
+    """Add V psi_i to each kernel row phi_i in place (see `assemble_vb`): psi dies on return."""
     support = np.flatnonzero(medium.contrast)
     q_s = medium.contrast[support]
     system = -q_s[:, None] * _support_matrix(grid, medium, support)
@@ -301,62 +309,45 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     rhs = q_s[:, None] * phi[:, support].T
     psi = np.zeros(phi.shape, dtype=complex)  # row-major: the FFT potential transforms it by rows
     psi[:, support] = lu_solve(lu_factor(system, overwrite_a=True, check_finite=False), rhs).T
-    total = np.add(phi, volume_potential_fft(grid, medium, psi), out=phi)  # in place: column-major, as vb
-    residual = np.linalg.norm(psi[:, support] - q_s * total[:, support], axis=1)
+    np.add(phi, volume_potential_fft(grid, medium, psi), out=phi)  # in place: column-major, as vb
+    residual = np.linalg.norm(psi[:, support] - q_s * phi[:, support], axis=1)
     worst = np.max(residual / np.linalg.norm(rhs, axis=0))
     if worst > tol:
         raise LsSolveError(worst, tol)
-    total /= k**2
-    return realify_matrix(total)
 
 
-def _config_hash(grid, medium, receivers):
-    h = hashlib.sha256()
+def _cache_key(grid, medium, receivers):
+    """sha256 of the cache version and of every input `assemble_vb` reads: dim, n, half-width,
+    k, the contrast and the receiver points (dim and n both: 64^2 and 16^3 have one N)."""
+    h = hashlib.sha256(struct.pack("<IIIdd", _CACHE_VERSION, grid.dim, grid.n_per_axis, grid.half_width,
+                                   medium.wavenumber))
     h.update(medium.contrast.tobytes())
-    h.update(struct.pack("<d", grid.half_width))
     h.update(receivers.points.tobytes())
-    return struct.unpack("<Q", h.digest()[:8])[0]
+    return h.digest()
 
 
 def save_vb_cache(path, vb, grid, medium, receivers):
-    """Persist an operator: magic, version, dims, k, contrast hash, payload crc32, f64 payload (vb's own bytes)."""
+    """Persist an operator: magic, `_cache_key`, payload crc32, then the f64 payload (vb's own bytes)."""
     payload = memoryview(np.asarray(vb, dtype="<f8", order="F").T).cast("B")
-    header = struct.pack(
-        _CACHE_HEADER,
-        _CACHE_MAGIC,
-        _CACHE_VERSION,
-        grid.dim,
-        grid.n_per_axis,
-        receivers.count,
-        medium.wavenumber,
-        _config_hash(grid, medium, receivers),
-        zlib.crc32(payload),
-    )
+    header = struct.pack(_CACHE_HEADER, _CACHE_MAGIC, _cache_key(grid, medium, receivers), zlib.crc32(payload))
     write_file(path, header, payload)
 
 
 def load_vb_cache(path, grid, medium, receivers):
-    """A cached operator, a column-major view of the file's bytes; None when missing, stale, truncated or corrupt."""
+    """A cached operator, a column-major view of the file's payload; None when missing, stale, truncated
+    or corrupt.  The size, magic and key are checked before the payload is read."""
+    rows, cols = 2 * receivers.count, 2 * grid.num_nodes
     header_size = struct.calcsize(_CACHE_HEADER)
     try:
-        raw = np.fromfile(path, dtype=np.uint8)
+        with open(path, "rb", buffering=0) as f:  # unbuffered: a stale cache costs 40 bytes of reading
+            if os.fstat(f.fileno()).st_size != header_size + 8 * rows * cols:
+                return None
+            magic, key, crc = struct.unpack(_CACHE_HEADER, f.read(header_size))
+            if magic != _CACHE_MAGIC or key != _cache_key(grid, medium, receivers):
+                return None
+            payload = np.fromfile(f, dtype="<f8")
     except FileNotFoundError:
         return None
-    if raw.size < header_size:
+    if zlib.crc32(payload) != crc:
         return None
-    magic, version, dim, n, m, k, qhash, crc = struct.unpack(_CACHE_HEADER, raw[:header_size])
-    if (
-        magic != _CACHE_MAGIC
-        or version != _CACHE_VERSION
-        or dim != grid.dim
-        or n != grid.n_per_axis
-        or m != receivers.count
-        or k != medium.wavenumber
-        or qhash != _config_hash(grid, medium, receivers)
-    ):
-        return None
-    rows, cols = 2 * m, 2 * grid.num_nodes
-    payload = raw[header_size:]
-    if payload.size != 8 * rows * cols or zlib.crc32(payload) != crc:
-        return None
-    return payload.view("<f8").reshape(cols, rows).T
+    return payload.reshape(cols, rows).T

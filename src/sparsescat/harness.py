@@ -21,7 +21,7 @@ import scipy
 from .alm import AlmOptions, solve_alm
 from .export import write_field, write_json, write_jsonl, write_suite_csv
 from .forward import assemble_vb, load_vb_cache, save_vb_cache, source_to_measurement
-from .grid import Grid, boundary_receivers, default_receiver_count
+from .grid import Grid, boundary_receivers
 from .phantoms import PhantomSpec, make_medium, make_phantom
 from .pda import PdaOptions, solve_pda
 from .prox import RegParams, SolveResult
@@ -43,7 +43,8 @@ class ExperimentError(RuntimeError):
 class ExperimentConfig:
     """One experiment.  `phantom` may be given as a dict of `PhantomSpec` fields and
     `solver_options` as a dict of the solver's options fields; each is built into its
-    object, and checked, when the config is."""
+    object, and checked, when the config is; so are the fine grid, `RegParams` and `coarse_problem`,
+    which check the other values (what one solver needs, as SSN alpha0 > 0, is left to its solve)."""
 
     solver: str
     alpha: float
@@ -54,7 +55,7 @@ class ExperimentConfig:
     fine_n: int = 96
     coarse_n: int = 64
     half_width: float = 1.0
-    receivers: int = None  # None: 4*n (2D) / 6*n^2 capped at 600 (3D) on the coarse grid
+    receivers: int = None  # None: the default count of `boundary_receivers` on the coarse grid
     inhomogeneous: bool = False
     noise_level: float = 0.01
     seed: int = 0
@@ -70,6 +71,9 @@ class ExperimentConfig:
             raise ValueError("noise level must be nonnegative")
         self.phantom = _build(PhantomSpec, self.phantom, "phantom keys")
         self.solver_options = _build(SOLVER_OPTIONS[self.solver], self.solver_options, f"{self.solver} options")
+        Grid(dim=self.dim, n_per_axis=self.fine_n, half_width=self.half_width)
+        RegParams(alpha=self.alpha, alpha0=self.alpha0)
+        coarse_problem(self)
 
     @classmethod
     def from_dict(cls, data):
@@ -218,7 +222,7 @@ def _blas_libraries():
 def coarse_problem(config):
     """The coarse grid, its medium and the receivers of `config`: the inputs of `assemble_vb`."""
     coarse = Grid(dim=config.dim, n_per_axis=config.coarse_n, half_width=config.half_width)
-    receivers = boundary_receivers(coarse, config.receivers or default_receiver_count(coarse))
+    receivers = boundary_receivers(coarse, config.receivers)
     return coarse, make_medium(coarse, config.wavenumber, config.inhomogeneous), receivers
 
 

@@ -283,6 +283,22 @@ def test_solve_matches_long_run_pda():
     assert abs(p_alm - p_pda) <= 1e-6 * abs(p_alm)
 
 
+def test_solve_multiplies_by_vb_transpose_twice_per_newton_step(monkeypatch):
+    # vb^T d for the line search and vb^T y after the step; a loop head reuses the last vb^T y
+    vb, u_b, reg = random_instance(22, m=4, n=12, alpha=0.05, alpha0=0.005)
+    calls = []
+    product = alm.rmatvec
+
+    def counted(a, x):
+        calls.append(a.shape == vb.shape)  # the SMW branch multiplies column blocks, never the whole of vb
+        return product(a, x)
+
+    monkeypatch.setattr(alm, "rmatvec", counted)
+    result = solve_alm(vb, u_b, reg, options=tight_options())
+    assert result.iterations > 0
+    assert sum(calls) == 2 * result.iterations
+
+
 def test_solve_duality_and_multiplier_identities():
     vb, u_b, reg = random_instance(22, m=4, n=12, alpha=0.05, alpha0=0.005)
     result = solve_alm(vb, u_b, reg, options=tight_options())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -106,6 +107,19 @@ def test_cli_assemble_keeps_a_valid_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "assemble_vb", fail)
     assert main(["reconstruct", "--config", path]) == 0
     assert (cache.stat().st_ino, cache.read_bytes()) == first
+
+
+def test_cli_reconstruct_reuses_the_cache_of_the_default_receiver_count(tmp_path, capsys, monkeypatch):
+    # a config without "receivers": assemble and reconstruct both take the grid's default count
+    cfg = base_config(tmp_path, fine_n=24, coarse_n=16, half_width=3.0)
+    del cfg["receivers"], cfg["output_dir"]
+    path = write_config(tmp_path, cfg)
+    monkeypatch.chdir(tmp_path)
+    assert main(["assemble", "--config", path]) == 0
+    cache = tmp_path / "vb.cache"
+    first = (cache.stat().st_ino, hashlib.sha256(cache.read_bytes()).digest())
+    assert main(["reconstruct", "--config", path, "--output", "."]) == 0
+    assert (cache.stat().st_ino, hashlib.sha256(cache.read_bytes()).digest()) == first
 
 
 def test_cli_suite(tmp_path, capsys):

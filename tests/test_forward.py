@@ -1,5 +1,7 @@
+import hashlib
 import struct
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from sparsescat.forward import (
     source_to_measurement,
     volume_potential_fft,
 )
-from sparsescat.grid import Grid, Medium, boundary_receivers
+from sparsescat.grid import Grid, Medium, ReceiverSet, boundary_receivers
 from sparsescat.harness import ExperimentConfig, ExperimentResult
 from sparsescat.phantoms import make_medium
 from sparsescat.prox import SolveResult, check_problem
@@ -482,16 +484,19 @@ def test_kernel_table_rejects_a_point_on_a_node():
 
 
 def test_assemble_peak_memory_below_two_operators():
-    # phi is scaled in place before realify_matrix: the peak is vb, phi and one kernel block
+    # phi is scaled in place and no kernel block, psi or FFT potential is alive when realify_matrix
+    # allocates vb; the bump peak is the reciprocity step's phi, psi and FFT potential
     g = Grid(dim=2, n_per_axis=64, half_width=3.0)
-    medium, receivers = make_medium(g, DESK_K), boundary_receivers(g, 256)
-    tracemalloc.start()
-    try:
-        vb = assemble_vb(g, medium, receivers)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * vb.nbytes
+    receivers = boundary_receivers(g, 256)
+    for inhomogeneous, bound in ((False, 2.0), (True, 2.2)):
+        medium = make_medium(g, DESK_K, inhomogeneous)
+        tracemalloc.start()
+        try:
+            vb = assemble_vb(g, medium, receivers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * vb.nbytes, f"inhomogeneous={inhomogeneous}: {peak / vb.nbytes:.2f} x vb.nbytes"
 
 
 def test_vb_cache_roundtrip(tmp_path):
@@ -518,19 +523,19 @@ def test_operator_is_column_major_from_assembly_to_the_solvers(tmp_path):
         assert check_problem(op, np.zeros(op.shape[0]))[0] is op
 
 
-def test_vb_cache_of_another_version_is_a_miss(tmp_path):
-    # a version-2 payload held vb in C order: it has the size and the CRC of a version-3 one and would
-    # load as the transposed operator, so the version field alone must turn it away
+def test_vb_cache_of_another_version_is_a_miss(tmp_path, monkeypatch):
+    # a version-2 payload held vb in C order: it has the size and the CRC of a later one and would
+    # load as the transposed operator, so the version must turn it away
     g = Grid(dim=2, n_per_axis=10)
     med = make_medium(g, 4.0)
     recv = boundary_receivers(g, 6)
     path = tmp_path / "vb.cache"
-    save_vb_cache(path, assemble_vb(g, med, recv), g, med, recv)
-    raw = bytearray(path.read_bytes())
-    assert struct.unpack_from("<I", raw, 4) == (forward._CACHE_VERSION,)
+    vb = assemble_vb(g, med, recv)
+    save_vb_cache(path, vb, g, med, recv)
     assert load_vb_cache(path, g, med, recv) is not None
-    struct.pack_into("<I", raw, 4, 2)
-    path.write_bytes(raw)
+    monkeypatch.setattr(forward, "_CACHE_VERSION", 2)
+    save_vb_cache(path, vb, g, med, recv)
+    monkeypatch.undo()
     assert load_vb_cache(path, g, med, recv) is None
 
 
@@ -547,6 +552,68 @@ def test_vb_cache_rejects_stale(tmp_path):
     assert load_vb_cache(path, g, other_q, recv) is None
     assert load_vb_cache(path, g, med, boundary_receivers(g, 5)) is None
     assert load_vb_cache(tmp_path / "missing.cache", g, med, recv) is None
+
+
+def _format3_cache(path, vb, grid, medium, receivers):
+    """The cache as format 3 wrote it: a header of seven fields with a 64-bit hash of the contrast,
+    half-width and receiver points, then the same payload."""
+    h = hashlib.sha256()
+    h.update(medium.contrast.tobytes())
+    h.update(struct.pack("<d", grid.half_width))
+    h.update(receivers.points.tobytes())
+    payload = np.asarray(vb, order="F").T.tobytes()
+    header = struct.pack("<4sIIIIdQI", b"VBOP", 3, grid.dim, grid.n_per_axis, receivers.count, medium.wavenumber,
+                         struct.unpack("<Q", h.digest()[:8])[0], zlib.crc32(payload))
+    path.write_bytes(header + payload)
+
+
+def test_vb_cache_format_on_the_desk_bump_operator(tmp_path):
+    # magic, key and crc32 in 40 bytes, then the payload of format 3 byte for byte; a format-3 file is a miss
+    g = Grid(dim=2, n_per_axis=64, half_width=3.0)
+    med, recv = make_medium(g, DESK_K, True), boundary_receivers(g, 256)
+    vb = assemble_vb(g, med, recv)
+    save_vb_cache(tmp_path / "vb.cache", vb, g, med, recv)
+    _format3_cache(tmp_path / "old.cache", vb, g, med, recv)
+    raw, old = (tmp_path / "vb.cache").read_bytes(), (tmp_path / "old.cache").read_bytes()
+    assert len(raw) == len(old) == 40 + vb.nbytes
+    assert raw[:4] == b"VBOP" and raw[4:36] == forward._cache_key(g, med, recv)
+    assert struct.unpack("<I", raw[36:40])[0] == zlib.crc32(raw[40:])
+    assert raw[40:] == old[40:]
+    assert np.array_equal(load_vb_cache(tmp_path / "vb.cache", g, med, recv), vb)
+    assert load_vb_cache(tmp_path / "old.cache", g, med, recv) is None
+
+
+def _moved_receiver(recv):
+    points = recv.points.copy()
+    points[0, 0] += 1e-3  # along the bottom edge: still on the boundary
+    return ReceiverSet(points=points, half_width=recv.half_width)
+
+
+CACHE_INPUT_CHANGES = {
+    "version": lambda g, med, recv: (g, med, recv),
+    # 2D at n = 8 and 3D at n = 4 both have 64 nodes, so the file has the size either would expect
+    "dim": lambda g, med, recv: (Grid(dim=3, n_per_axis=4), med, recv),
+    "n": lambda g, med, recv: (Grid(dim=2, n_per_axis=9), Medium(4.0, np.zeros(81)), recv),
+    "half_width": lambda g, med, recv: (Grid(dim=2, n_per_axis=8, half_width=1.5), med, recv),
+    "k": lambda g, med, recv: (g, Medium(4.5, med.contrast), recv),
+    "contrast": lambda g, med, recv: (g, Medium(4.0, np.where(np.arange(64) == 27, 1e-12, 0.0)), recv),
+    "receiver point": lambda g, med, recv: (g, med, _moved_receiver(recv)),
+}
+
+
+@pytest.mark.parametrize("change", CACHE_INPUT_CHANGES)
+def test_vb_cache_of_other_inputs_is_a_miss(tmp_path, monkeypatch, change):
+    g = Grid(dim=2, n_per_axis=8)
+    med, recv = make_medium(g, 4.0), boundary_receivers(g, 6)
+    path = tmp_path / "vb.cache"
+    save_vb_cache(path, np.ones((12, 128)), g, med, recv)
+    assert load_vb_cache(path, g, med, recv) is not None
+    key = forward._cache_key(g, med, recv)
+    if change == "version":
+        monkeypatch.setattr(forward, "_CACHE_VERSION", forward._CACHE_VERSION + 1)
+    other = CACHE_INPUT_CHANGES[change](g, med, recv)
+    assert forward._cache_key(*other) != key
+    assert load_vb_cache(path, *other) is None
 
 
 def _write_vb_cache(path, version):

@@ -175,6 +175,16 @@ def test_config_is_checked_when_built():
     assert config.solver_options == SOLVER_OPTIONS["alm"](max_outer=18)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"receivers": 0}, {"receivers": -1}, {"alpha": -1.0}, {"alpha0": -1.0}, {"dim": 4}, {"coarse_n": 3},
+    {"half_width": 0.0}, {"wavenumber": 0.0},
+], ids=lambda o: "{}={}".format(*next(iter(o.items()))))
+def test_config_values_are_checked_when_built(overrides):
+    # the grids, the weights, the wavenumber and the receiver count fail before any phase runs
+    with pytest.raises(ValueError):
+        small_config(**overrides)
+
+
 @pytest.mark.parametrize("solver, options", [
     ("alm", {"beta": 0.5, "max_outer": 7, "lam_tol": 1e-6, "gap_tol": 1e-9}),
     ("ssn", {"gammas": [1.0, 1e3, 1e6]}),
