@@ -32,36 +32,17 @@ V_add V_add^T and subtracts V_rem V_rem^T for the columns that entered
 rebuilds G from V_A when |add| + |rem| >= |A|, that is, when the update
 would gather at least as many columns as the rebuild.
 
-Every product with vb or its column blocks (from `prox.columns`) goes
-through `scipy.linalg.blas`, the library of `prox.cholesky_solve`:
-`prox.matvec` and `prox.rmatvec` (dgemv) for the products with vectors,
-dgemm for the Gram matrices.  numpy and scipy each load their own
-OpenBLAS with its own thread pool; a Newton loop that made its products
-in numpy and its Cholesky in scipy had the idle-spinning workers of one
-pool take the cores from the other, which made the desk solve 3-5x
-slower at 2 threads on 2 cores.  Only vector dots stay in numpy.
+Every product with vb, its column blocks and their Gram matrices goes
+through `realfield`, so through scipy's BLAS like the Cholesky (see there).
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
-from .prox import (
-    SolveResult,
-    check_problem,
-    cholesky_solve,
-    columns,
-    dual_objective,
-    h_star,
-    matvec,
-    p_star,
-    primal_objective,
-    prox_p,
-    rmatvec,
-    soft_threshold,
-)
+from .prox import SolveResult, cholesky_solve, dual_objective, h_star, p_star, primal_objective, prox_p, soft_threshold
+from .realfield import check_problem, columns, gram, matvec, rmatvec
 
 
 # Loop constants: the first penalty, its growth factor and its cap, the Armijo
@@ -126,13 +107,6 @@ def _active_set(lam, sigma, vt_y, reg):
     return np.abs(lam + sigma * vt_y) > sigma * reg.alpha
 
 
-def _gram(v, gram=None, sign=1.0):
-    """V V^T of a column block V by dgemm, in full and column-major, or gram + sign * V V^T in place in `gram`."""
-    if gram is None:
-        return dgemm(1.0, v, v, trans_b=1)
-    return dgemm(sign, v, v, beta=1.0, c=gram, trans_b=1, overwrite_c=1)
-
-
 @dataclass
 class CarriedGram:
     """The unscaled Gram V_A V_A^T and the mask A of the last `newton_matrix` call that carried it.
@@ -159,13 +133,13 @@ class CarriedGram:
             rem = self.mask & ~active
             n_change = int(np.count_nonzero(add) + np.count_nonzero(rem))
         if self.mask is None or n_change >= n_active:
-            self.gram = _gram(columns(vb, active))
+            self.gram = gram(columns(vb, active))
             self.gathered += n_active
         else:
             if add.any():
-                self.gram = _gram(columns(vb, add), self.gram)
+                self.gram = gram(columns(vb, add), c=self.gram)
             if rem.any():
-                self.gram = _gram(columns(vb, rem), self.gram, -1.0)
+                self.gram = gram(columns(vb, rem), c=self.gram, sign=-1.0)
             self.gathered += n_change
         self.mask = active
 
@@ -209,7 +183,7 @@ def newton_step(y, lam, sigma, vb, reg, *, residual, vt_y, carry=None):
     if n_active == 0:
         return -residual
     va = columns(vb, active)
-    small = dgemm(1.0, va, va, trans_a=1)  # V_A^T V_A
+    small = gram(va, trans=True)  # V_A^T V_A
     small[np.diag_indices_from(small)] += (1.0 + sigma * reg.alpha0) / sigma
     return matvec(va, cholesky_solve(small, rmatvec(va, residual))) - residual
 

@@ -163,13 +163,23 @@ def _gmres_solve(matvec, rhs, tol):
     return sol
 
 
+def _check_medium(grid, medium):
+    """Raise ValueError naming medium unless its contrast is shaped (grid.num_nodes,) and its grid is None or `grid`."""
+    if medium.contrast.shape != (grid.num_nodes,):
+        raise ValueError(f"medium contrast must have shape ({grid.num_nodes},) to match the grid, "
+                         f"got {medium.contrast.shape}")
+    if medium.grid not in (None, grid):
+        raise ValueError(f"medium is defined on {medium.grid}, not on {grid}")
+
+
 def ls_solve(grid, medium, rhs, tol=1e-10):
     """Solve the scattering system (I - V_k q) w = rhs on the grid nodes.
 
     Uses the FFT potential inside a restarted GMRES iteration and verifies
     the residual postcondition on every solve.  For a homogeneous medium
-    the system is the identity.
+    the system is the identity.  `medium` is checked by `_check_medium`.
     """
+    _check_medium(grid, medium)
     rhs = np.asarray(rhs, dtype=complex)
     if medium.is_homogeneous:
         return rhs.copy()
@@ -250,8 +260,9 @@ def source_to_measurement(grid, medium, receivers, mu, tol=1e-10):
     Computes u = (I - V_k q)^{-1} V_k mu / k^2 on the grid, then evaluates
     the potential of mu/k^2 + q*u at the receiver points.  Raises
     ValueError naming mu when it does not have shape (2 * grid.num_nodes,)
-    or holds NaN or inf.
+    or holds NaN or inf, and checks `medium` by `_check_medium`.
     """
+    _check_medium(grid, medium)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (2 * grid.num_nodes,):
         raise ValueError(f"mu must have shape ({2 * grid.num_nodes},) to match the grid, got {mu.shape}")
@@ -286,7 +297,9 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     psi_S - q_S (phi + V psi)_S, with V applied by FFT, is checked
     against `tol` (LsSolveError otherwise).  No kernel block, psi or FFT
     potential is alive beside phi when `realify_matrix` allocates vb.
+    `medium` is checked by `_check_medium`.
     """
+    _check_medium(grid, medium)
     k = medium.wavenumber
     nodes = grid.nodes()
     points = receivers.points

@@ -6,9 +6,9 @@ are closed-form: the dual step is an affine shrink toward the data, the
 primal step is the combined L1+L2 prox.
 
 Each step reads only the columns of vb that can matter, and every
-product goes through `scipy.linalg.blas` (see `prox`):
+product goes through `realfield` (see there for the BLAS rule):
 
-- The dual step needs vb @ mu_bar, which `prox.matvec` sums over
+- The dual step needs vb @ mu_bar, which `realfield.matvec` sums over
   supp mu_bar once it is small; the iterate is sparse (at most 32 of
   8192 entries on the 64-receiver desk-geometry instance).
 - The primal step needs (vb^T p)_j only where the prox can be nonzero.
@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh
-from scipy.linalg.blas import dsyrk
 
-from .prox import SolveResult, check_problem, columns, dual_objective, matvec, primal_objective, prox_p, rmatvec
+from .prox import SolveResult, dual_objective, primal_objective, prox_p
+from .realfield import check_problem, column_norms, columns, gram, matvec, rmatvec
 
 CERTIFY_RTOL = 1e-5  # certified stop: distance bound <= CERTIFY_RTOL * ||mu||
 GAP_ULPS = 4  # rounding allowance of the computed gap, in ulps of |P| + |D|
@@ -91,10 +91,10 @@ class AdjointScreen:
     def __init__(self, vb, alpha):
         m2 = vb.shape[0]
         self.vb = vb
-        self.col_norms = np.sqrt(np.einsum("ij,ij->j", vb, vb))  # no temporary the size of vb
+        self.col_norms = column_norms(vb)
         self.slack = SCREEN_EPS_PER_TERM * (m2 + 4) * np.finfo(float).eps
         self.threshold = alpha * (1.0 - self.slack)  # so that a rounded "<=" still means "<= alpha"
-        self.limit = m2 if vb.size >= SCREEN_MIN_ENTRIES else 0
+        self.limit = m2 if m2 * vb.shape[1] >= SCREEN_MIN_ENTRIES else 0
         self.dense = 0
         self.p_ref, self.abs_ref, self.ref_norm = np.zeros(m2), np.zeros(vb.shape[1]), 0.0
 
@@ -125,8 +125,7 @@ def default_steps(vb, sigma=0.5):
     ||vb||^2 is the largest eigenvalue of the smaller Gram matrix, so
     sigma*tau*||vb||^2 <= 1, the standard convergence condition.
     """
-    gram = dsyrk(1.0, vb, trans=int(vb.shape[0] > vb.shape[1]))  # the upper triangle, all eigvalsh reads
-    norm_sq = float(eigvalsh(gram, lower=False, check_finite=False)[-1])
+    norm_sq = float(eigvalsh(gram(vb, trans=vb.shape[0] > vb.shape[1]), lower=False, check_finite=False)[-1])
     tau = 1.0 / ((norm_sq + 1e-6) * sigma)
     return sigma, tau
 

@@ -2,32 +2,18 @@
 
 The regularizer is p(mu) = alpha0/2 ||mu||^2 + alpha ||mu||_1, applied
 componentwise to realified vectors (anisotropic thresholding).  The data
-term conjugate is h*(y) = 1/2 ||y||^2 + <y, u_b>.  `check_problem` is
-the entry check that every solver applies to (vb, u_b), `SolveResult`
-is what every solver returns, and `cholesky_solve` is the factor-and-solve
-of both Newton solvers.
-
-The realified operator vb is column-major (Fortran order) from the moment
-`realify_matrix`, `assemble_vb` or `load_vb_cache` returns it, and
-`check_problem` copies any other layout once.  So the columns that the
-solvers read (ALM's active set, PDA's candidates, `matvec`'s support sum)
-are contiguous, `columns` gathers them into a column-major block, and vb
-and such blocks go to BLAS without a copy.
-
-`matvec` and `rmatvec`, the products of every solver with vb, go
-through `scipy.linalg.blas` like `cholesky_solve`, not through numpy.
-numpy and scipy each load their own OpenBLAS with its own thread pool,
-and when a loop alternates between the two, the idle-spinning workers of
-one pool take the cores from the other (2 threads each on 2 cores: a
-512 x 512 Cholesky right after a numpy product took up to 350 ms instead
-of 2-3 ms).  One library per solver loop leaves one pool.
+term conjugate is h*(y) = 1/2 ||y||^2 + <y, u_b>.  `SolveResult` is
+what every solver returns, and `cholesky_solve` is the factor-and-solve
+of both Newton solvers, in scipy's BLAS like every product with vb (see
+`realfield`).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dgemv
+
+from .realfield import matvec
 
 
 @dataclass
@@ -109,38 +95,6 @@ def p_star(z, reg):
     return np.inf
 
 
-# Summing the columns of vb on supp x beats the dense vb @ x up to about 2N/6 columns: on a column-major
-# 512 x 8192 vb (2 cores, OpenBLAS) the sum takes 40 us over 128 columns (2N/64) and 0.6 ms over 1024 (2N/8),
-# against 0.75 ms dense, and 1.1 ms over 2048 (2N/4).
-SUPPORT_SUM_DIVISOR = 8  # sum over supp x when it holds at most 2N/8 entries
-
-
-def columns(vb, select):
-    """The columns of vb that `select` (a mask or indices) picks, gathered as rows of vb.T: a column-major block."""
-    if select.dtype == bool:
-        return np.compress(select, vb.T, axis=0).T
-    return vb.T[select].T
-
-
-def matvec(vb, x):
-    """vb @ x by scipy's dgemv (see the module docstring).
-
-    The product sums the columns of vb on supp x when the support holds
-    at most 2N/SUPPORT_SUM_DIVISOR entries, and is dense otherwise.
-    """
-    s = np.flatnonzero(x != 0)
-    if s.size > x.size // SUPPORT_SUM_DIVISOR:
-        return dgemv(1.0, vb, x)
-    if s.size == 0:
-        return np.zeros(vb.shape[0])
-    return dgemv(1.0, columns(vb, s), x[s])
-
-
-def rmatvec(vb, y):
-    """vb^T @ y by scipy's dgemv (see the module docstring)."""
-    return dgemv(1.0, vb, y, trans=1)
-
-
 def primal_objective(mu, vb, u_b, reg):
     """P(mu) = 1/2||vb@mu - u_b||^2 + alpha0/2 ||mu||^2 + alpha ||mu||_1, with vb@mu from `matvec`."""
     mu = np.asarray(mu, dtype=float)
@@ -157,32 +111,11 @@ def dual_objective(y, vt_y, u_b, reg):
     return p_star(-vt_y, reg) + h_star(y, u_b)
 
 
-def check_problem(vb, u_b):
-    """Solver-entry check of the realified operator and data; returns vb column-major and u_b contiguous, as floats.
-
-    A column-major float vb is returned as it is, any other is copied once
-    here (see the module docstring).  Raises ValueError naming the
-    argument when vb is not a 2-D array with even dimensions, when u_b
-    does not have shape (vb.shape[0],), or when either holds NaN or inf.
-    """
-    vb = np.asarray(vb, dtype=float, order="F")
-    u_b = np.ascontiguousarray(u_b, dtype=float)
-    if vb.ndim != 2 or vb.shape[0] % 2 or vb.shape[1] % 2:
-        raise ValueError(f"vb must be a 2-D array with even dimensions, got shape {vb.shape}")
-    if u_b.shape != (vb.shape[0],):
-        raise ValueError(f"u_b must have shape ({vb.shape[0]},) to match vb, got {u_b.shape}")
-    if not np.isfinite(vb).all():
-        raise ValueError("vb contains NaN or inf")
-    if not np.isfinite(u_b).all():
-        raise ValueError("u_b contains NaN or inf")
-    return vb, u_b
-
-
 def cholesky_solve(matrix, rhs):
     """Solve matrix @ x = rhs for symmetric positive definite `matrix`, given by its lower triangle.
 
     The strict upper triangle is never read, and the matrix is not scanned
-    for NaN or inf: the solvers' operands are checked by `check_problem`.
+    for NaN or inf: the solvers' operands are checked by `realfield.check_problem`.
     RuntimeError is raised when the factorization fails, and when the
     solution is not finite, since OpenBLAS's potrf carries a NaN entry
     into the factor without reporting it.

@@ -19,10 +19,10 @@ induce the Newton system
 iterated until the active sets repeat.  The dense 2N x 2N matrix B is
 formed once per instance, an O(M N^2) product and 8(2N)^2 bytes in the
 source dimension; that cost is exactly what the measurement-space ALM
-avoids.  B is formed by one dsyrk, which writes its lower triangle, and
-only that triangle is ever read: every product with B is one dsymv, and
-B itself is never factored; each Newton solve gathers its active block
-B_AA and factors that block's lower triangle.  The path starts at the ridge
+avoids.  `realfield.normal` writes B's lower triangle, and only that
+triangle is ever read: every product with B is one dsymv, and B itself
+is never factored; each Newton solve gathers its active block B_AA and
+factors that block's lower triangle.  The path starts at the ridge
 solution mu0 = B^{-1} c, where w = 0, solved once in the measurement
 space by the push-through identity
 
@@ -35,11 +35,10 @@ and the penalized objective read.  The penalty gradient is formed only
 for the slope of a damped step; the record's residual is
 ||B^{-1} grad E||, which needs no product.
 
-Every product, the set-up's included, goes through `scipy.linalg.blas`,
-the library of the Cholesky factors: dsyrk forms B and G, `prox.rmatvec`
-(dgemv) gives vb^T u_b and the start, and dsymv the products with B.
-numpy loads a second OpenBLAS with its own thread pool, which would
-contend with scipy's for the cores (see `prox`).
+Every product goes through scipy's BLAS, the library of the Cholesky
+factors (see `realfield`): `realfield.normal` forms B, `realfield.gram`
+G, `realfield.rmatvec` gives vb^T u_b and the start, and dsymv the
+products with B.
 """
 
 import warnings
@@ -47,9 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsymv, dsyrk
+from scipy.linalg.blas import dsymv
 
-from .prox import SolveResult, check_problem, cholesky_solve, rmatvec
+from .prox import SolveResult, cholesky_solve
+from .realfield import check_problem, gram, normal, rmatvec
 
 
 MAX_INNER = 50  # Newton solves per gamma stage before the stage keeps its iterate
@@ -101,13 +101,9 @@ class BOperator:
 def build_b_operator(vb, reg):
     if reg.alpha0 <= 0:
         raise ValueError("B is positive definite only for alpha0 > 0")
-    # dsyrk writes one triangle of vb^T vb (trans=1) with half a dgemm's
-    # flops; the transpose of its column-major upper result is C-ordered
-    # and lower.  G is the lower triangle of vb vb^T, which is all the
-    # lower Cholesky factor reads
-    b = dsyrk(1.0, vb, trans=1).T
+    b = normal(vb)
     b[np.diag_indices_from(b)] += reg.alpha0
-    g = dsyrk(1.0, vb, lower=1)
+    g = gram(vb)
     g[np.diag_indices_from(g)] += reg.alpha0
     return BOperator(matrix=b, factor=cho_factor(g, lower=True))
 

@@ -17,7 +17,8 @@ from sparsescat.alm import (
 )
 from sparsescat.harness import run_experiment
 from sparsescat.pda import PdaOptions, solve_pda
-from sparsescat.prox import RegParams, check_problem, dual_objective, primal_objective, rmatvec
+from sparsescat.prox import RegParams, dual_objective, primal_objective
+from sparsescat.realfield import check_problem, rmatvec
 
 
 def three_regime_resolvent(x, sigma, reg):

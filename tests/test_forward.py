@@ -25,8 +25,8 @@ from sparsescat.forward import (
 from sparsescat.grid import Grid, Medium, ReceiverSet, boundary_receivers
 from sparsescat.harness import ExperimentConfig, ExperimentResult
 from sparsescat.phantoms import make_medium
-from sparsescat.prox import SolveResult, check_problem
-from sparsescat.realfield import realify, realify_matrix
+from sparsescat.prox import SolveResult
+from sparsescat.realfield import check_problem, realify, realify_matrix
 
 
 def small_bump_medium(grid, k, strength=1.0):
@@ -215,6 +215,37 @@ def test_source_to_measurement_rejects_bad_source(bad, match):
         mu[3] = np.nan
     with pytest.raises(ValueError, match=match):
         source_to_measurement(g, med, recv, mu)
+
+
+# media made for another grid than the 64^2 one: 16^3 has its N = 4096, 96^2 does not
+FOREIGN_MEDIA = {
+    "same-N": (lambda: make_medium(Grid(dim=3, n_per_axis=16), 4.0, True), "medium is defined on Grid"),
+    "other-N": (lambda: make_medium(Grid(dim=2, n_per_axis=96), 4.0, True), r"contrast must have shape \(4096,\)"),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_MEDIA)
+def test_assemble_vb_rejects_a_medium_of_another_grid(case):
+    g = Grid(dim=2, n_per_axis=64)
+    make, match = FOREIGN_MEDIA[case]
+    with pytest.raises(ValueError, match=match):
+        assemble_vb(g, make(), boundary_receivers(g, 16))
+
+
+@pytest.mark.parametrize("case", FOREIGN_MEDIA)
+def test_source_to_measurement_rejects_a_medium_of_another_grid(case):
+    g = Grid(dim=2, n_per_axis=64)
+    make, match = FOREIGN_MEDIA[case]
+    with pytest.raises(ValueError, match=match):
+        source_to_measurement(g, make(), boundary_receivers(g, 16), np.zeros(2 * g.num_nodes))
+
+
+@pytest.mark.parametrize("case", FOREIGN_MEDIA)
+def test_ls_solve_rejects_a_medium_of_another_grid(case):
+    g = Grid(dim=2, n_per_axis=64)
+    make, match = FOREIGN_MEDIA[case]
+    with pytest.raises(ValueError, match=match):
+        ls_solve(g, make(), np.ones(g.num_nodes))
 
 
 def test_source_to_measurement_homogeneous_formula(rng):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,22 @@ def test_sparsity_margin_and_realness(kind, dim, n):
     field = mu[: g.num_nodes].reshape(g.shape)
     idx = np.argwhere(field != 0)
     assert idx.min() >= 2 and idx.max() <= n - 3
+
+
+@pytest.mark.parametrize("dim, n, count, ticks", [
+    (2, 64, 9, (16, 32, 48)),  # more peaks than the 8 preset 2D positions
+    (3, 24, 8, (6, 18)),
+    (3, 24, 1, (12,)),
+])
+def test_peak_lattice_fallback(dim, n, count, ticks):
+    # without preset positions, peaks sit on a centered lattice with ticks from 0.25 to 0.75 of the box
+    g = Grid(dim=dim, n_per_axis=n)
+    spec = PhantomSpec(kind="peaks", count=count)
+    mu = make_phantom(spec, g)
+    cells = np.argwhere(mu[: g.num_nodes].reshape(g.shape) != 0)
+    assert np.array_equal(cells, list(itertools.product(ticks, repeat=dim)))
+    assert cells.min() >= 2 and cells.max() <= n - 3
+    assert make_phantom(spec, g).tobytes() == mu.tobytes()
 
 
 def test_determinism():

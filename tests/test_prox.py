@@ -6,20 +6,16 @@ from conftest import conjugate_resolvent, moreau_complement, random_instance
 
 from sparsescat.alm import solve_alm
 from sparsescat.prox import (
-    SUPPORT_SUM_DIVISOR,
     RegParams,
-    check_problem,
     cholesky_solve,
     dual_objective,
     h_star,
-    matvec,
     p_star,
     primal_objective,
     prox_p,
-    rmatvec,
     soft_threshold,
 )
-from sparsescat.realfield import realify_matrix
+from sparsescat.realfield import SUPPORT_SUM_DIVISOR, check_problem, matvec, realify_matrix, rmatvec
 from sparsescat.ssn import solve_ssn
 
 

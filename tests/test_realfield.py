@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import commutes_with_rotation, derealify_matrix
 
-from sparsescat.realfield import complex_dim, derealify, realify, realify_matrix
+from sparsescat.realfield import column_norms, complex_dim, derealify, gram, normal, realify, realify_matrix
 
 
 def test_realify_single_entry():
@@ -78,3 +78,21 @@ def test_transpose_is_realified_adjoint(rng):
 def test_complex_dim_odd_length_rejected():
     with pytest.raises(ValueError):
         complex_dim(np.zeros(5))
+
+
+def test_matrix_layout_of_the_input_does_not_matter(rng):
+    # a row-major input is copied column-major first; both layouts give the same column-major operator
+    a = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
+    row_major, col_major = realify_matrix(np.ascontiguousarray(a)), realify_matrix(np.asfortranarray(a))
+    assert np.array_equal(row_major, col_major)
+    assert row_major.flags.f_contiguous and col_major.flags.f_contiguous
+
+
+def test_gram_normal_and_column_norms_match_numpy(rng):
+    vb = realify_matrix(rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12)))
+    assert np.allclose(gram(vb), vb @ vb.T, rtol=1e-13, atol=1e-13)
+    assert np.allclose(gram(vb, trans=True), vb.T @ vb, rtol=1e-13, atol=1e-13)
+    b = normal(vb)
+    assert b.flags.c_contiguous and np.allclose(np.tril(b), np.tril(vb.T @ vb), rtol=1e-13, atol=1e-13)
+    assert np.allclose(column_norms(vb), np.linalg.norm(vb, axis=0), rtol=1e-14, atol=0)
+
