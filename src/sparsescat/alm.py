@@ -20,17 +20,16 @@ Lagrangian along y + t*d is a function of y and vb^T y = vt_y + t*vt_d
 only, the line search returns its value at the accepted point for the
 inner record, and the outer step reuses the last loop head's vb^T y.
 The linear solve is a Cholesky of I + c * G, with G = V_A V_A^T the
-2M x 2M Gram matrix, when |A| >= 2M, and otherwise of the |A| x |A|
-matrix V_A^T V_A + I/c through Sherman-Morrison-Woodbury (second-order
-sparsity, as in SSNAL: Li, Sun & Toh, SIAM J. Optim. 28 (2018) 433-458).
+2M x 2M Gram matrix built afresh from the active columns, when |A| >= 2M,
+and otherwise of the |A| x |A| matrix V_A^T V_A + I/c through
+Sherman-Morrison-Woodbury (second-order sparsity, as in SSNAL: Li, Sun &
+Toh, SIAM J. Optim. 28 (2018) 433-458).
 
-G does not depend on sigma, and consecutive active sets differ in few
-columns, so one `CarriedGram` holds G and its mask through a whole
-`solve_alm` call, across Newton and outer steps: each Gram step adds
-V_add V_add^T and subtracts V_rem V_rem^T for the columns that entered
-(add = A - A_prev) or left (rem = A_prev - A) the active set, and
-rebuilds G from V_A when |add| + |rem| >= |A|, that is, when the update
-would gather at least as many columns as the rebuild.
+The first penalty comes from the problem: sigma_0 = max(1, 0.01/alpha0),
+1 when alpha0 = 0 and at most SIGMA_MAX.  ALM is the proximal point
+method on the dual, whose rate improves as sigma grows (Rockafellar,
+Math. Oper. Res. 1 (1976) 97-116), and a large sigma keeps the active
+set small, so the steps take the Sherman-Morrison-Woodbury path.
 
 Every product with vb, its column blocks and their Gram matrices goes
 through `realfield`, so through scipy's BLAS like the Cholesky (see there).
@@ -45,11 +44,10 @@ from .prox import SolveResult, cholesky_solve, dual_objective, h_star, p_star, p
 from .realfield import check_problem, columns, gram, matvec, rmatvec
 
 
-# Loop constants: the first penalty, its growth factor and its cap, the Armijo
+# Loop constants: the penalty's growth factor and its cap, the Armijo
 # constant, the inner tolerance schedule eps_k = EPS0/(k+1)^2 (summable)
 # with the relative criterion delta'_k = DELTA_PRIME0/(k+1), and the caps
 # on Newton steps per outer iteration and on backtracks per line search.
-SIGMA0 = 1.0
 SIGMA_GROWTH = 6.0
 SIGMA_MAX = 1e8
 ARMIJO_C = 1e-4
@@ -63,8 +61,9 @@ MAX_BACKTRACKS = 30
 class AlmOptions:
     """Armijo backtracking factor, outer-step cap and the two stopping tolerances.
 
-    The penalty starts at SIGMA0 = 1 and grows sixfold per outer step up
-    to SIGMA_MAX; the other loop constants are module constants.
+    The penalty starts at max(1, 0.01/alpha0) (1 when alpha0 = 0) and grows
+    sixfold per outer step, both capped at SIGMA_MAX; the other loop
+    constants are module constants.
     """
 
     beta: float = 0.3
@@ -107,71 +106,28 @@ def _active_set(lam, sigma, vt_y, reg):
     return np.abs(lam + sigma * vt_y) > sigma * reg.alpha
 
 
-@dataclass
-class CarriedGram:
-    """The unscaled Gram V_A V_A^T and the mask A of the last `newton_matrix` call that carried it.
-
-    In `solve_alm` that is the last Newton step with |A| >= 2M.
-    `newton_matrix` brings it to the current active set in place;
-    `gathered` counts the columns of vb gathered into it so far.
-    """
-
-    gram: np.ndarray | None = None
-    mask: np.ndarray | None = None
-    gathered: int = 0
-
-    def update(self, vb, active):
-        """Make `gram` equal V_A V_A^T for the mask `active`, gathering as few columns as the rule allows.
-
-        The rule is the one of the module docstring: rebuild from V_A when
-        there is no previous mask or |add| + |rem| >= |A|, else add
-        V_add V_add^T and subtract V_rem V_rem^T.
-        """
-        n_active = int(np.count_nonzero(active))
-        if self.mask is not None:
-            add = active & ~self.mask
-            rem = self.mask & ~active
-            n_change = int(np.count_nonzero(add) + np.count_nonzero(rem))
-        if self.mask is None or n_change >= n_active:
-            self.gram = gram(columns(vb, active))
-            self.gathered += n_active
-        else:
-            if add.any():
-                self.gram = gram(columns(vb, add), c=self.gram)
-            if rem.any():
-                self.gram = gram(columns(vb, rem), c=self.gram, sign=-1.0)
-            self.gathered += n_change
-        self.mask = active
-
-
-def newton_matrix(y, lam, sigma, vb, reg, *, vt_y, carry=None):
+def newton_matrix(y, lam, sigma, vb, reg, *, vt_y):
     """Generalized Jacobian I + sigma/(1+sigma*alpha0) * vb X vb^T at y, given vt_y = vb^T y.
 
     X is diagonal with unit entries exactly where |lam + sigma*vb^T y|
     exceeds sigma*alpha (ties count as inactive, keeping the matrix
     minimal); the result is symmetric positive definite with eigenvalues
     bounded below by 1.  The matrix depends on y only through vt_y.
-    vb X vb^T is the Gram V_A V_A^T held by `carry`, a `CarriedGram`
-    brought to the current active set (see the module docstring); with
-    no carry it is built from the active columns.
+    vb X vb^T is the Gram V_A V_A^T of the active columns.
     """
-    carry = CarriedGram() if carry is None else carry
-    carry.update(vb, _active_set(lam, sigma, vt_y, reg))
-    nmat = (sigma / (1.0 + sigma * reg.alpha0)) * carry.gram
+    nmat = (sigma / (1.0 + sigma * reg.alpha0)) * gram(columns(vb, _active_set(lam, sigma, vt_y, reg)))
     nmat[np.diag_indices_from(nmat)] += 1.0
     return nmat
 
 
-def newton_step(y, lam, sigma, vb, reg, *, residual, vt_y, carry=None):
+def newton_step(y, lam, sigma, vb, reg, *, residual, vt_y):
     """Solve N(y) d = -F(y) with N = I + c * V_A V_A^T, c = sigma/(1+sigma*alpha0).
 
     Given vt_y = vb^T y and the residual F(y), a step makes no product
     with the whole of vb.  The solve depends on the active-set size
     against 2M = vb.shape[0]:
 
-    - |A| >= 2M: Cholesky of the 2M x 2M matrix from `newton_matrix`,
-      which updates the `CarriedGram` `carry` (or, with none, builds the
-      Gram afresh);
+    - |A| >= 2M: Cholesky of the 2M x 2M matrix from `newton_matrix`;
     - 0 < |A| < 2M: Cholesky of the |A| x |A| matrix V_A^T V_A + I/c and
       Sherman-Morrison-Woodbury, d = -F + V_A (V_A^T V_A + I/c)^{-1} V_A^T F;
     - A empty: N = I and d = -F.
@@ -179,7 +135,7 @@ def newton_step(y, lam, sigma, vb, reg, *, residual, vt_y, carry=None):
     active = _active_set(lam, sigma, vt_y, reg)
     n_active = np.count_nonzero(active)
     if n_active >= vb.shape[0]:
-        return cholesky_solve(newton_matrix(y, lam, sigma, vb, reg, vt_y=vt_y, carry=carry), -residual)
+        return cholesky_solve(newton_matrix(y, lam, sigma, vb, reg, vt_y=vt_y), -residual)
     if n_active == 0:
         return -residual
     va = columns(vb, active)
@@ -251,7 +207,7 @@ def solve_alm(vb, u_b, reg, options=None):
     m2, n2 = vb.shape
     y = np.zeros(m2)
     lam = np.zeros(n2)
-    sigma = SIGMA0
+    sigma = min(max(1.0, 0.01 / reg.alpha0), SIGMA_MAX) if reg.alpha0 > 0 else 1.0
     floor = 1e-13 * (1.0 + np.linalg.norm(u_b))
 
     records = []
@@ -263,7 +219,6 @@ def solve_alm(vb, u_b, reg, options=None):
     z = np.zeros(n2)
     mu = np.zeros(n2)
     vt_y = np.zeros(n2)  # vb^T y at y = 0
-    carry = CarriedGram()
 
     for k in range(options.max_outer):
         tol_a = EPS0 / (k + 1) ** 2 / np.sqrt(sigma)
@@ -284,8 +239,7 @@ def solve_alm(vb, u_b, reg, options=None):
                 break
             if l == MAX_INNER:
                 break
-            gathered = carry.gathered
-            d = newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vt_y, carry=carry)
+            d = newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vt_y)
             vt_d = rmatvec(vb, d)
             step, accepted, objective = armijo_search(y, d, lam, sigma, vt_y, vt_d, u_b, reg, options.beta)
             if not accepted:
@@ -297,7 +251,6 @@ def solve_alm(vb, u_b, reg, options=None):
                 "solver": "alm", "kind": "inner", "outer": k, "inner": l,
                 "residual": float(norm_f), "objective": objective,
                 "step": float(step), "sigma": float(sigma),
-                "gram_cols": carry.gathered - gathered,
             })
         lam_new = lam + sigma * feas
         if reg.alpha0 > 0:

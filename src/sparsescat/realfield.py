@@ -119,10 +119,9 @@ def rmatvec(vb, y):
     return dgemv(1.0, vb, y, trans=1)
 
 
-def gram(v, trans=False, c=None, sign=1.0):
-    """V V^T, or V^T V when `trans`, of a column-major block V by one dgemm: full and column-major,
-    or, given a column-major `c`, added in place to c with the factor `sign`."""
-    return dgemm(sign, v, v, beta=float(c is not None), c=c, trans_a=trans, trans_b=not trans, overwrite_c=1)
+def gram(v, trans=False):
+    """V V^T, or V^T V when `trans`, of a column-major block V by one dgemm: full and column-major."""
+    return dgemm(1.0, v, v, trans_a=trans, trans_b=not trans)
 
 
 def normal(vb):

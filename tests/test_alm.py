@@ -5,7 +5,6 @@ from conftest import desk_config, random_instance
 from sparsescat import alm
 from sparsescat.alm import (
     AlmOptions,
-    CarriedGram,
     armijo_search,
     lagrangian_value,
     newton_matrix,
@@ -243,12 +242,20 @@ def test_multiplier_update_maintains_z_invariant():
 
 
 def test_sigma_growth_capped(monkeypatch):
-    vb, u_b, reg = random_instance(17, m=3, n=8)
-    monkeypatch.setattr(alm, "SIGMA_MAX", 100.0)
+    # the first penalty is max(1, 0.01/alpha0), 1 when alpha0 = 0; then sixfold per step; both capped at SIGMA_MAX
+    monkeypatch.setattr(alm, "SIGMA_MAX", 1000.0)
     options = AlmOptions(max_outer=6, lam_tol=0.0, gap_tol=0.0)
-    result = solve_alm(vb, u_b, reg, options=options)
-    seq = [r["sigma"] for r in result.records if r["kind"] == "outer"]
-    assert seq == [1.0, 6.0, 36.0, 100.0, 100.0, 100.0]
+
+    def sigmas(alpha0):
+        vb, u_b, reg = random_instance(17, m=3, n=8, alpha0=alpha0)
+        return [r["sigma"] for r in solve_alm(vb, u_b, reg, options=options).records if r["kind"] == "outer"]
+
+    sigma0 = 0.01 / random_instance(17, m=3, n=8)[2].alpha0
+    assert sigma0 > 1.0  # the instance draws alpha0 from [1e-4, 1e-2]
+    expected = [min(sigma0 * 6.0**k, 1000.0) for k in range(6)]
+    assert sigmas(None) == pytest.approx(expected, rel=1e-15, abs=0) and expected[-2:] == [1000.0, 1000.0]
+    assert sigmas(0.0) == [1.0, 6.0, 36.0, 216.0, 1000.0, 1000.0]
+    assert set(sigmas(1e-6)) == {1000.0}  # 0.01/alpha0 = 1e4: every step, the first too, at the cap
 
 
 def test_recover_mu_zero_dual():
@@ -383,73 +390,21 @@ def test_newton_step_smw_matches_dense_solve(n_active):
         assert np.linalg.norm(d - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
-def _relative_frobenius(a, b):
-    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
-
-
-# A carried Gram that deviates from a fresh one by more than this fails; the measured deviation is <= 1e-15.
-CARRY_RTOL = 1e-12
-
-
-def test_carried_gram_tracks_fresh_gram_through_active_sets():
-    vb, u_b, reg = random_instance(80, m=4, n=20, alpha=0.1, alpha0=0.01)  # 2M = 8, 2N = 40
-    rng = np.random.default_rng(80)
-    sigma = 1.7
-    y = rng.standard_normal(vb.shape[0])
-    vt_y = vb.T @ y
-    signs = rng.choice([-1.0, 1.0], vb.shape[1])
-    # (active columns, columns the step gathers into the Gram)
-    sequence = [
-        (range(0, 20), 20),  # no carried Gram: build from the 20 active columns
-        (range(2, 23), 5),  # 3 enter, 2 leave: update
-        (range(2, 16), 7),  # 7 leave: update
-        (range(0, 5), 0),  # |A| = 5 < 2M: Sherman-Morrison-Woodbury, the carry is untouched
-        (range(2, 16), 0),  # the carried set again: nothing gathered
-        (range(14, 40), 26),  # 24 enter, 12 leave, 36 >= |A| = 26: rebuild
-        (range(10, 40), 4),  # 4 enter: update
-        (range(0), 0),  # empty: N = I
-    ]
-    carry = CarriedGram()
-    for cols, gathered in sequence:
-        active = np.zeros(vb.shape[1], dtype=bool)
-        active[list(cols)] = True
-        lam = -sigma * vt_y + np.where(active, 2.0 * sigma * reg.alpha * signs, 0.0)
-        resid = residual_F(y, lam, sigma, vb, u_b, reg, vt_y)
-        before = carry.gathered
-        d = newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vt_y, carry=carry)
-        assert carry.gathered - before == gathered, f"active set {cols}"
-        fresh = newton_matrix(y, lam, sigma, vb, reg, vt_y=vt_y)
-        oracle = np.linalg.solve(fresh, -resid)
-        assert np.linalg.norm(d - oracle) <= 1e-10 * np.linalg.norm(oracle)
-        if len(cols) >= vb.shape[0]:
-            carried = newton_matrix(y, lam, sigma, vb, reg, vt_y=vt_y, carry=carry)
-            assert carry.gathered - before == gathered  # the set it carries: nothing gathered
-            assert _relative_frobenius(carried, fresh) <= CARRY_RTOL, f"active set {cols}"
-
-
-def test_carried_gram_on_desk_instance(monkeypatch):
-    # every Gram step of the criterion-7 homogeneous desk run, against a fresh Gram;
-    # the largest sigma at which the Gram branch runs weighs the Gram most in I + c * G
-    steps = []
+def test_desk_run_takes_no_gram_step(monkeypatch):
+    # from its first penalty 0.01/alpha0 = 1e5 the criterion-7 homogeneous desk run keeps every active set
+    # below 2M = 512, so each Newton step is a Sherman-Morrison-Woodbury or identity step
+    built = []
     build = alm.newton_matrix
 
-    def spy(y, lam, sigma, vb, reg, *, vt_y, carry):
-        before = carry.gathered
-        nmat = build(y, lam, sigma, vb, reg, vt_y=vt_y, carry=carry)
-        fresh = build(y, lam, sigma, vb, reg, vt_y=vt_y)
-        steps.append((sigma, int(carry.mask.sum()), carry.gathered - before, _relative_frobenius(nmat, fresh)))
-        return nmat
+    def spy(*args, **kwargs):
+        built.append(args[2])
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(alm, "newton_matrix", spy)
-    result = run_experiment(desk_config("alm", False))
-    assert max(sigma for sigma, *_ in steps) >= 1e3  # there c * G outweighs I, so the Gram's deviation shows
-    assert all(dev <= CARRY_RTOL for *_, dev in steps), steps
-    # each inner record counts the columns its step gathered; updates gather a quarter of what rebuilds would
-    inner = [r for r in result.solved.records if r["kind"] == "inner"]
-    assert all(type(r["gram_cols"]) is int for r in inner)  # diagnostics.jsonl holds them as JSON numbers
-    assert sum(r["gram_cols"] for r in inner) == sum(cols for _, _, cols, _ in steps)
-    assert steps[0][2] == steps[0][1]  # the first Gram step builds from every active column
-    assert 4 * sum(cols for _, _, cols, _ in steps) <= sum(n_active for _, n_active, _, _ in steps)
+    solved = run_experiment(desk_config("alm", False)).solved
+    assert built == []
+    assert solved.stop_reason == "duality_gap"
+    assert 0 < solved.iterations <= 15
 
 
 def _armijo_from_scratch(y, d, lam, sigma, vb, u_b, reg, beta, c, max_backtracks):
