@@ -38,6 +38,7 @@ _CACHE_VERSION = 4  # 4: the header is magic, key, crc; the payload is vb.T in C
 _CACHE_HEADER = "<4s32sI"  # magic, `_cache_key`, payload crc32: 40 bytes, so the payload stays 8-aligned
 _BLOCK = 1 << 19  # kernel points per block of rows: bounds the temporaries to tens of MB
 _FFT_BLOCK = 16  # rows per batched FFT: bounds the padded workspace to 16 * (2n)^d entries
+_FFT_WORKERS = -1  # scipy.fft threads: -1 is one per core, whatever the BLAS thread variables say
 
 
 class LsSolveError(RuntimeError):
@@ -90,6 +91,16 @@ def self_cell_integral(k, spacing, dim):
     raise ValueError("dim must be 2 or 3")
 
 
+def fft_backend():
+    """The FFT library of the forward model and the number of threads `_FFT_WORKERS` resolves to.
+
+    scipy.fft counts a negative `workers` back from os.cpu_count(), so -1 is
+    one thread per core; read without importing scipy.fft, which a run in a
+    homogeneous medium never loads.
+    """
+    return {"library": "scipy.fft", "workers": os.cpu_count() + 1 + _FFT_WORKERS}
+
+
 @lru_cache(maxsize=8)
 def _fft_kernel(dim, n, spacing, k):
     """Discrete kernel embedded on the doubled periodic cell, and its FFT.
@@ -107,20 +118,34 @@ def _fft_kernel(dim, n, spacing, k):
     mask = r > 0
     kernel[mask] = k**2 * spacing**dim * fundamental_solution(k, r[mask], dim)
     kernel[~mask] = k**2 * self_cell_integral(k, spacing, dim)
-    return kernel, np.fft.fftn(kernel)
+    # imported here: scipy.fft adds ~90 ms to `import sparsescat`
+    from scipy.fft import fftn
+
+    return kernel, fftn(kernel, workers=_FFT_WORKERS)  # not in place: `_support_matrix` reads the kernel
 
 
 def volume_potential_fft(grid, medium, density):
     """FFT evaluation of the midpoint-quadrature volume potential V_k at the grid nodes.
 
     `density` is one node vector (N,) or a batch of them (B, N); the
-    result has the same shape.  A batch is transformed in blocks of
-    _FFT_BLOCK rows, so its workspace does not grow with the batch.
+    result has the same shape, and any other shape raises ValueError.  A
+    batch is transformed in blocks of _FFT_BLOCK rows, so its workspace
+    does not grow with the batch.  The transforms run through scipy.fft
+    on every core (`_FFT_WORKERS`), in place on the padded block, which
+    the function owns: `density` is never handed to scipy.  The FFT
+    threads are scipy.fft's own, so the BLAS thread variables (and
+    perfbench's `--threads 1`) do not reach them.
     """
+    # imported here: scipy.fft adds ~90 ms to `import sparsescat`
+    from scipy.fft import fftn, ifftn
+
+    density = np.asarray(density)
+    if density.ndim not in (1, 2) or density.shape[-1] != grid.num_nodes:
+        raise ValueError(f"density must have shape ({grid.num_nodes},) or (B, {grid.num_nodes}) to match "
+                         f"the grid, got {density.shape}")
     k = medium.wavenumber
     n = grid.n_per_axis
     _, khat = _fft_kernel(grid.dim, n, grid.spacing, k)
-    density = np.asarray(density)
     rows = density.reshape((-1,) + grid.shape)
     out = np.empty(rows.shape, dtype=complex)
     axes = tuple(range(-grid.dim, 0))
@@ -129,9 +154,9 @@ def volume_potential_fft(grid, medium, density):
         chunk = rows[start:start + _FFT_BLOCK]
         pad = np.zeros((len(chunk),) + (2 * n,) * grid.dim, dtype=complex)
         pad[block] = chunk
-        spectrum = np.fft.fftn(pad, axes=axes)
+        spectrum = fftn(pad, axes=axes, overwrite_x=True, workers=_FFT_WORKERS)
         spectrum *= khat
-        out[start:start + len(chunk)] = np.fft.ifftn(spectrum, axes=axes)[block]
+        out[start:start + len(chunk)] = ifftn(spectrum, axes=axes, overwrite_x=True, workers=_FFT_WORKERS)[block]
     return out.reshape(density.shape)
 
 
@@ -177,10 +202,16 @@ def ls_solve(grid, medium, rhs, tol=1e-10):
 
     Uses the FFT potential inside a restarted GMRES iteration and verifies
     the residual postcondition on every solve.  For a homogeneous medium
-    the system is the identity.  `medium` is checked by `_check_medium`.
+    the system is the identity.  Raises ValueError naming rhs when it
+    does not have shape (grid.num_nodes,) or holds NaN or inf, and checks
+    `medium` by `_check_medium`.
     """
     _check_medium(grid, medium)
     rhs = np.asarray(rhs, dtype=complex)
+    if rhs.shape != (grid.num_nodes,):
+        raise ValueError(f"rhs must have shape ({grid.num_nodes},) to match the grid, got {rhs.shape}")
+    if not np.isfinite(rhs).all():
+        raise ValueError("rhs contains NaN or inf")
     if medium.is_homogeneous:
         return rhs.copy()
     q = medium.contrast
@@ -288,12 +319,15 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     inhomogeneous medium costs one LU of the K x K matrix
     I - diag(q_S) V_SS (about 16 K^2 bytes), solved for all M receivers
     at once, plus one batched FFT potential, rather than M Krylov solves.
-    At the desk bump config (64^2 nodes, K = 360, M = 256, 2 cores) this
-    takes 0.35 s against 4.2 s for per-receiver GMRES, and the homogeneous
-    desk operator 0.06 s.  The margin shrinks
-    as K nears N: at half-width 1 (K = 3228 of 4096) it measured 3.1-3.4 s
-    and a 560 MB peak against 4.4-4.8 s and 145 MB.  No inhomogeneous 3D
-    case has been measured.  Each receiver's relative residual
+    The FFTs run through scipy.fft on every core (see
+    `volume_potential_fft`), whatever the BLAS thread variables say.  At
+    the desk bump config (64^2 nodes, K = 360, M = 256, 2 cores) this
+    takes 0.25 s (median of 10 calls) against 3.0 s for 256 `ls_solve`
+    GMRES solves, one per kernel row, and the homogeneous desk operator
+    0.065 s.  The margin shrinks as K nears N: at half-width 1 (K = 3228
+    of 4096, with numpy's FFTs) it measured 3.1-3.4 s and a 560 MB peak
+    against 4.4-4.8 s and 145 MB.  No inhomogeneous 3D case has been
+    measured.  Each receiver's relative residual
     psi_S - q_S (phi + V psi)_S, with V applied by FFT, is checked
     against `tol` (LsSolveError otherwise).  No kernel block, psi or FFT
     potential is alive beside phi when `realify_matrix` allocates vb.

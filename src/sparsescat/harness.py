@@ -20,7 +20,7 @@ import scipy
 
 from .alm import AlmOptions, solve_alm
 from .export import write_field, write_json, write_jsonl, write_suite_csv
-from .forward import assemble_vb, load_vb_cache, save_vb_cache, source_to_measurement
+from .forward import assemble_vb, fft_backend, load_vb_cache, save_vb_cache, source_to_measurement
 from .grid import Grid, boundary_receivers
 from .phantoms import PhantomSpec, make_medium, make_phantom
 from .pda import PdaOptions, solve_pda
@@ -201,7 +201,8 @@ def _export(config, result, coarse_grid):
             "stop_reason": solved.stop_reason,
             "seed": config.seed,
             "rng": RNG_NAME,
-            "versions": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas_libraries()},
+            "versions": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas_libraries(),
+                         "fft": fft_backend()},
         },
     )
     result.output_paths = {k: str(v) for k, v in paths.items()}

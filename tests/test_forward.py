@@ -373,6 +373,19 @@ def test_fft_batch_matches_rows(dim, n, rng):
         assert np.array_equal(volume_potential_fft(g, med, f), rows)
 
 
+@pytest.mark.parametrize("dim,n", [(2, 12), (3, 6)])
+@pytest.mark.parametrize("batch", [None, 37])
+def test_fft_leaves_its_input_unchanged(dim, n, batch, rng):
+    # the transforms overwrite their padded copy (overwrite_x), never the caller's density
+    g = Grid(dim=dim, n_per_axis=n)
+    med = make_medium(g, 3.0)
+    shape = (g.num_nodes,) if batch is None else (batch, g.num_nodes)
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kept = f.copy()
+    assert volume_potential_fft(g, med, f).shape == shape
+    assert np.array_equal(f, kept)
+
+
 def test_potential_at_sparse_density_matches_full_sum(rng):
     g = Grid(dim=2, n_per_axis=20)
     k = 5.0

@@ -1,13 +1,18 @@
 import csv
 import json
+import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+import scipy.fft
 from conftest import random_instance
 
-from sparsescat import alm, harness, pda, ssn
+from sparsescat import alm, forward, harness, pda, ssn
 from sparsescat.export import write_csv_matrix, write_pgm
 from sparsescat.grid import Grid
 from sparsescat.harness import (
@@ -325,10 +330,23 @@ def test_export_writes_config_and_versions(tmp_path):
     assert ExperimentConfig.from_dict(json.loads((tmp_path / "run" / "config.json").read_text())) == config
     saved = json.loads((tmp_path / "run" / "result.json").read_text())
     blas = saved["versions"].pop("blas")
+    fft = saved["versions"].pop("fft")
     assert saved["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
+    with scipy.fft.set_workers(forward._FFT_WORKERS):  # the count scipy.fft itself resolves
+        assert fft == {"library": "scipy.fft", "workers": scipy.fft.get_workers()}
     for module in (np, scipy):
         library = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert blas[module.__name__] == f"{library['name']} {library['version']}"
+
+
+def test_package_imports_stay_lazy():
+    # scipy.fft and scipy.special each add 80-90 ms to an import of the package (the benchmark's
+    # setup_s): the forward model imports them inside the functions that use them
+    code = ("import sys, sparsescat.harness, sparsescat.cli; "
+            "print(' '.join(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 def test_suite_empty(tmp_path):

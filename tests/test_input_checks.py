@@ -9,14 +9,15 @@ import pytest
 from sparsescat.alm import AlmOptions
 from sparsescat.cli import main
 from sparsescat.export import write_pgm
-from sparsescat.forward import fundamental_solution, self_cell_integral
+from sparsescat.forward import fundamental_solution, ls_solve, self_cell_integral, volume_potential_fft
 from sparsescat.grid import Grid, Medium, ReceiverSet, boundary_receivers
 from sparsescat.harness import ExperimentConfig, add_noise, restrict_to_coarse
-from sparsescat.phantoms import PhantomSpec, make_phantom
+from sparsescat.phantoms import PhantomSpec, make_medium, make_phantom
 from sparsescat.prox import soft_threshold
 from sparsescat.realfield import realify_matrix
 
 G2, G3 = Grid(dim=2, n_per_axis=8), Grid(dim=3, n_per_axis=8)
+HOMO2, BUMP2 = make_medium(G2, 3.0), make_medium(G2, 3.0, inhomogeneous=True)
 CONFIG = dict(solver="alm", alpha=1e-3, alpha0=1e-6, phantom={"kind": "peaks"}, fine_n=24, coarse_n=16)
 
 
@@ -56,6 +57,20 @@ CASES = {
     "AlmOptions-beta-1": (lambda tmp: AlmOptions(beta=1), "beta"),
     "fundamental_solution-dim-4": (lambda tmp: fundamental_solution(1.0, np.ones(2), 4), "dim must be 2 or 3"),
     "self_cell_integral-dim-4": (lambda tmp: self_cell_integral(1.0, 0.1, 4), "dim must be 2 or 3"),
+    # a realified (2N,) vector once came back as a batch of two rows, and a (B1, B2, N) batch was accepted
+    "volume_potential_fft-realified-density": (
+        lambda tmp: volume_potential_fft(G2, HOMO2, np.ones(2 * G2.num_nodes)), r"density must have shape \(64,\)"),
+    "volume_potential_fft-3-D-batch": (
+        lambda tmp: volume_potential_fft(G2, HOMO2, np.ones((2, 3, G2.num_nodes))), "density must have shape"),
+    "volume_potential_fft-scalar": (lambda tmp: volume_potential_fft(G2, HOMO2, 1.0), "density must have shape"),
+    # a homogeneous medium once handed back a wrong-length rhs unchecked
+    "ls_solve-homogeneous-rhs-length": (
+        lambda tmp: ls_solve(G2, HOMO2, np.ones(G2.num_nodes + 1)), r"rhs must have shape \(64,\)"),
+    "ls_solve-bump-rhs-batch": (lambda tmp: ls_solve(G2, BUMP2, np.ones((2, G2.num_nodes))), "rhs must have shape"),
+    "ls_solve-rhs-nan": (
+        lambda tmp: ls_solve(G2, HOMO2, np.r_[np.nan, np.ones(G2.num_nodes - 1)]), "rhs contains NaN or inf"),
+    "ls_solve-bump-rhs-inf": (
+        lambda tmp: ls_solve(G2, BUMP2, np.r_[np.inf, np.ones(G2.num_nodes - 1)]), "rhs contains NaN or inf"),
     "cli-suite-config-not-a-list": (lambda tmp: cli_suite(tmp, CONFIG), "JSON list"),
 }
 
