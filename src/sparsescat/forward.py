@@ -28,7 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .export import write_file
 from .realfield import derealify, realify, realify_matrix
@@ -178,6 +177,9 @@ def _support_matrix(grid, medium, support):
 
 def _gmres_solve(matvec, rhs, tol):
     """GMRES(50), at most 10 restart cycles (500 iterations), with an explicit residual postcondition check."""
+    # imported here: scipy.sparse.linalg adds ~30 ms to `import sparsescat`, and only inhomogeneous media solve
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     n = rhs.shape[0]
     op = LinearOperator((n, n), matvec=matvec, dtype=complex)
     sol, _ = gmres(op, rhs, rtol=tol, atol=0.0, restart=50, maxiter=10)

@@ -23,8 +23,8 @@ class Grid:
             raise ValueError("dim must be 2 or 3")
         if self.n_per_axis < 4:
             raise ValueError("n_per_axis must be at least 4")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
 
     @property
     def spacing(self):
@@ -62,8 +62,8 @@ class Medium:
     grid: Grid = None
 
     def __post_init__(self):
-        if self.wavenumber <= 0:
-            raise ValueError("wavenumber must be positive")
+        if not 0 < self.wavenumber < np.inf:
+            raise ValueError(f"wavenumber must be finite and positive, got {self.wavenumber}")
         q = np.asarray(self.contrast, dtype=float)
         object.__setattr__(self, "contrast", q)
         if self.grid is not None and q.shape != (self.grid.num_nodes,):

@@ -25,6 +25,7 @@ from .grid import Grid, boundary_receivers
 from .phantoms import PhantomSpec, make_medium, make_phantom
 from .pda import PdaOptions, solve_pda
 from .prox import RegParams, SolveResult
+from .realfield import complex_dim
 from .ssn import SsnOptions, solve_ssn
 
 RNG_NAME = "pcg64"
@@ -67,8 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.fine_n == self.coarse_n:
             raise ValueError("inverse-crime guard: fine and coarse grids must differ")
-        if self.noise_level < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0 <= self.noise_level < np.inf:
+            raise ValueError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
         self.phantom = _build(PhantomSpec, self.phantom, "phantom keys")
         self.solver_options = _build(SOLVER_OPTIONS[self.solver], self.solver_options, f"{self.solver} options")
         Grid(dim=self.dim, n_per_axis=self.fine_n, half_width=self.half_width)
@@ -123,14 +124,15 @@ def add_noise(u_b, delta, seed):
     """Additive complex Gaussian noise scaled to delta * ||u_b||.
 
     Draws the real block first, then the imaginary block, from a PCG64
-    generator, so noise streams are reproducible bit-for-bit.
+    generator, so noise streams are reproducible bit-for-bit.  u_b must
+    be a realified vector (`realfield.complex_dim`).
     """
     u_b = np.asarray(u_b, dtype=float)
-    if delta < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"noise level must be finite and nonnegative, got {delta}")
+    m = complex_dim(u_b)
     if delta == 0:
         return u_b.copy()
-    m = u_b.shape[0] // 2
     rng = np.random.Generator(np.random.PCG64(seed))
     n_re = rng.standard_normal(m)
     n_im = rng.standard_normal(m)
@@ -138,12 +140,15 @@ def add_noise(u_b, delta, seed):
 
 
 def n_error(mu_rec, mu_exact):
-    """Relative L2 reconstruction error against the exact source."""
-    mu_exact = np.asarray(mu_exact, dtype=float)
+    """Relative L2 reconstruction error against the exact source; both must be 1-D of one length."""
+    mu_rec, mu_exact = np.asarray(mu_rec, dtype=float), np.asarray(mu_exact, dtype=float)
+    if mu_rec.ndim != 1 or mu_rec.shape != mu_exact.shape:
+        raise ValueError(f"mu_rec and mu_exact must be 1-D of one length, "
+                         f"got shapes {mu_rec.shape} and {mu_exact.shape}")
     denom = np.linalg.norm(mu_exact)
     if denom == 0:
         raise ValueError("exact source is zero; relative error undefined")
-    return float(np.linalg.norm(np.asarray(mu_rec, dtype=float) - mu_exact) / denom)
+    return float(np.linalg.norm(mu_rec - mu_exact) / denom)
 
 
 def restrict_to_coarse(mu_fine, fine_grid, coarse_grid):
@@ -152,16 +157,20 @@ def restrict_to_coarse(mu_fine, fine_grid, coarse_grid):
     Fine cells are binned by the coarse cell containing their center; the
     coarse density is the binned mass divided by the coarse cell volume,
     so integrals (and hence point-source strengths) are preserved.
+    `mu_fine` must have shape (2 * fine_grid.num_nodes,).
     """
     if fine_grid.dim != coarse_grid.dim or fine_grid.half_width != coarse_grid.half_width:
         raise ValueError("grids must describe the same box")
+    mu_fine = np.asarray(mu_fine, dtype=float)
+    n_fine = fine_grid.num_nodes
+    if mu_fine.shape != (2 * n_fine,):
+        raise ValueError(f"mu_fine must have shape ({2 * n_fine},) to match the fine grid, got {mu_fine.shape}")
     bins = np.clip(
         np.floor((fine_grid.axis_centers() + coarse_grid.half_width) / coarse_grid.spacing),
         0,
         coarse_grid.n_per_axis - 1,
     ).astype(int)
     scale = (fine_grid.spacing / coarse_grid.spacing) ** fine_grid.dim
-    n_fine = fine_grid.num_nodes
 
     def restrict_block(block):
         out = np.zeros(coarse_grid.shape)
@@ -169,7 +178,6 @@ def restrict_to_coarse(mu_fine, fine_grid, coarse_grid):
         np.add.at(out, tuple(idx), block.reshape(fine_grid.shape))
         return scale * out.ravel()
 
-    mu_fine = np.asarray(mu_fine, dtype=float)
     return np.concatenate([restrict_block(mu_fine[:n_fine]), restrict_block(mu_fine[n_fine:])])
 
 

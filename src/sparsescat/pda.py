@@ -69,8 +69,8 @@ class PdaOptions:
     record_every: int = 50
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.iters < 1:
             raise ValueError("iters must be at least 1")
         if self.record_every < 1:

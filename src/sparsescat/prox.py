@@ -47,8 +47,10 @@ class RegParams:
     alpha0: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.alpha0 < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        # a NaN fails every comparison, so `not 0 <= x < inf` rejects it with inf and the negatives
+        for name, value in (("alpha", self.alpha), ("alpha0", self.alpha0)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def soft_threshold(z, sigma):

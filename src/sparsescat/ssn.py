@@ -19,26 +19,26 @@ induce the Newton system
 iterated until the active sets repeat.  The dense 2N x 2N matrix B is
 formed once per instance, an O(M N^2) product and 8(2N)^2 bytes in the
 source dimension; that cost is exactly what the measurement-space ALM
-avoids.  `realfield.normal` writes B's lower triangle, and only that
-triangle is ever read: every product with B is one dsymv, and B itself
-is never factored; each Newton solve gathers its active block B_AA and
-factors that block's lower triangle.  The path starts at the ridge
-solution mu0 = B^{-1} c, where w = 0, solved once in the measurement
-space by the push-through identity
+avoids.  `realfield.normal` writes B's lower triangle, and B is read
+only through its active blocks: each Newton solve gathers B_AA and
+factors that block's lower triangle, and B itself is never factored.
+Every product B x is two products with vb, vb^T (vb x) + alpha0*x.
+The path starts at the ridge solution mu0 = B^{-1} c, where w = 0,
+solved once in the measurement space by the push-through identity
 
     (vb^T vb + alpha0*I)^{-1} vb^T = vb^T (vb vb^T + alpha0*I)^{-1},
 
 that is one Cholesky of the 2M x 2M Gram matrix G = vb vb^T + alpha0*I.
-w is carried beside mu, so an undamped Newton step makes one (2N x 2N)
-product with B: w = B mu - c for the new iterate, which the active sets
-and the penalized objective read.  The penalty gradient is formed only
-for the slope of a damped step; the record's residual is
-||B^{-1} grad E||, which needs no product.
+w is carried beside mu, so an undamped Newton step makes one product
+B x: w = B mu - c for the new iterate, which the active sets and the
+penalized objective read.  The penalty gradient is formed only for the
+slope of a damped step; the record's residual is ||B^{-1} grad E||,
+which needs no product.
 
-Every product goes through scipy's BLAS, the library of the Cholesky
-factors (see `realfield`): `realfield.normal` forms B, `realfield.gram`
-G, `realfield.rmatvec` gives vb^T u_b and the start, and dsymv the
-products with B.
+Every product goes through `realfield`, in scipy's BLAS, the library of
+the Cholesky factors: `realfield.normal` forms B, `realfield.gram` G,
+and `realfield.matvec` and `realfield.rmatvec` give vb^T u_b, the start
+and every B x, the same product path as ALM and PDA.
 """
 
 import warnings
@@ -46,10 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsymv
 
 from .prox import SolveResult, cholesky_solve
-from .realfield import check_problem, gram, normal, rmatvec
+from .realfield import check_problem, gram, matvec, normal, rmatvec
 
 
 MAX_INNER = 50  # Newton solves per gamma stage before the stage keeps its iterate
@@ -63,39 +62,36 @@ class SsnOptions:
         self.gammas = tuple(self.gammas)
         if len(self.gammas) == 0:
             raise ValueError("gamma schedule must not be empty")
-        if self.gammas[0] < 0:
-            raise ValueError("gamma schedule must be nonnegative")
+        if not all(0 <= gamma < np.inf for gamma in self.gammas):
+            raise ValueError(f"gamma schedule gammas must be finite and nonnegative, got {self.gammas}")
         if not all(b > a for a, b in zip(self.gammas, self.gammas[1:])):
             raise ValueError("gamma schedule must be strictly increasing")
 
 
 @dataclass
 class BOperator:
-    """Dense B = vb^T vb + alpha0*I and the Cholesky factor of G = vb vb^T + alpha0*I.
+    """Dense B = vb^T vb + alpha0*I, the Cholesky factor of G = vb vb^T + alpha0*I, and vb and alpha0 themselves.
 
-    `matrix` is the source-space cost: 8(2N)^2 bytes, formed by an
-    O(M N^2) product.  `factor` is the (lower) `cho_factor` of the 2M x 2M
-    Gram matrix G, 8(2M)^2 bytes and O(M^3) flops, which gives the path's
-    start B^{-1} vb^T u_b = vb^T cho_solve(factor, u_b).
+    `matrix` is the source-space cost: 8(2N)^2 bytes, formed once by an
+    O(M N^2) product and read only through the active blocks B_AA of
+    `ssn_newton_solve`.  `factor` is the (lower) `cho_factor` of the
+    2M x 2M Gram matrix G, 8(2M)^2 bytes and O(M^3) flops, which gives
+    the path's start B^{-1} vb^T u_b = vb^T cho_solve(factor, u_b).
 
     `matrix` is C-ordered and holds B in its lower triangle, diagonal
     included; its strict upper triangle is unspecified and never read.
-    `dot` and the Cholesky factor of an active block B_AA read only the
-    lower triangle.  C order keeps the row gather of B_AA contiguous,
-    which is several times slower on a Fortran-ordered B.
+    C order keeps the row gather of B_AA contiguous, which is several
+    times slower on a Fortran-ordered B.
     """
 
     matrix: np.ndarray = field(repr=False)
     factor: tuple = field(repr=False)
+    vb: np.ndarray = field(repr=False)
+    alpha0: float
 
     def dot(self, x):
-        """B x by dsymv, which reads the lower triangle of B.
-
-        `matrix.T` is the Fortran-ordered array BLAS expects, with B's
-        lower triangle as its upper one (dsymv's default); passing the
-        C-ordered `matrix` would make f2py copy all of B on every call.
-        """
-        return dsymv(1.0, self.matrix.T, x)
+        """B x = vb^T (vb x) + alpha0*x, by `realfield`'s products with vb: `matrix` is not read."""
+        return rmatvec(self.vb, matvec(self.vb, x)) + self.alpha0 * x
 
 
 def build_b_operator(vb, reg):
@@ -105,7 +101,7 @@ def build_b_operator(vb, reg):
     b[np.diag_indices_from(b)] += reg.alpha0
     g = gram(vb)
     g[np.diag_indices_from(g)] += reg.alpha0
-    return BOperator(matrix=b, factor=cho_factor(g, lower=True))
+    return BOperator(matrix=b, factor=cho_factor(g, lower=True), vb=vb, alpha0=reg.alpha0)
 
 
 def active_sets(w, alpha):
@@ -174,8 +170,11 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
     current iterate with a warning.
 
     w = B mu - vt_ub is carried beside mu: it is 0 at mu0, and formed by
-    one dense product with B per Newton solve and per backtracking trial.
-    A damped step makes one more, the penalty gradient for its slope.
+    one product `b.dot` per Newton solve and per backtracking trial.  A
+    damped step makes one more, the penalty gradient for its slope.  Each
+    product is two `realfield` products with vb, vb^T (vb x) + alpha0*x;
+    the dense B is formed once, by `build_b_operator`, and read only
+    through the active blocks B_AA of `ssn_newton_solve`.
 
     Each record's "residual" is ||mu + gamma*violation(w, alpha)||.  The
     gradient of the penalized objective is B times that vector, so the

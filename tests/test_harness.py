@@ -341,9 +341,10 @@ def test_export_writes_config_and_versions(tmp_path):
 
 def test_package_imports_stay_lazy():
     # scipy.fft and scipy.special each add 80-90 ms to an import of the package (the benchmark's
-    # setup_s): the forward model imports them inside the functions that use them
+    # setup_s), scipy.sparse.linalg about 30 ms: the forward model imports them inside the
+    # functions that use them
     code = ("import sys, sparsescat.harness, sparsescat.cli; "
-            "print(' '.join(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))")
+            "print(' '.join(m for m in ('scipy.fft', 'scipy.special', 'scipy.sparse.linalg') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""

@@ -11,10 +11,12 @@ from sparsescat.cli import main
 from sparsescat.export import write_pgm
 from sparsescat.forward import fundamental_solution, ls_solve, self_cell_integral, volume_potential_fft
 from sparsescat.grid import Grid, Medium, ReceiverSet, boundary_receivers
-from sparsescat.harness import ExperimentConfig, add_noise, restrict_to_coarse
+from sparsescat.harness import ExperimentConfig, add_noise, n_error, restrict_to_coarse
+from sparsescat.pda import PdaOptions
 from sparsescat.phantoms import PhantomSpec, make_medium, make_phantom
-from sparsescat.prox import soft_threshold
+from sparsescat.prox import RegParams, soft_threshold
 from sparsescat.realfield import realify_matrix
+from sparsescat.ssn import SsnOptions
 
 G2, G3 = Grid(dim=2, n_per_axis=8), Grid(dim=3, n_per_axis=8)
 HOMO2, BUMP2 = make_medium(G2, 3.0), make_medium(G2, 3.0, inhomogeneous=True)
@@ -72,6 +74,31 @@ CASES = {
     "ls_solve-bump-rhs-inf": (
         lambda tmp: ls_solve(G2, BUMP2, np.r_[np.inf, np.ones(G2.num_nodes - 1)]), "rhs contains NaN or inf"),
     "cli-suite-config-not-a-list": (lambda tmp: cli_suite(tmp, CONFIG), "JSON list"),
+    # a comparison with NaN is false, so `x < 0`-style checks once let NaN (and inf) through
+    "RegParams-alpha-nan": (lambda tmp: RegParams(alpha=np.nan, alpha0=1e-6), "alpha must be finite"),
+    "RegParams-alpha0-inf": (lambda tmp: RegParams(alpha=1e-3, alpha0=np.inf), "alpha0 must be finite"),
+    "Grid-half_width-nan": (lambda tmp: Grid(dim=2, n_per_axis=8, half_width=np.nan), "half_width must be finite"),
+    "Medium-wavenumber-nan": (
+        lambda tmp: Medium(wavenumber=np.nan, contrast=np.zeros(G2.num_nodes), grid=G2), "wavenumber must be finite"),
+    "PdaOptions-sigma-nan": (lambda tmp: PdaOptions(sigma=np.nan), "sigma must be finite"),
+    "SsnOptions-gammas-nan": (lambda tmp: SsnOptions(gammas=(np.nan,)), "gammas must be finite"),
+    "SsnOptions-gammas-inf": (lambda tmp: SsnOptions(gammas=(1.0, np.inf)), "gammas must be finite"),
+    "ExperimentConfig-alpha-nan": (lambda tmp: ExperimentConfig(**{**CONFIG, "alpha": np.nan}), "alpha must be finite"),
+    "ExperimentConfig-noise-nan": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "noise_level": np.nan}), "noise_level must be finite"),
+    "ExperimentConfig-wavenumber-nan": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "wavenumber": np.nan}), "wavenumber must be finite"),
+    "add_noise-nan-delta": (lambda tmp: add_noise(np.ones(4), np.nan, 0), "noise level must be finite"),
+    # shapes: n_error once broadcast a length-1 reconstruction, add_noise failed in numpy's broadcast,
+    # and restrict_to_coarse reshaped whatever it was given
+    "n_error-lengths-differ": (lambda tmp: n_error(np.zeros(1), np.ones(8)), "1-D of one length"),
+    "n_error-2-D": (lambda tmp: n_error(np.zeros((2, 4)), np.ones((2, 4))), "1-D of one length"),
+    "add_noise-odd-length": (lambda tmp: add_noise(np.ones(5), 0.01, 0), r"even length, got shape \(5,\)"),
+    "restrict_to_coarse-one-block": (
+        lambda tmp: restrict_to_coarse(np.zeros(24**2), Grid(2, 24), Grid(2, 16)),
+        r"mu_fine must have shape \(1152,\)"),
+    "restrict_to_coarse-2-D": (
+        lambda tmp: restrict_to_coarse(np.zeros((2, 24**2)), Grid(2, 24), Grid(2, 16)), "mu_fine must have shape"),
 }
 
 

@@ -56,7 +56,7 @@ def test_b_operator_is_c_ordered():
 
 def test_upper_triangle_of_b_is_never_read():
     # NaN in B's strict upper triangle leaves the path bitwise unchanged: the
-    # products, the active-block gathers and their Cholesky factors read the lower triangle
+    # active-block gathers and their Cholesky factors read the lower triangle
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c, mu0 = vb.T @ u_b, binv_vt(vb, b, u_b)
@@ -69,8 +69,21 @@ def test_upper_triangle_of_b_is_never_read():
     assert poisoned[1:] == (records, solves, converged)
 
 
+def test_b_dot_reads_vb_never_b(rng):
+    # B x = vb^T (vb x) + alpha0 x: a B filled with NaN leaves the product unchanged
+    vb, _, reg = random_instance(34, m=4, n=12)
+    b = build_b_operator(vb, reg)
+    bm = dense_b(b)
+    b.matrix[...] = np.nan
+    for _ in range(3):
+        x = rng.standard_normal(vb.shape[1])
+        ref = bm @ x
+        assert np.linalg.norm(b.dot(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_b_dot_does_not_copy_b(rng):
-    # at 2N = 2048 a copy of B is 32 MB; one product allocates only its 2N result
+    # at 2N = 2048 a copy of B is 32 MB; one product, two products with the 16 x 2048 vb,
+    # allocates only its 2M intermediate and 2N result
     vb, _, reg = random_instance(32, m=8, n=1024)
     b = build_b_operator(vb, reg)
     x = rng.standard_normal(vb.shape[1])
