@@ -30,6 +30,8 @@ of 2-3 ms, and the desk ALM solve ran 3-5x slower).  One library per
 solver loop leaves one pool; only vector dots stay in numpy.
 """
 
+import mmap
+
 import numpy as np
 from scipy.linalg.blas import dgemm, dgemv, dsyrk
 
@@ -125,8 +127,23 @@ def gram(v, trans=False):
 
 
 def normal(vb):
-    """vb^T vb by one dsyrk (half a dgemm's flops), C-ordered: only its lower triangle holds the product."""
-    return dsyrk(1.0, vb, trans=1).T
+    """vb^T vb by one dsyrk (half a dgemm's flops), C-ordered: only its lower triangle holds the product.
+
+    The result gets its own private anonymous mapping in base pages, which
+    dsyrk writes in place.  Only the pages that the lower triangle reaches
+    are ever backed, about half of them.  numpy would put an array this
+    large in transparent huge pages, which the kernel zeroes whole; on a
+    2-core KVM guest with free page reporting (virtio-balloon), forming the
+    8192 x 8192 B of the 64-receiver instance in huge pages took anywhere
+    from 0.15 to 0.6 s from one solve to the next, and in base pages
+    0.14-0.26 s.
+    """
+    n = vb.shape[1]
+    pages = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux only
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    out = np.frombuffer(pages, dtype=float).reshape(n, n)
+    return dsyrk(1.0, vb, c=out.T, trans=1, overwrite_c=1).T
 
 
 def column_norms(vb):

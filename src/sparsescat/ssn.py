@@ -18,9 +18,10 @@ induce the Newton system
 
 iterated until the active sets repeat.  The dense 2N x 2N matrix B is
 formed once per instance, an O(M N^2) product and 8(2N)^2 bytes in the
-source dimension; that cost is exactly what the measurement-space ALM
-avoids.  `realfield.normal` writes B's lower triangle, and B is read
-only through its active blocks: each Newton solve gathers B_AA and
+source dimension, about half of them resident (`realfield.normal`);
+that cost is exactly what the measurement-space ALM avoids.
+`realfield.normal` writes B's lower triangle, and B is read only
+through its active blocks: each Newton solve gathers B_AA and
 factors that block's lower triangle, and B itself is never factored.
 Every product B x is two products with vb, vb^T (vb x) + alpha0*x.
 The path starts at the ridge solution mu0 = B^{-1} c, where w = 0,
@@ -72,10 +73,11 @@ class SsnOptions:
 class BOperator:
     """Dense B = vb^T vb + alpha0*I, the Cholesky factor of G = vb vb^T + alpha0*I, and vb and alpha0 themselves.
 
-    `matrix` is the source-space cost: 8(2N)^2 bytes, formed once by an
-    O(M N^2) product and read only through the active blocks B_AA of
-    `ssn_newton_solve`.  `factor` is the (lower) `cho_factor` of the
-    2M x 2M Gram matrix G, 8(2M)^2 bytes and O(M^3) flops, which gives
+    `matrix` is the source-space cost: 8(2N)^2 bytes, about half of them
+    resident (`realfield.normal`), formed once by an O(M N^2) product and
+    read only through the active blocks B_AA of `ssn_newton_solve`.
+    `factor` is the (lower) `cho_factor` of the 2M x 2M Gram matrix G,
+    8(2M)^2 bytes and O(M^3) flops, which gives
     the path's start B^{-1} vb^T u_b = vb^T cho_solve(factor, u_b).
 
     `matrix` is C-ordered and holds B in its lower triangle, diagonal

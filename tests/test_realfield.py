@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 from conftest import commutes_with_rotation, derealify_matrix
@@ -96,3 +98,13 @@ def test_gram_normal_and_column_norms_match_numpy(rng):
     assert b.flags.c_contiguous and np.allclose(np.tril(b), np.tril(vb.T @ vb), rtol=1e-13, atol=1e-13)
     assert np.allclose(column_norms(vb), np.linalg.norm(vb, axis=0), rtol=1e-14, atol=0)
 
+
+def test_normal_is_written_in_place_into_its_own_mapping(rng):
+    # dsyrk fills the mapping itself: a copy would land in numpy's (huge-page) memory instead
+    vb = realify_matrix(rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)))
+    b = normal(vb)
+    owner = b
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner, memoryview) and isinstance(owner.obj, mmap.mmap) and b.flags.writeable
+    assert np.allclose(np.tril(b), np.tril(vb.T @ vb), rtol=1e-13, atol=1e-13)
