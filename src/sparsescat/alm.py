@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import check_integer
 from .prox import SolveResult, cholesky_solve, dual_objective, h_star, p_star, primal_objective, prox_p, soft_threshold
 from .realfield import check_problem, columns, gram, matvec, rmatvec
 
@@ -74,6 +75,10 @@ class AlmOptions:
     def __post_init__(self):
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
+        check_integer("max_outer", self.max_outer, 1)
+        for name, value in (("lam_tol", self.lam_tol), ("gap_tol", self.gap_tol)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass

@@ -4,6 +4,7 @@ bytes; each goes through `write_file`, so each is written whole or not at all.""
 import csv
 import io
 import json
+import operator
 import os
 from pathlib import Path
 
@@ -36,8 +37,8 @@ def write_csv_matrix(path, matrix):
 
 
 def write_json(path, obj):
-    """One JSON object, indented, keys sorted."""
-    write_file(path, json.dumps(obj, indent=2, sort_keys=True).encode("utf-8"))
+    """One JSON object, indented, keys sorted; a numpy integer (a config may hold one) is written as an int."""
+    write_file(path, json.dumps(obj, indent=2, sort_keys=True, default=operator.index).encode("utf-8"))
 
 
 def write_jsonl(path, records):

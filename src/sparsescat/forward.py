@@ -56,8 +56,8 @@ def fundamental_solution(k, r, dim):
     the singular self cell is handled by callers via the analytic cell
     integral.
     """
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError(f"wavenumber must be finite and positive, got {k}")
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("fundamental solution is singular at r <= 0")
@@ -78,6 +78,9 @@ def self_cell_integral(k, spacing, dim):
     2D (disk radius a, pi a^2 = h^2): i pi a / (2k) * H1^(1)(k a) - 1/k^2.
     3D (ball radius a, 4/3 pi a^3 = h^3): exp(i k a) (1/k^2 - i a / k) - 1/k^2.
     """
+    for name, value in (("wavenumber", k), ("spacing", spacing)):  # a spacing may be an array of them
+        if not np.all(np.isfinite(value) & np.greater(value, 0)):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if dim == 2:
         # imported here: scipy.special adds ~80 ms to `import sparsescat`
         from scipy.special import j1, y1
@@ -168,11 +171,7 @@ def _support_matrix(grid, medium, support):
     n = grid.n_per_axis
     kernel, _ = _fft_kernel(grid.dim, n, grid.spacing, medium.wavenumber)
     index = np.unravel_index(support, grid.shape)
-    flat = np.zeros((support.size, support.size), dtype=np.intp)
-    for axis in index:
-        flat *= 2 * n
-        flat += (axis[:, None] - axis[None, :]) % (2 * n)
-    return kernel.ravel()[flat]
+    return kernel[tuple((a[:, None] - a[None, :]) % (2 * n) for a in index)]
 
 
 def _gmres_solve(matvec, rhs, tol):

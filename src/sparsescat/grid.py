@@ -6,8 +6,15 @@ receivers on the box boundary.  Flattening is C-order over axes in
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
+
+
+def check_integer(name, value, minimum):
+    """Raise ValueError, naming `name`, unless `value` is an integer (Python or numpy, not a bool) >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be at least {minimum} and an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -19,10 +26,10 @@ class Grid:
     half_width: float = 1.0
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
+        check_integer("dim", self.dim, 2)
+        if self.dim > 3:
             raise ValueError("dim must be 2 or 3")
-        if self.n_per_axis < 4:
-            raise ValueError("n_per_axis must be at least 4")
+        check_integer("n_per_axis", self.n_per_axis, 4)
         if not 0 < self.half_width < np.inf:
             raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
 
@@ -114,24 +121,16 @@ def boundary_receivers(grid, count=None):
     """
     if count is None:
         count = default_receiver_count(grid)
-    if count < 1:
-        raise ValueError("receiver count must be positive")
+    check_integer("receivers", count, 1)
     r = grid.half_width
     if grid.dim == 2:
         side = 2.0 * r
         s = (np.arange(count) + 0.5) * (4.0 * side / count)
-        pts = np.empty((count, 2))
-        for i, si in enumerate(s):
-            edge, t = int(si // side), si % side
-            if edge == 0:
-                pts[i] = (-r + t, -r)
-            elif edge == 1:
-                pts[i] = (r, -r + t)
-            elif edge == 2:
-                pts[i] = (r - t, r)
-            else:
-                pts[i] = (-r, r - t)
-        return ReceiverSet(points=pts, half_width=r)
+        edge, t = (s // side).astype(int), s % side
+        # each edge's start corner and unit direction, counterclockwise from (-r, -r)
+        start = np.array([(-r, -r), (r, -r), (r, r), (-r, r)])
+        step = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+        return ReceiverSet(points=start[edge] + t[:, None] * step[edge], half_width=r)
 
     n = grid.n_per_axis
     c = grid.axis_centers()

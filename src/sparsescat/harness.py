@@ -21,7 +21,7 @@ import scipy
 from .alm import AlmOptions, solve_alm
 from .export import write_field, write_json, write_jsonl, write_suite_csv
 from .forward import assemble_vb, fft_backend, load_vb_cache, save_vb_cache, source_to_measurement
-from .grid import Grid, boundary_receivers
+from .grid import Grid, boundary_receivers, check_integer
 from .phantoms import PhantomSpec, make_medium, make_phantom
 from .pda import PdaOptions, solve_pda
 from .prox import RegParams, SolveResult
@@ -70,6 +70,7 @@ class ExperimentConfig:
             raise ValueError("inverse-crime guard: fine and coarse grids must differ")
         if not 0 <= self.noise_level < np.inf:
             raise ValueError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
+        check_integer("seed", self.seed, 0)
         self.phantom = _build(PhantomSpec, self.phantom, "phantom keys")
         self.solver_options = _build(SOLVER_OPTIONS[self.solver], self.solver_options, f"{self.solver} options")
         Grid(dim=self.dim, n_per_axis=self.fine_n, half_width=self.half_width)

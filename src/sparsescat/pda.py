@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 
+from .grid import check_integer
 from .prox import SolveResult, dual_objective, primal_objective, prox_p
 from .realfield import check_problem, column_norms, columns, gram, matvec, rmatvec
 
@@ -71,10 +72,8 @@ class PdaOptions:
     def __post_init__(self):
         if not 0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if self.iters < 1:
-            raise ValueError("iters must be at least 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+        check_integer("iters", self.iters, 1)
+        check_integer("record_every", self.record_every, 1)
 
 
 class AdjointScreen:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Medium
+from .grid import Medium, check_integer
 
 KINDS = (
     "peaks",
@@ -52,8 +52,7 @@ class PhantomSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown phantom kind {self.kind!r}; expected one of {KINDS}")
-        if self.count < 1:
-            raise ValueError("count must be positive")
+        check_integer("count", self.count, 1)
         if self.positions is not None:  # as tuples, so that a spec read from JSON equals the one written
             object.__setattr__(self, "positions", tuple(tuple(p) for p in self.positions))
 

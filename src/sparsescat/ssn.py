@@ -32,9 +32,9 @@ solved once in the measurement space by the push-through identity
 that is one Cholesky of the 2M x 2M Gram matrix G = vb vb^T + alpha0*I.
 w is carried beside mu, so an undamped Newton step makes one product
 B x: w = B mu - c for the new iterate, which the active sets and the
-penalized objective read.  The penalty gradient is formed only for the
-slope of a damped step; the record's residual is ||B^{-1} grad E||,
-which needs no product.
+penalized objective read.  A damped step adds one per backtracking
+trial and none for its slope, which reads B d from the two carried w;
+the record's residual is ||B^{-1} grad E||, which needs no product.
 
 Every product goes through `realfield`, in scipy's BLAS, the library of
 the Cholesky factors: `realfield.normal` forms B, `realfield.gram` G,
@@ -143,15 +143,6 @@ def violation(w, alpha):
     return np.maximum(0.0, w - alpha) + np.minimum(0.0, w + alpha)
 
 
-def penalty_gradient(w, b, vt_ub, alpha, gamma):
-    """Gradient B mu + gamma*B*violations of the penalized objective, given w = B mu - vt_ub.
-
-    The two violations make one product with B: for alpha >= 0 they have
-    disjoint supports.
-    """
-    return w + vt_ub + gamma * b.dot(violation(w, alpha))
-
-
 def penalty_objective(mu, w, vt_ub, alpha, gamma):
     """Penalized objective 1/2 mu^T B mu + gamma/2 * violations^2, given w = B mu - vt_ub."""
     v = violation(w, alpha)
@@ -172,11 +163,13 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
     current iterate with a warning.
 
     w = B mu - vt_ub is carried beside mu: it is 0 at mu0, and formed by
-    one product `b.dot` per Newton solve and per backtracking trial.  A
-    damped step makes one more, the penalty gradient for its slope.  Each
-    product is two `realfield` products with vb, vb^T (vb x) + alpha0*x;
-    the dense B is formed once, by `build_b_operator`, and read only
-    through the active blocks B_AA of `ssn_newton_solve`.
+    one product `b.dot` per Newton solve and per backtracking trial.  The
+    slope of a damped step, grad E . d = (mu + gamma*violation(w)) . B d,
+    makes none: B d is w_next - w, the two carried w of mu and of the
+    Newton iterate mu + d.  Each product is two `realfield` products with
+    vb, vb^T (vb x) + alpha0*x; the dense B is formed once, by
+    `build_b_operator`, and read only through the active blocks B_AA of
+    `ssn_newton_solve`.
 
     Each record's "residual" is ||mu + gamma*violation(w, alpha)||.  The
     gradient of the penalized objective is B times that vector, so the
@@ -221,8 +214,8 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
                 if trial < energy:
                     mu, w, energy, full_step = mu_next, w_next, trial, True
                 else:
-                    grad = penalty_gradient(w, b, vt_ub, alpha, gamma)
-                    slope = float(grad @ d)  # -d^T H d < 0 for the exact solve
+                    # grad E . d with B d = w_next - w; -d^T H d < 0 for the exact solve
+                    slope = float((mu + gamma * violation(w, alpha)) @ (w_next - w))
                     full_step = False
                     if slope >= 0:
                         break  # numerically not a descent direction; keep iterate
@@ -239,7 +232,7 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
             records.append({
                 "solver": "ssn", "kind": "inner", "gamma": float(gamma), "inner": it,
                 "active": int(np.count_nonzero(plus) + np.count_nonzero(minus)),
-                "step": 1.0 if full_step else float(step),
+                "step": float(step),
                 "residual": float(np.linalg.norm(mu + gamma * violation(w, alpha))),
             })
             if settled:

@@ -153,3 +153,13 @@ def test_cli_suite_exits_nonzero_on_failed_row(tmp_path, capsys):
     assert rc != 0
     assert "FAILED" in capsys.readouterr().out  # the table is printed before the exit
     assert "FAILED" in (tmp_path / "suite_out" / "results.csv").read_text()
+
+
+def test_cli_suite_names_a_bad_option(tmp_path, capsys):
+    # an out-of-range solver option fails when the suite's configs are built, before any row runs
+    cfg = base_config(tmp_path, output_dir=None, solver_options={"max_outer": 0})
+    path = write_config(tmp_path, [cfg], name="suite.json")
+    rc = main(["suite", "--config", path, "--output", str(tmp_path / "suite_out")])
+    assert rc == 1
+    assert "max_outer must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "suite_out").exists()

@@ -8,7 +8,7 @@ import pytest
 
 from sparsescat.alm import AlmOptions
 from sparsescat.cli import main
-from sparsescat.export import write_pgm
+from sparsescat.export import write_json, write_pgm
 from sparsescat.forward import fundamental_solution, ls_solve, self_cell_integral, volume_potential_fft
 from sparsescat.grid import Grid, Medium, ReceiverSet, boundary_receivers
 from sparsescat.harness import ExperimentConfig, add_noise, n_error, restrict_to_coarse
@@ -38,7 +38,7 @@ CASES = {
     "Medium-contrast-shape": (lambda tmp: Medium(wavenumber=1.0, contrast=np.zeros(5), grid=G2), "contrast"),
     "boundary_receivers-3D-count-above-the-face-cells": (
         lambda tmp: boundary_receivers(G3, 6 * 8 * 8 + 1), "only 384 face cells"),
-    "PhantomSpec-count-0": (lambda tmp: PhantomSpec(kind="peaks", count=0), "count must be positive"),
+    "PhantomSpec-count-0": (lambda tmp: PhantomSpec(kind="peaks", count=0), "count must be at least 1"),
     "make_phantom-positions-do-not-match-count": (
         lambda tmp: make_phantom(PhantomSpec(kind="peaks", count=2, positions=((0.5, 0.5),)), G2), "match count"),
     "make_phantom-peak-dimension": (
@@ -99,6 +99,46 @@ CASES = {
         r"mu_fine must have shape \(1152,\)"),
     "restrict_to_coarse-2-D": (
         lambda tmp: restrict_to_coarse(np.zeros((2, 24**2)), Grid(2, 24), Grid(2, 16)), "mu_fine must have shape"),
+    # ALM's loop options once went unchecked: NaN tolerances ran to max_outer, and max_outer 0 or 2.5 built
+    "AlmOptions-max_outer-0": (lambda tmp: AlmOptions(max_outer=0), "max_outer must be at least 1"),
+    "AlmOptions-max_outer-float": (lambda tmp: AlmOptions(max_outer=2.5), "max_outer must be .* an integer"),
+    "AlmOptions-lam_tol-nan": (lambda tmp: AlmOptions(lam_tol=np.nan), "lam_tol must be finite and nonnegative"),
+    "AlmOptions-gap_tol-nan": (lambda tmp: AlmOptions(gap_tol=np.nan), "gap_tol must be finite and nonnegative"),
+    "AlmOptions-gap_tol-negative": (lambda tmp: AlmOptions(gap_tol=-1e-9), "gap_tol must be finite and nonnegative"),
+    "ExperimentConfig-alm-tolerances-nan": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "solver_options": {"lam_tol": np.nan, "gap_tol": np.nan}}),
+        "lam_tol must be finite"),
+    # integer fields once took floats (24.5 built; 16.0 failed later in numpy) and bools
+    "Grid-dim-float": (lambda tmp: Grid(dim=2.0, n_per_axis=8), "dim must be .* an integer, got 2.0"),
+    "Grid-dim-bool": (lambda tmp: Grid(dim=True, n_per_axis=8), "dim must be .* an integer, got True"),
+    "Grid-n_per_axis-float": (lambda tmp: Grid(dim=2, n_per_axis=16.0), "n_per_axis must be .* an integer"),
+    "ExperimentConfig-fine_n-float": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "fine_n": 24.5}), "n_per_axis must be .* an integer, got 24.5"),
+    "ExperimentConfig-coarse_n-float": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "coarse_n": 16.0}), "n_per_axis must be .* an integer, got 16.0"),
+    "ExperimentConfig-dim-float": (lambda tmp: ExperimentConfig(**{**CONFIG, "dim": 2.0}), "dim must be .* an integer"),
+    "ExperimentConfig-receivers-float": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "receivers": 16.0}), "receivers must be .* an integer"),
+    "ExperimentConfig-receivers-bool": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "receivers": True}), "receivers must be .* an integer"),
+    "ExperimentConfig-seed-float": (lambda tmp: ExperimentConfig(**{**CONFIG, "seed": 1.5}), "seed must be .* an integer"),
+    "ExperimentConfig-seed-negative": (lambda tmp: ExperimentConfig(**{**CONFIG, "seed": -1}), "seed must be at least 0"),
+    "boundary_receivers-count-float": (lambda tmp: boundary_receivers(G2, 8.0), "receivers must be .* an integer"),
+    "PdaOptions-iters-float": (lambda tmp: PdaOptions(iters=2.5), "iters must be .* an integer"),
+    "PdaOptions-record_every-bool": (lambda tmp: PdaOptions(record_every=True), "record_every must be .* an integer"),
+    "PhantomSpec-count-float": (lambda tmp: PhantomSpec(kind="peaks", count=1.0), "count must be .* an integer"),
+    "PhantomSpec-count-bool": (lambda tmp: PhantomSpec(kind="peaks", count=True), "count must be .* an integer"),
+    # the kernels once let a NaN or infinite wavenumber through `k <= 0`, and the self cell checked nothing
+    "fundamental_solution-k-nan": (
+        lambda tmp: fundamental_solution(np.nan, np.ones(2), 2), "wavenumber must be finite and positive"),
+    "fundamental_solution-k-inf": (
+        lambda tmp: fundamental_solution(np.inf, np.ones(2), 3), "wavenumber must be finite and positive"),
+    "self_cell_integral-k-nan": (lambda tmp: self_cell_integral(np.nan, 0.1, 2), "wavenumber must be finite"),
+    "self_cell_integral-k-negative": (lambda tmp: self_cell_integral(-1.0, 0.1, 3), "wavenumber must be finite"),
+    "self_cell_integral-spacing-negative": (lambda tmp: self_cell_integral(1.0, -0.1, 2), "spacing must be finite"),
+    "self_cell_integral-spacing-inf": (lambda tmp: self_cell_integral(1.0, np.inf, 3), "spacing must be finite"),
+    "self_cell_integral-spacings-one-nan": (
+        lambda tmp: self_cell_integral(1.0, np.array([0.1, np.nan]), 2), "spacing must be finite"),
 }
 
 
@@ -114,3 +154,18 @@ def test_bad_input_is_rejected(case, tmp_path, capsys):
         with pytest.raises(ValueError, match=pattern):
             call(tmp_path)
         assert not any(tmp_path.iterdir())
+
+
+def test_numpy_integers_are_accepted(tmp_path):
+    # an integer field takes a numpy integer as it takes an int, and config.json records it as one
+    i = np.int64
+    assert Grid(dim=i(2), n_per_axis=np.int32(8)) == Grid(dim=2, n_per_axis=8)
+    assert boundary_receivers(G2, np.uint16(12)).count == 12
+    assert PdaOptions(iters=i(7), record_every=i(7)) == PdaOptions(iters=7, record_every=7)
+    assert PhantomSpec(kind="peaks", count=i(2)) == PhantomSpec(kind="peaks", count=2)
+    assert AlmOptions(max_outer=i(3)) == AlmOptions(max_outer=3)
+    config = ExperimentConfig(**{**CONFIG, "fine_n": i(24), "receivers": i(16), "seed": np.uint32(3)})
+    path = tmp_path / "config.json"
+    write_json(path, config.to_dict())
+    assert json.loads(path.read_text())["seed"] == 3
+    assert ExperimentConfig.from_json(path) == config

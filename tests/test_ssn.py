@@ -13,9 +13,9 @@ from sparsescat.ssn import (
     active_sets,
     build_b_operator,
     path_follow,
-    penalty_gradient,
     ssn_newton_solve,
     solve_ssn,
+    violation,
 )
 
 LONG_GAMMAS = tuple(10.0**i for i in range(0, 13))
@@ -24,6 +24,11 @@ LONG_GAMMAS = tuple(10.0**i for i in range(0, 13))
 def dense_b(b):
     """The dense B, mirrored from the lower triangle that `b.matrix` stores."""
     return np.tril(b.matrix) + np.tril(b.matrix, -1).T
+
+
+def dense_gradient(bm, mu, c, alpha, gamma):
+    """Gradient B (mu + gamma*violation(B mu - c)) of the penalized objective, from the dense B."""
+    return bm @ (mu + gamma * violation(bm @ mu - c, alpha))
 
 
 def binv_vt(vb, b, u_b):
@@ -235,30 +240,15 @@ def test_fixed_point_residual():
     bm = dense_b(b)
     mu, _, _, converged = path_follow(b, c, mu0, reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
     assert converged
-    grad = penalty_gradient(bm @ mu - c, b, c, reg.alpha, 100.0)
+    grad = dense_gradient(bm, mu, c, reg.alpha, 100.0)
     assert np.linalg.norm(grad) <= 1e-9 * max(1.0, np.linalg.norm(c))
 
     mu, _, _, converged = path_follow(b, c, mu0, reg.alpha, options=SsnOptions())
     gamma = SsnOptions().gammas[-1]
     assert converged
-    grad = penalty_gradient(bm @ mu - c, b, c, reg.alpha, gamma)
+    grad = dense_gradient(bm, mu, c, reg.alpha, gamma)
     scale = (1.0 + gamma) * np.linalg.norm(bm) ** 2 * np.linalg.norm(mu - mu0) + np.linalg.norm(c)
     assert np.linalg.norm(grad) <= 1e-12 * scale
-
-
-def test_penalty_gradient_matches_separate_products(rng):
-    # one product with B (max(0, w - alpha) + min(0, w + alpha)) against a product per term
-    vb, u_b, reg = random_instance(16, m=4, n=10)
-    b = build_b_operator(vb, reg)
-    c, bm = vb.T @ u_b, dense_b(b)
-    for alpha in (0.0, 0.3):
-        for _ in range(5):
-            y = rng.standard_normal(vb.shape[1])
-            w = bm @ y
-            ref = w + c + 10.0 * (bm @ np.maximum(0.0, w - alpha)) + 10.0 * (
-                bm @ np.minimum(0.0, w + alpha))
-            got = penalty_gradient(w, b, c, alpha, 10.0)
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_path_follow_carries_b_times_y(monkeypatch):
@@ -290,29 +280,25 @@ def test_path_follow_carries_b_times_y(monkeypatch):
 
 
 def test_path_follow_counts_b_products(monkeypatch):
-    # one product per Newton solve, per backtracking trial and per damped-step
-    # gradient; the records add none
+    # one product per Newton solve and per backtracking trial: the slope of a
+    # damped step reads B d from the carried w, and the records add none
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
-    counts = {"dot": 0, "gradient": 0}
-    dot, gradient = ssn.BOperator.dot, ssn.penalty_gradient
+    count = 0
+    dot = ssn.BOperator.dot
 
     def dot_spy(self, x):
-        counts["dot"] += 1
+        nonlocal count
+        count += 1
         return dot(self, x)
 
-    def gradient_spy(*args):
-        counts["gradient"] += 1
-        return gradient(*args)
-
     monkeypatch.setattr(ssn.BOperator, "dot", dot_spy)
-    monkeypatch.setattr(ssn, "penalty_gradient", gradient_spy)
     _, records, solves, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
     damped = [r["step"] for r in records if r["step"] < 1.0]
     trials = sum(round(np.log2(1.0 / s)) for s in damped)  # halvings from 1 to the accepted step
-    assert damped and counts["gradient"] == len(damped)
-    assert counts["dot"] == solves + trials + counts["gradient"]
+    assert damped
+    assert count == solves + trials
 
 
 def test_record_residual_is_preconditioned_gradient(monkeypatch):
@@ -326,8 +312,8 @@ def test_record_residual_is_preconditioned_gradient(monkeypatch):
         with pytest.warns(RuntimeWarning, match="cycling"):
             mu, records, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=(gamma,)))
         (record,) = records
-        grad = penalty_gradient(b.dot(mu) - c, b, c, reg.alpha, gamma)
-        expected = np.linalg.norm(np.linalg.solve(dense_b(b), grad))
+        bm = dense_b(b)
+        expected = np.linalg.norm(np.linalg.solve(bm, dense_gradient(bm, mu, c, reg.alpha, gamma)))
         assert expected > 0
         assert abs(record["residual"] - expected) <= 1e-10 * expected
 
