@@ -218,11 +218,7 @@ def solve_alm(vb, u_b, reg, options=None):
     records = []
     lam_history = [lam.copy()]
     inner_total = 0
-    converged = False
     stop_reason = "max_outer"
-    gap = np.inf
-    z = np.zeros(n2)
-    mu = np.zeros(n2)
     vt_y = np.zeros(n2)  # vb^T y at y = 0
 
     for k in range(options.max_outer):
@@ -246,7 +242,8 @@ def solve_alm(vb, u_b, reg, options=None):
                 break
             d = newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vt_y)
             vt_d = rmatvec(vb, d)
-            step, accepted, objective = armijo_search(y, d, lam, sigma, vt_y, vt_d, u_b, reg, options.beta)
+            step, accepted, objective = armijo_search(y, d, lam, sigma, vt_y, vt_d, u_b, reg, options.beta,
+                                                      max_backtracks=MAX_BACKTRACKS)
             if not accepted:
                 warnings.warn("line search exhausted; taking smallest trial step", RuntimeWarning)
             y = y + step * d
@@ -255,7 +252,7 @@ def solve_alm(vb, u_b, reg, options=None):
             records.append({
                 "solver": "alm", "kind": "inner", "outer": k, "inner": l,
                 "residual": float(norm_f), "objective": objective,
-                "step": float(step), "sigma": float(sigma),
+                "step": float(step), "accepted": accepted, "sigma": float(sigma),
             })
         lam_new = lam + sigma * feas
         if reg.alpha0 > 0:
@@ -284,13 +281,11 @@ def solve_alm(vb, u_b, reg, options=None):
         lam_history.append(lam.copy())
         sigma = min(SIGMA_GROWTH * sigma, SIGMA_MAX)
         if lam_change <= options.lam_tol:
-            converged, stop_reason = True, "multiplier_change"
+            stop_reason = "multiplier_change"
             break
         if gap <= options.gap_tol * (1.0 + abs(primal)):
-            converged, stop_reason = True, "duality_gap"
+            stop_reason = "duality_gap"
             break
 
-    return AlmResult(
-        mu=mu, converged=converged, stop_reason=stop_reason, iterations=inner_total,
-        records=records, y=y, lam=lam, z=z, gap=gap, lam_history=lam_history,
-    )
+    return AlmResult(mu=mu, stop_reason=stop_reason, iterations=inner_total, records=records,
+                     y=y, lam=lam, z=z, gap=gap, lam_history=lam_history)

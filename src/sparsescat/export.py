@@ -4,7 +4,6 @@ bytes; each goes through `write_file`, so each is written whole or not at all.""
 import csv
 import io
 import json
-import operator
 import os
 from pathlib import Path
 
@@ -37,8 +36,8 @@ def write_csv_matrix(path, matrix):
 
 
 def write_json(path, obj):
-    """One JSON object, indented, keys sorted; a numpy integer (a config may hold one) is written as an int."""
-    write_file(path, json.dumps(obj, indent=2, sort_keys=True, default=operator.index).encode("utf-8"))
+    """One JSON object, indented, keys sorted; a numpy scalar (a config may hold one) is written as its Python value."""
+    write_file(path, json.dumps(obj, indent=2, sort_keys=True, default=np.generic.item).encode("utf-8"))
 
 
 def write_jsonl(path, records):

@@ -6,7 +6,7 @@ receivers on the box boundary.  Flattening is C-order over axes in
 """
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -15,6 +15,18 @@ def check_integer(name, value, minimum):
     """Raise ValueError, naming `name`, unless `value` is an integer (Python or numpy, not a bool) >= `minimum`."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ValueError(f"{name} must be at least {minimum} and an integer, got {value!r}")
+
+
+def check_bool(name, value):
+    """Raise ValueError, naming `name`, unless `value` is a bool (Python or numpy)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def check_finite(name, value):
+    """Raise ValueError, naming `name`, unless `value` is a finite real number (Python or numpy, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)

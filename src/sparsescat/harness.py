@@ -21,7 +21,7 @@ import scipy
 from .alm import AlmOptions, solve_alm
 from .export import write_field, write_json, write_jsonl, write_suite_csv
 from .forward import assemble_vb, fft_backend, load_vb_cache, save_vb_cache, source_to_measurement
-from .grid import Grid, boundary_receivers, check_integer
+from .grid import Grid, boundary_receivers, check_bool, check_integer
 from .phantoms import PhantomSpec, make_medium, make_phantom
 from .pda import PdaOptions, solve_pda
 from .prox import RegParams, SolveResult
@@ -71,6 +71,7 @@ class ExperimentConfig:
         if not 0 <= self.noise_level < np.inf:
             raise ValueError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
         check_integer("seed", self.seed, 0)
+        check_bool("inhomogeneous", self.inhomogeneous)
         self.phantom = _build(PhantomSpec, self.phantom, "phantom keys")
         self.solver_options = _build(SOLVER_OPTIONS[self.solver], self.solver_options, f"{self.solver} options")
         Grid(dim=self.dim, n_per_axis=self.fine_n, half_width=self.half_width)
@@ -124,20 +125,18 @@ class ExperimentResult:
 def add_noise(u_b, delta, seed):
     """Additive complex Gaussian noise scaled to delta * ||u_b||.
 
-    Draws the real block first, then the imaginary block, from a PCG64
-    generator, so noise streams are reproducible bit-for-bit.  u_b must
-    be a realified vector (`realfield.complex_dim`).
+    Draws one standard normal per realified component from a PCG64
+    generator seeded with `seed`, so noise streams are reproducible
+    bit-for-bit.  u_b must be a realified vector (`realfield.complex_dim`).
     """
     u_b = np.asarray(u_b, dtype=float)
     if not 0 <= delta < np.inf:
         raise ValueError(f"noise level must be finite and nonnegative, got {delta}")
-    m = complex_dim(u_b)
+    complex_dim(u_b)  # rejects all but a 1-D vector of even length
     if delta == 0:
         return u_b.copy()
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_re = rng.standard_normal(m)
-    n_im = rng.standard_normal(m)
-    return u_b + delta * np.linalg.norm(u_b) * np.concatenate([n_re, n_im])
+    return u_b + delta * np.linalg.norm(u_b) * rng.standard_normal(u_b.size)
 
 
 def n_error(mu_rec, mu_exact):

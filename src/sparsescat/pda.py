@@ -172,7 +172,7 @@ def solve_pda(vb, u_b, reg, options=None):
     mu_bar = mu.copy()
     records = []
     best = np.inf
-    converged = False
+    stop_reason = "max_iters"
     for it in range(1, options.iters + 1):
         p = pda_dual_step(p, mu_bar, vb, u_b, sigma)
         record = it % options.record_every == 0 or it == options.iters
@@ -193,7 +193,6 @@ def solve_pda(vb, u_b, reg, options=None):
                 rec["gap"] = float(primal + dual)
                 rec["bound"] = float(np.sqrt(2.0 * max(rec["gap"] + allowance, 0.0) / reg.alpha0))
                 if rec["bound"] <= CERTIFY_RTOL * np.linalg.norm(mu):
-                    converged = True
+                    stop_reason = "certified"
                     break
-    return SolveResult(mu=mu, converged=converged, stop_reason="certified" if converged else "max_iters",
-                       iterations=it, records=records)
+    return SolveResult(mu=mu, stop_reason=stop_reason, iterations=it, records=records)

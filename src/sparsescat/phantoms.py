@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Medium, check_integer
+from .grid import Medium, check_bool, check_finite, check_integer
 
 KINDS = (
     "peaks",
@@ -53,8 +53,12 @@ class PhantomSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown phantom kind {self.kind!r}; expected one of {KINDS}")
         check_integer("count", self.count, 1)
+        check_finite("amplitude", self.amplitude)
+        check_bool("dirac_scaling", self.dirac_scaling)
         if self.positions is not None:  # as tuples, so that a spec read from JSON equals the one written
             object.__setattr__(self, "positions", tuple(tuple(p) for p in self.positions))
+            for coordinate in [c for point in self.positions for c in point]:
+                check_finite("a coordinate of positions", coordinate)
 
 
 def _frac_to_index(frac, n):

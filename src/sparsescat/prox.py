@@ -16,14 +16,17 @@ from scipy.linalg import cho_factor, cho_solve
 from .realfield import matvec
 
 
+CONVERGENCE_EXITS = ("multiplier_change", "duality_gap", "path_end", "certified")
+
+
 @dataclass
 class SolveResult:
     """What `solve_alm`, `solve_ssn` and `solve_pda`, each called as (vb, u_b, reg, options), return.
 
     `iterations` counts innermost-loop steps: Newton solves for ALM and
     SSN, primal-dual steps for PDA.  `stop_reason` names the exit that
-    ended the run, and `converged` is true exactly when it is a
-    convergence exit:
+    ended the run, and the property `converged` is read from it: true
+    exactly when it is one of the CONVERGENCE_EXITS, marked below.
 
     - ALM: "multiplier_change" or "duality_gap" (converged), "max_outer";
     - SSN: "path_end" (converged), "cycling" (some stage kept its iterate
@@ -33,10 +36,13 @@ class SolveResult:
     """
 
     mu: np.ndarray
-    converged: bool
     stop_reason: str
     iterations: int
     records: list = field(repr=False)
+
+    @property
+    def converged(self):
+        return self.stop_reason in CONVERGENCE_EXITS
 
 
 @dataclass(frozen=True)

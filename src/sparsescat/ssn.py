@@ -171,15 +171,17 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
     `build_b_operator`, and read only through the active blocks B_AA of
     `ssn_newton_solve`.
 
-    Each record's "residual" is ||mu + gamma*violation(w, alpha)||.  The
-    gradient of the penalized objective is B times that vector, so the
+    Each inner record's "residual" is ||mu + gamma*violation(w, alpha)||.
+    The gradient of the penalized objective is B times that vector, so the
     residual is ||B^{-1} grad E||: it needs no product with B and is zero
     exactly where the gradient is.
 
-    Returns (mu, records, solves, converged): the final iterate, one record
-    per Newton step taken (a solve whose direction is not a descent
-    direction ends its stage unrecorded), the number of Newton solves, and
-    whether every stage settled.
+    Returns (mu, records, solves, converged): the final iterate, the
+    records, the number of Newton solves, and whether every stage settled.
+    Each stage records one "inner" record per Newton step taken (a solve
+    whose direction is not a descent direction ends its stage unrecorded)
+    and then one "stage" record: whether it settled, and the size of its
+    last active set.
     """
     options = options or SsnOptions()
     mu = mu0
@@ -194,6 +196,7 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
         energy = penalty_objective(mu, w, vt_ub, alpha, gamma)
         for it in range(MAX_INNER):
             plus, minus = active_sets(w, alpha)
+            active = int(np.count_nonzero(plus) + np.count_nonzero(minus))
             if full_step and np.array_equal(plus, prev[0]) and np.array_equal(minus, prev[1]):
                 settled = True
                 break
@@ -231,12 +234,12 @@ def path_follow(b, vt_ub, mu0, alpha, options=None):
             prev = (plus, minus)
             records.append({
                 "solver": "ssn", "kind": "inner", "gamma": float(gamma), "inner": it,
-                "active": int(np.count_nonzero(plus) + np.count_nonzero(minus)),
-                "step": float(step),
+                "active": active, "step": float(step),
                 "residual": float(np.linalg.norm(mu + gamma * violation(w, alpha))),
             })
             if settled:
                 break
+        records.append({"solver": "ssn", "kind": "stage", "gamma": float(gamma), "settled": settled, "active": active})
         if not settled:
             warnings.warn(f"active sets cycling at gamma={gamma:g}; keeping current iterate", RuntimeWarning)
             converged = False
@@ -253,5 +256,4 @@ def solve_ssn(vb, u_b, reg, options=None):
     b = build_b_operator(vb, reg)
     mu0 = rmatvec(vb, cho_solve(b.factor, u_b))
     mu, records, solves, converged = path_follow(b, rmatvec(vb, u_b), mu0, reg.alpha, options=options)
-    return SolveResult(mu=mu, converged=converged,
-                       stop_reason="path_end" if converged else "cycling", iterations=solves, records=records)
+    return SolveResult(mu=mu, stop_reason="path_end" if converged else "cycling", iterations=solves, records=records)

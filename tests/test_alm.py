@@ -454,6 +454,17 @@ def test_inner_records_objective_from_scratch(monkeypatch):
         assert abs(rec["objective"] - ref) <= 1e-12 * abs(ref)
 
 
+def test_exhausted_line_search_warns_and_is_recorded(monkeypatch):
+    # with no backtracks a full step that misses the Armijo decrease exhausts the search
+    vb, u_b, reg = random_instance(0)
+    monkeypatch.setattr(alm, "MAX_BACKTRACKS", 0)
+    with pytest.warns(RuntimeWarning, match="line search exhausted") as warned:
+        result = solve_alm(vb, u_b, reg)
+    accepted = [r["accepted"] for r in result.records if r["kind"] == "inner"]
+    assert accepted.count(False) == len(warned) > 0
+    assert all(r["step"] == 1.0 for r in result.records if r["kind"] == "inner")
+
+
 def test_outer_records_gap_from_scratch():
     # the run stopped after outer iteration k ends with the y of that iteration
     vb, u_b, reg = random_instance(28, m=4, n=12, alpha=0.05, alpha0=0.01)

@@ -68,6 +68,16 @@ def test_add_noise_deterministic(rng):
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("m", [64, 256])
+def test_add_noise_draws_the_two_blocks_in_one_call(m, rng):
+    # PCG64's normals do not depend on how the draw is split: one draw of 2M
+    # gives the Re block then the Im block of two draws of M, bit for bit
+    u = rng.standard_normal(2 * m)
+    two_draws = np.random.Generator(np.random.PCG64(5))
+    noise = np.concatenate([two_draws.standard_normal(m), two_draws.standard_normal(m)])
+    assert add_noise(u, 0.01, 5).tobytes() == (u + 0.01 * np.linalg.norm(u) * noise).tobytes()
+
+
 def test_add_noise_statistics(rng):
     # E ||u_noisy - u||^2 == 2 M delta^2 ||u||^2
     u = rng.standard_normal(20)  # M = 10
@@ -292,6 +302,15 @@ def spy(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return returned
+
+
+@pytest.mark.parametrize("solver, reason", [(s, r) for s in STOP_REASONS for r in STOP_REASONS[s]])
+def test_converged_is_read_from_the_stop_reason(solver, reason):
+    # every exit, also those that no tiny run reaches
+    result = SolveResult(mu=np.zeros(2), stop_reason=reason, iterations=0, records=[])
+    assert result.converged == STOP_REASONS[solver][reason]
+    with pytest.raises(AttributeError):  # read-only: no solver can set it apart from its reason
+        result.converged = True
 
 
 @pytest.mark.parametrize("solver", ["alm", "ssn", "pda"])

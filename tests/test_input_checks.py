@@ -139,6 +139,32 @@ CASES = {
     "self_cell_integral-spacing-inf": (lambda tmp: self_cell_integral(1.0, np.inf, 3), "spacing must be finite"),
     "self_cell_integral-spacings-one-nan": (
         lambda tmp: self_cell_integral(1.0, np.array([0.1, np.nan]), 2), "spacing must be finite"),
+    # flags once took any truthy value ("false" built a bump medium), and NaN amplitudes and
+    # positions built, to fail only in phase simulate
+    "ExperimentConfig-inhomogeneous-string": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "inhomogeneous": "false"}), "inhomogeneous must be a bool"),
+    "ExperimentConfig-inhomogeneous-int": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "inhomogeneous": 1}), "inhomogeneous must be a bool"),
+    "PhantomSpec-dirac_scaling-string": (
+        lambda tmp: PhantomSpec(kind="peaks", dirac_scaling="yes"), "dirac_scaling must be a bool"),
+    "ExperimentConfig-dirac_scaling-none": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "phantom": {"kind": "peaks", "dirac_scaling": None}}),
+        "dirac_scaling must be a bool"),
+    "PhantomSpec-amplitude-nan": (lambda tmp: PhantomSpec(kind="peaks", amplitude=np.nan), "amplitude must be a finite real"),
+    "PhantomSpec-amplitude-inf": (lambda tmp: PhantomSpec(kind="peaks", amplitude=-np.inf), "amplitude must be a finite real"),
+    "PhantomSpec-amplitude-string": (lambda tmp: PhantomSpec(kind="peaks", amplitude="4"), "amplitude must be a finite real"),
+    "PhantomSpec-amplitude-bool": (lambda tmp: PhantomSpec(kind="peaks", amplitude=True), "amplitude must be a finite real"),
+    "ExperimentConfig-amplitude-nan": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "phantom": {"kind": "peaks", "amplitude": np.nan}}),
+        "amplitude must be a finite real"),
+    "PhantomSpec-positions-nan": (
+        lambda tmp: PhantomSpec(kind="peaks", positions=((0.5, np.nan),)), "coordinate of positions must be a finite real"),
+    "ExperimentConfig-positions-inf": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "phantom": {"kind": "peaks", "count": 2,
+                                                              "positions": [[0.5, 0.5], [np.inf, 0.3]]}}),
+        "coordinate of positions must be a finite real"),
+    "PhantomSpec-positions-string": (
+        lambda tmp: PhantomSpec(kind="peaks", positions=((0.5, "0.5"),)), "coordinate of positions must be a finite real"),
 }
 
 
@@ -168,4 +194,17 @@ def test_numpy_integers_are_accepted(tmp_path):
     path = tmp_path / "config.json"
     write_json(path, config.to_dict())
     assert json.loads(path.read_text())["seed"] == 3
+    assert ExperimentConfig.from_json(path) == config
+
+
+def test_numpy_bools_and_floats_are_accepted(tmp_path):
+    # a flag takes a numpy bool, a real value a numpy float, and config.json records their Python values
+    phantom = {"kind": "peaks", "amplitude": np.float32(4.0), "dirac_scaling": np.True_,
+               "positions": [[np.float64(0.5), np.float32(0.5)]]}
+    config = ExperimentConfig(**{**CONFIG, "inhomogeneous": np.False_, "phantom": phantom})
+    path = tmp_path / "config.json"
+    write_json(path, config.to_dict())
+    saved = json.loads(path.read_text())
+    assert saved["inhomogeneous"] is False and saved["phantom"]["dirac_scaling"] is True
+    assert saved["phantom"]["amplitude"] == 4.0 and saved["phantom"]["positions"] == [[0.5, 0.5]]
     assert ExperimentConfig.from_json(path) == config

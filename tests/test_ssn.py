@@ -269,6 +269,7 @@ def test_path_follow_carries_b_times_y(monkeypatch):
     monkeypatch.setattr(ssn, "penalty_objective", objective_spy)
     # the long schedule ends stages on negligible increments; this instance also takes damped steps
     mu, records, _, _ = path_follow(b, c, mu0, reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
+    records = [r for r in records if r["kind"] == "inner"]
     assert any(r["step"] < 1.0 for r in records)
     start_mu, start_w, _ = objectives[0]
     assert start_mu is mu0 and not np.any(start_w)
@@ -295,15 +296,30 @@ def test_path_follow_counts_b_products(monkeypatch):
 
     monkeypatch.setattr(ssn.BOperator, "dot", dot_spy)
     _, records, solves, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
-    damped = [r["step"] for r in records if r["step"] < 1.0]
+    damped = [r["step"] for r in records if r["kind"] == "inner" and r["step"] < 1.0]
     trials = sum(round(np.log2(1.0 / s)) for s in damped)  # halvings from 1 to the accepted step
     assert damped
     assert count == solves + trials
 
 
+def test_stage_records_close_each_gamma():
+    # after each gamma's inner records comes one stage record; a settled stage's last active set is
+    # that of its last Newton step
+    vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
+    b = build_b_operator(vb, reg)
+    _, records, _, converged = path_follow(b, vb.T @ u_b, binv_vt(vb, b, u_b), reg.alpha,
+                                           options=SsnOptions(gammas=LONG_GAMMAS))
+    stages = [r for r in records if r["kind"] == "stage"]
+    assert converged and all(r["settled"] for r in stages)
+    assert [r["gamma"] for r in stages] == list(LONG_GAMMAS)
+    for last, stage in zip(records, records[1:]):
+        if stage["kind"] == "stage":
+            assert (last["kind"], last["gamma"], last["active"]) == ("inner", stage["gamma"], stage["active"])
+
+
 def test_record_residual_is_preconditioned_gradient(monkeypatch):
     # residual = ||B^{-1} grad E|| at the recorded iterate; one Newton step per
-    # stage makes the returned mu the recorded one
+    # stage makes the returned mu the recorded one, and the stage record says it did not settle
     vb, u_b, reg = random_instance(33, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.T @ u_b
@@ -311,7 +327,8 @@ def test_record_residual_is_preconditioned_gradient(monkeypatch):
     for gamma in (1.0, 10.0, 100.0):
         with pytest.warns(RuntimeWarning, match="cycling"):
             mu, records, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=(gamma,)))
-        (record,) = records
+        record, stage = records
+        assert (record["kind"], stage["kind"], stage["settled"]) == ("inner", "stage", False)
         bm = dense_b(b)
         expected = np.linalg.norm(np.linalg.solve(bm, dense_gradient(bm, mu, c, reg.alpha, gamma)))
         assert expected > 0
