@@ -5,28 +5,40 @@ oracle for cross-validating the Newton-based solvers.  Both resolvents
 are closed-form: the dual step is an affine shrink toward the data, the
 primal step is the combined L1+L2 prox.
 
-Each step reads only the columns of vb that can matter, and every
-product goes through `realfield` (see there for the BLAS rule):
+Between dense products the iteration runs in block coordinates, and
+every product goes through `realfield` (see there for the BLAS rule):
 
-- The dual step needs vb @ mu_bar, which `realfield.matvec` sums over
-  supp mu_bar once it is small; the iterate is sparse (at most 32 of
-  8192 entries on the 64-receiver desk-geometry instance).
-- The primal step needs (vb^T p)_j only where the prox can be nonzero.
-  A safe screen (after El Ghaoui, Viallon & Rabbani, 2012) keeps a
-  reference dual point p_ref with |vb^T p_ref|.  By Cauchy-Schwarz,
+- A safe screen (after El Ghaoui, Viallon & Rabbani, 2012, and Ndiaye
+  et al., JMLR 18, 2017) bounds vb^T p from a reference dual point p_ref
+  with a known vb^T p_ref.  By Cauchy-Schwarz,
   |(vb^T p)_j| <= |(vb^T p_ref)_j| + ||vb_j|| ||p - p_ref||, and any
   computed inner product of length 2M is within gamma_2M ||vb_j|| ||p||
-  of the exact one, whatever the summation order.  A j with mu_j = 0 at
-  which this bound (with rounding slack) is <= alpha has a computed
-  |(vb^T p)_j| <= alpha, so its prox is exactly 0 however the product is
-  formed.  Only the other indices, the candidates, are computed; when
-  there are more than 2M of them the product is dense and its point
-  becomes the new reference.  The iterates are those of the dense loop
-  up to the rounding of the products.  With alpha = 0 every index is a
-  candidate (barring zero columns, or p = 0), and every product is dense.
-  On an operator with fewer than SCREEN_MIN_ENTRIES entries the test
-  costs more than the dense product it could save, so it is not run and
-  every adjoint is dense.
+  of the exact one, whatever the summation order.  So with
+  r = ||p - p_ref|| plus a rounding slack, a j with mu_j = 0 and
+  r <= t_j = (alpha - |vb^T p_ref|_j) / ||vb_j|| (alpha shrunk by the
+  slack) has a computed |(vb^T p)_j| <= alpha, and its prox step is
+  exactly 0 however the product is formed.  j is a candidate when
+  r > t_j or mu_j != 0.
+- At each dense product (each record, and each step that leaves the
+  block) p becomes the reference, the t_j are formed and shrunk by a
+  rounding margin, and one column-major block of vb is copied: first the
+  head, the columns on supp mu U supp mu_bar, then the 2M columns with
+  the smallest t_j, in increasing t.
+- A step inside the block keeps mu and mu_bar on its first k columns.
+  Its candidates lie in the head and the columns after it with t_j < r,
+  a prefix of the block; k grows to cover them and never shrinks, so
+  the iterates stay on the first k columns, and both products read only
+  that contiguous slice, by `dgemv`.  Outside the block mu_j = 0, and
+  t_j is at least the smallest t_j left out, so while r stays at or
+  below it no column outside can be a candidate.  Once r passes it, the
+  step is dense (mu and mu_bar are scattered back), and the next block
+  is formed from that product.
+- The iterates are those of the dense loop up to the rounding of the
+  products: a column the loop does not compute has a zero step either
+  way.  With alpha = 0 every column is a candidate, so no block is
+  formed and every step is dense.  On an operator with fewer than
+  SCREEN_MIN_ENTRIES entries the dense step is the cheaper one, so no
+  block is formed there either.
 
 The oracle certifies itself.  For alpha0 > 0 the primal P is
 alpha0-strongly convex, so any dual point p bounds the distance of the
@@ -34,11 +46,12 @@ iterate to the minimizer: ||mu - mu*|| <= sqrt(2 (P(mu) + D(p)) / alpha0).
 The run stops once that bound, with the gap computed from PDA's own
 iterates plus a rounding allowance, falls to CERTIFY_RTOL * ||mu||.
 D(p) needs all of vb^T p, so each record makes the dense product, and
-the step at a record uses it (and refreshes the screen from it): the
-certificate is computed exactly as without screening.
+the step at a record uses it (and forms the next block from it): the
+certificate is computed exactly as without the block.
 """
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 from scipy.linalg import eigvalsh
@@ -54,10 +67,13 @@ GAP_ULPS = 4  # rounding allowance of the computed gap, in ulps of |P| + |D|
 # summation order, and the norms, products and sums of the screen's own test round by about as much
 # again; slack = SCREEN_EPS_PER_TERM * (2M + 4) eps covers both with room.
 SCREEN_EPS_PER_TERM = 2
-# The screen's candidate test costs about 15-25 us per step whatever the size (a dozen numpy calls), and
-# a dense vb^T p over fewer than 2^16 entries of vb costs less than that (2 cores, OpenBLAS: 2 us at
-# 12 x 48, 14-15 us at 2^16 entries, 226 us at 128 x 8192); on such operators every adjoint is dense.
-SCREEN_MIN_ENTRIES = 2**16
+# Below about 2^15 entries of vb a dense step is cheaper than a step in the block, whose bookkeeping (the
+# radius test, and the blocks formed anew when the candidates leave them) costs a few us whatever the size.
+# Per step, best of 3 solves, 2 cores, OpenBLAS: on the criterion-4 batch (at most 12 x 48) 13-14 us dense
+# against 19 us in blocks; 18-19 against 21 us at 32 x 256; 21-23 against 21 us at 32 x 512; 27-28 against
+# 22 us at 32 x 1024 (2^15 entries); 38-39 against 22-23 us at 32 x 2048.  On smaller operators every
+# step is dense.
+SCREEN_MIN_ENTRIES = 2**15
 
 
 @dataclass
@@ -77,14 +93,15 @@ class PdaOptions:
 
 
 class AdjointScreen:
-    """Safe screen of vb^T p for the primal step (see the module docstring).
+    """Safe screen of vb^T p in block coordinates (see the module docstring).
 
-    Holds vb, the column norms ||vb_j||, and the reference point p_ref
-    with |vb^T p_ref|, which starts at p_ref = 0.  `limit` is the most
-    candidates a screened product may have, 2M, or 0 where the test is
-    not run (fewer than SCREEN_MIN_ENTRIES entries).  `dense` counts the
-    dense products; where the screen runs, each of them refreshes the
-    reference.
+    Holds vb, the column norms ||vb_j|| and the current block: `cols`, the
+    columns of vb it holds, head first (None in full coordinates); `v`,
+    their column-major copy (vb itself in full coordinates); `t`, the
+    shrunk t_j of the columns after the head, increasing; `t_out`, the
+    smallest t_j left out of the block; `s`, the head's size; and `k`, how
+    many of its columns the iterates reach.  Blocks are formed only where
+    `blocks` holds: alpha > 0 and at least SCREEN_MIN_ENTRIES entries.
     """
 
     def __init__(self, vb, alpha):
@@ -93,29 +110,53 @@ class AdjointScreen:
         self.col_norms = column_norms(vb)
         self.slack = SCREEN_EPS_PER_TERM * (m2 + 4) * np.finfo(float).eps
         self.threshold = alpha * (1.0 - self.slack)  # so that a rounded "<=" still means "<= alpha"
-        self.limit = m2 if m2 * vb.shape[1] >= SCREEN_MIN_ENTRIES else 0
-        self.dense = 0
-        self.p_ref, self.abs_ref, self.ref_norm = np.zeros(m2), np.zeros(vb.shape[1]), 0.0
+        self.blocks = alpha > 0 and vb.size >= SCREEN_MIN_ENTRIES
+        self.cols, self.v = None, vb
 
-    def adjoint(self, p, mu, vt_p=None):
-        """vb^T p where the prox step may be nonzero: (idx, (vb^T p)[idx]), or (None, vb^T p).
+    def form(self, p, vt_p, mu, mu_bar):
+        """Form the block at the dense product vt_p = vb^T p; returns mu and mu_bar in its coordinates."""
+        if not self.blocks:
+            return mu, mu_bar
+        head = np.flatnonzero((mu != 0) | (mu_bar != 0))
+        with np.errstate(divide="ignore"):  # a zero column is never a candidate: t_j = inf
+            t = (self.threshold - np.abs(vt_p)) / self.col_norms
+        # the computed t_j has the sign of the exact quotient and is within 2 ulps of it: shrinking the
+        # positive ones by the slack covers that, and a t_j <= 0 is a candidate at every r > 0 anyway
+        t *= 1.0 - self.slack
+        t[head] = -np.inf
+        width = head.size + self.vb.shape[0]
+        if width < t.size:
+            order = np.argpartition(t, width)
+            self.t_out = t[order[width]]
+            order = order[:width]
+        else:
+            order, self.t_out = np.arange(t.size), np.inf
+        self.cols = order[np.argsort(t[order], kind="stable")]
+        self.t = t[self.cols[head.size:]]
+        self.s = self.k = head.size
+        self.v = columns(self.vb, self.cols)
+        self.p_ref, self.ref_norm = p, sqrt(p @ p)
+        return mu[self.cols[:self.k]], mu_bar[self.cols[:self.k]]
 
-        The product is dense when `vt_p`, the dense product, is given, when
-        the screen does not run, and when there are more than 2M
-        candidates; where the screen runs, a dense product becomes the new
-        reference.
-        """
-        if vt_p is None:
-            if self.limit:
-                r = np.linalg.norm(p - self.p_ref) + self.slack * (np.linalg.norm(p) + self.ref_norm)
-                idx = np.flatnonzero((self.abs_ref + r * self.col_norms > self.threshold) | (mu != 0))
-                if idx.size <= self.limit:
-                    return idx, rmatvec(columns(self.vb, idx), p) if idx.size else np.zeros(0)
-            vt_p = rmatvec(self.vb, p)
-        if self.limit:
-            self.p_ref, self.abs_ref, self.ref_norm = p, np.abs(vt_p), np.linalg.norm(p)
-        self.dense += 1
-        return None, vt_p
+    def prefix(self, p):
+        """How many block columns the step at p reaches (k, grown to cover the candidates), or None to go dense."""
+        if self.cols is None:
+            return None
+        d = p - self.p_ref
+        r = sqrt(d @ d) + self.slack * (sqrt(p @ p) + self.ref_norm)  # norms as np.linalg.norm forms them
+        if r > self.t_out:
+            return None
+        self.k = max(self.k, self.s + int(np.searchsorted(self.t, r)))
+        return self.k
+
+    def release(self, mu, mu_bar):
+        """mu and mu_bar scattered back from block coordinates; the screen is in full coordinates after."""
+        if self.cols is None:
+            return mu, mu_bar
+        full = np.zeros((2, self.vb.shape[1]))
+        full[:, self.cols[:mu.size]] = mu, mu_bar
+        self.cols, self.v = None, self.vb
+        return full[0], full[1]
 
 
 def default_steps(vb, sigma=0.5):
@@ -137,16 +178,13 @@ def pda_dual_step(p, mu_bar, vb, u_b, sigma):
 def pda_primal_step(mu, p_next, screen, tau, reg, vt_p=None):
     """Prox step on the regularizer at mu - tau * vb^T p_next.
 
-    The adjoint is computed on the `AdjointScreen`'s candidates only, and
-    the step is exactly 0 elsewhere; `vt_p` is the dense vb^T p_next when
-    the caller has it.
+    With `vt_p`, the dense vb^T p_next, mu and the step are full vectors.
+    Without, they are in the coordinates of the `AdjointScreen`'s block:
+    mu lives on its first mu.size columns, and only those are computed.
     """
-    idx, g = screen.adjoint(p_next, mu, vt_p)
-    if idx is None:
-        return prox_p(mu - tau * g, tau, reg)
-    out = np.zeros_like(mu)
-    out[idx] = prox_p(mu[idx] - tau * g, tau, reg)
-    return out
+    if vt_p is None:
+        vt_p = rmatvec(screen.v[:, :mu.size], p_next) if mu.size else mu
+    return prox_p(mu - tau * vt_p, tau, reg)
 
 
 def solve_pda(vb, u_b, reg, options=None):
@@ -170,13 +208,25 @@ def solve_pda(vb, u_b, reg, options=None):
     p = np.zeros(vb.shape[0])
     mu = np.zeros(vb.shape[1])
     mu_bar = mu.copy()
+    vt_p = np.zeros(vb.shape[1])  # vb^T p at p = 0, the first reference
     records = []
     best = np.inf
+    dense = 0
     stop_reason = "max_iters"
     for it in range(1, options.iters + 1):
-        p = pda_dual_step(p, mu_bar, vb, u_b, sigma)
+        if vt_p is not None:  # the last step was dense: a new block from its product
+            mu, mu_bar = screen.form(p, vt_p, mu, mu_bar)
+        p = pda_dual_step(p, mu_bar, screen.v[:, :mu_bar.size], u_b, sigma)
         record = it % options.record_every == 0 or it == options.iters
-        vt_p = rmatvec(vb, p) if record else None
+        k = None if record else screen.prefix(p)
+        if k is None:
+            mu, mu_bar = screen.release(mu, mu_bar)
+            vt_p = rmatvec(vb, p)
+            dense += 1
+        else:
+            vt_p = None
+            if k > mu.size:
+                mu = np.concatenate((mu, np.zeros(k - mu.size)))
         mu_next = pda_primal_step(mu, p, screen, tau, reg, vt_p)
         mu_bar = mu_next + (mu_next - mu)
         mu = mu_next
@@ -184,7 +234,7 @@ def solve_pda(vb, u_b, reg, options=None):
             primal = primal_objective(mu, vb, u_b, reg)
             best = min(best, primal)
             rec = {"solver": "pda", "kind": "inner", "inner": it, "objective": float(primal),
-                   "best_objective": float(best), "dense_adjoints": screen.dense}
+                   "best_objective": float(best), "dense_adjoints": dense}
             records.append(rec)
             if reg.alpha0 > 0:
                 dual = dual_objective(p, vt_p, u_b, reg)

@@ -56,7 +56,11 @@ class PhantomSpec:
         check_finite("amplitude", self.amplitude)
         check_bool("dirac_scaling", self.dirac_scaling)
         if self.positions is not None:  # as tuples, so that a spec read from JSON equals the one written
-            object.__setattr__(self, "positions", tuple(tuple(p) for p in self.positions))
+            try:
+                points = tuple(tuple(p) for p in self.positions)
+            except TypeError:  # not a list of points: a flat list of coordinates, or a number
+                raise ValueError(f"positions must be a list of points, got {self.positions!r}") from None
+            object.__setattr__(self, "positions", points)
             for coordinate in [c for point in self.positions for c in point]:
                 check_finite("a coordinate of positions", coordinate)
 

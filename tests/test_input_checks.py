@@ -165,6 +165,12 @@ CASES = {
         "coordinate of positions must be a finite real"),
     "PhantomSpec-positions-string": (
         lambda tmp: PhantomSpec(kind="peaks", positions=((0.5, "0.5"),)), "coordinate of positions must be a finite real"),
+    # a flat list of coordinates once raised TypeError from the tuple conversion
+    "PhantomSpec-positions-flat": (
+        lambda tmp: PhantomSpec(kind="peaks", positions=[0.5, 0.5]), "positions must be a list of points"),
+    "ExperimentConfig-positions-number": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "phantom": {"kind": "peaks", "positions": 0.5}}),
+        "positions must be a list of points"),
 }
 
 

@@ -171,13 +171,19 @@ def wide_instance(seed, alpha_frac, alpha0=1e-3):
 
 
 def screened_run(monkeypatch, vb, u_b, reg, iters):
-    """solve_pda with one record, at the last step, and the iterate of every step."""
+    """solve_pda with one record, at the last step, and the iterate of every step in full coordinates."""
     steps = []
     step = pda.pda_primal_step
 
-    def spy(*args, **kwargs):
-        steps.append(step(*args, **kwargs))
-        return steps[-1]
+    def spy(mu, p_next, screen, tau, reg, vt_p=None):
+        out = step(mu, p_next, screen, tau, reg, vt_p)
+        if vt_p is None:  # a step in the block: out lives on its first out.size columns
+            full = np.zeros(vb.shape[1])
+            full[screen.cols[:out.size]] = out
+            steps.append(full)
+        else:
+            steps.append(out)
+        return out
 
     monkeypatch.setattr(pda, "pda_primal_step", spy)
     result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=iters, record_every=iters))
@@ -201,10 +207,26 @@ def test_screened_steps_match_dense_loop(monkeypatch):
         mu_bar = mu_next + (mu_next - mu)
         mu = mu_next
     assert 0 < np.count_nonzero(mu) < 20
-    # the only record is the last step, whose product is dense; so the screen refreshed with a
-    # dense product on some steps (dense >= 2) and skipped it on most of the others
+    # the only record is the last step, whose product is dense; so the block was formed anew after a
+    # dense product on some steps (dense >= 2) and most of the others stayed in it
     dense = result.records[-1]["dense_adjoints"]
     assert 2 <= dense < result.iterations // 2
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_block_certifies_where_the_dense_loop_does(monkeypatch, seed):
+    # the dense loop is the same solve with no block formed; both certify at the same record
+    vb, u_b, reg = wide_instance(seed, alpha_frac=0.1)
+    options = PdaOptions(iters=10**5, record_every=50)
+    blocked = solve_pda(vb, u_b, reg, options=options)
+    monkeypatch.setattr(pda, "SCREEN_MIN_ENTRIES", vb.size + 1)
+    dense = solve_pda(vb, u_b, reg, options=options)
+    assert blocked.stop_reason == dense.stop_reason == "certified"
+    assert blocked.iterations == dense.iterations
+    assert np.array_equal(blocked.mu != 0, dense.mu != 0)
+    assert np.linalg.norm(blocked.mu - dense.mu) <= 1e-12 * np.linalg.norm(dense.mu)
+    assert dense.records[-1]["dense_adjoints"] == dense.iterations
+    assert blocked.records[-1]["dense_adjoints"] < dense.iterations // 10
 
 
 def test_screen_is_dense_at_alpha_zero():
@@ -215,46 +237,55 @@ def test_screen_is_dense_at_alpha_zero():
 
 
 def test_screen_runs_only_on_operators_where_it_can_pay():
-    # at p = p_ref = 0 and mu = 0 the candidate test finds no candidate; on an operator with
-    # fewer than SCREEN_MIN_ENTRIES entries the test is skipped and the product is dense
+    # a block is formed only on an operator with at least SCREEN_MIN_ENTRIES entries; on a smaller one the
+    # iterates stay in full coordinates and every step is dense
     small, wide = random_instance(511)[0], wide_instance(11, alpha_frac=0.1)[0]
     assert small.size < SCREEN_MIN_ENTRIES <= wide.size
-    for vb, screened in ((small, False), (wide, True)):
+    for vb, blocked in ((small, False), (wide, True)):
         screen = AdjointScreen(vb, 0.1)
-        idx, g = screen.adjoint(np.zeros(vb.shape[0]), np.zeros(vb.shape[1]))
-        assert (idx is not None) == screened and screen.dense == (not screened)
-        assert not np.any(g) and g.size == (0 if screened else vb.shape[1])
-    # a dense product refreshes the reference only where the screen runs, which reads it
-    for vb, screened in ((small, False), (wide, True)):
-        screen = AdjointScreen(vb, 0.1)
-        p = np.ones(vb.shape[0])
-        idx, g = screen.adjoint(p, np.zeros(vb.shape[1]), vb.T @ p)
-        assert idx is None and screen.dense == 1
-        assert (screen.p_ref is p) == screened and (screen.ref_norm > 0) == screened
-        assert np.array_equal(screen.abs_ref, np.abs(g) if screened else np.zeros(vb.shape[1]))
-
-
-def test_screen_excludes_only_zero_steps(rng):
-    # outside the candidates, mu is 0 and the computed |vb^T p| is at most alpha
-    vb, _, _ = wide_instance(12, alpha_frac=0.1)
-    for scale in (1e-8, 1e-4, 1e-2, 1.0):
-        p_ref = rng.standard_normal(vb.shape[0])
-        g_ref = vb.T @ p_ref
-        alpha = float(np.sort(np.abs(g_ref))[-11])  # 10 coordinates exceed it at p_ref
-        screen = AdjointScreen(vb, alpha)
-        idx, g = screen.adjoint(p_ref, np.zeros(vb.shape[1]), g_ref)
-        assert idx is None and g is g_ref and screen.dense == 1
-        p = p_ref + scale * rng.standard_normal(vb.shape[0]) / np.sqrt(vb.shape[0])
-        mu = np.zeros(vb.shape[1])
-        mu[rng.choice(vb.shape[1], size=5, replace=False)] = 1.0
-        idx, g = screen.adjoint(p, mu)
-        if idx is None:  # more than 2M = 32 candidates
-            assert screen.dense == 2 and scale > 1e-4
+        p, mu = np.zeros(vb.shape[0]), np.zeros(vb.shape[1])
+        mu_b, mu_bar_b = screen.form(p, np.zeros(vb.shape[1]), mu, mu)
+        if not blocked:
+            assert mu_b is mu and mu_bar_b is mu and screen.cols is None and screen.v is vb
+            assert screen.prefix(p) is None
             continue
-        assert np.array_equal(g, vb.T[idx] @ p)
-        outside = np.setdiff1d(np.arange(vb.shape[1]), idx)
-        assert not np.any(mu[outside])
-        assert np.max(np.abs(vb.T @ p)[outside]) <= alpha
+        # at p = p_ref = 0 with mu = 0: an empty head, the 2M columns of largest norm (t_j = alpha/||vb_j||),
+        # and no candidate
+        assert mu_b.size == mu_bar_b.size == 0 and screen.v.shape == (vb.shape[0], vb.shape[0])
+        norms = np.linalg.norm(vb, axis=0)
+        assert np.array_equal(np.sort(screen.cols), np.sort(np.argsort(-norms)[:vb.shape[0]]))
+        assert np.array_equal(screen.v, vb[:, screen.cols]) and screen.v.flags.f_contiguous
+        assert screen.prefix(p) == 0
+    small_run = solve_pda(*random_instance(511), options=PdaOptions(iters=300, record_every=100))
+    assert [r["dense_adjoints"] for r in small_run.records] == [100, 200, 300]
+
+
+def test_screen_excludes_only_zero_steps(monkeypatch):
+    # whenever a step stays in the block, every column outside the ones it computes has mu_j = 0 and a
+    # computed |vb^T p|_j <= alpha, so its step is exactly 0
+    vb, u_b, reg = wide_instance(12, alpha_frac=0.1)
+    step = pda.pda_primal_step
+    last = np.zeros(vb.shape[1])  # the iterate, in full coordinates
+    in_block = []
+
+    def spy(mu, p_next, screen, tau, reg_, vt_p=None):
+        nonlocal last
+        out = step(mu, p_next, screen, tau, reg_, vt_p)
+        if vt_p is None:
+            outside = np.ones(vb.shape[1], dtype=bool)
+            outside[screen.cols[:mu.size]] = False
+            assert not np.any(last[outside])
+            assert np.max(np.abs(vb.T @ p_next)[outside]) <= reg.alpha
+            in_block.append(mu.size)
+            last = np.zeros(vb.shape[1])
+            last[screen.cols[:out.size]] = out
+        else:
+            last = out
+        return out
+
+    monkeypatch.setattr(pda, "pda_primal_step", spy)
+    result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=3000, record_every=100))
+    assert len(in_block) > result.iterations // 2  # most steps stay in the block
 
 
 def test_solve_pda_does_not_copy_the_operator(rng):
