@@ -14,7 +14,7 @@ from .harness import ExperimentConfig, ExperimentResult, add_noise, n_error, run
 from .pda import PdaOptions, solve_pda
 from .phantoms import PhantomSpec, make_medium, make_phantom
 from .prox import RegParams, SolveResult, prox_p, soft_threshold
-from .realfield import derealify, realify, realify_matrix
+from .realfield import MeasurementOperator, derealify, realify, realify_matrix
 from .ssn import SsnOptions, solve_ssn
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __all__ = [
     "PdaOptions", "solve_pda",
     "PhantomSpec", "make_medium", "make_phantom",
     "RegParams", "SolveResult", "prox_p", "soft_threshold",
-    "derealify", "realify", "realify_matrix",
+    "MeasurementOperator", "derealify", "realify", "realify_matrix",
     "SsnOptions", "solve_ssn",
     "__version__",
 ]

@@ -31,8 +31,12 @@ method on the dual, whose rate improves as sigma grows (Rockafellar,
 Math. Oper. Res. 1 (1976) 97-116), and a large sigma keeps the active
 set small, so the steps take the Sherman-Morrison-Woodbury path.
 
-Every product with vb, its column blocks and their Gram matrices goes
-through `realfield`, so through scipy's BLAS like the Cholesky (see there).
+vb is a `realfield.MeasurementOperator`, which holds the complex matrix
+T: the full products vb x and vb^T y are its `zgemv` products, and the
+active columns come out of `vb.columns` as a realified block, so the
+active set, the Gram matrices and the Newton step stay real.  Every
+product goes through `realfield`, so through scipy's BLAS like the
+Cholesky (see there).
 """
 
 import warnings
@@ -42,7 +46,7 @@ import numpy as np
 
 from .grid import check_integer
 from .prox import SolveResult, cholesky_solve, dual_objective, h_star, p_star, primal_objective, prox_p, soft_threshold
-from .realfield import check_problem, columns, gram, matvec, rmatvec
+from .realfield import check_problem, gram, matvec, rmatvec
 
 
 # Loop constants: the penalty's growth factor and its cap, the Armijo
@@ -103,7 +107,7 @@ def residual_F(y, lam, sigma, vb, u_b, reg, vt_y):
     The prox is nonzero only on the active set, so `matvec` sums the
     active columns once the set is small.
     """
-    return y + u_b - matvec(vb, prox_p(-lam - sigma * vt_y, sigma, reg))
+    return y + u_b - vb.matvec(prox_p(-lam - sigma * vt_y, sigma, reg))
 
 
 def _active_set(lam, sigma, vt_y, reg):
@@ -120,7 +124,7 @@ def newton_matrix(y, lam, sigma, vb, reg, *, vt_y):
     bounded below by 1.  The matrix depends on y only through vt_y.
     vb X vb^T is the Gram V_A V_A^T of the active columns.
     """
-    nmat = (sigma / (1.0 + sigma * reg.alpha0)) * gram(columns(vb, _active_set(lam, sigma, vt_y, reg)))
+    nmat = (sigma / (1.0 + sigma * reg.alpha0)) * gram(vb.columns(_active_set(lam, sigma, vt_y, reg)))
     nmat[np.diag_indices_from(nmat)] += 1.0
     return nmat
 
@@ -143,7 +147,7 @@ def newton_step(y, lam, sigma, vb, reg, *, residual, vt_y):
         return cholesky_solve(newton_matrix(y, lam, sigma, vb, reg, vt_y=vt_y), -residual)
     if n_active == 0:
         return -residual
-    va = columns(vb, active)
+    va = vb.columns(active)
     small = gram(va, trans=True)  # V_A^T V_A
     small[np.diag_indices_from(small)] += (1.0 + sigma * reg.alpha0) / sigma
     return matvec(va, cholesky_solve(small, rmatvec(va, residual))) - residual
@@ -241,13 +245,13 @@ def solve_alm(vb, u_b, reg, options=None):
             if l == MAX_INNER:
                 break
             d = newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vt_y)
-            vt_d = rmatvec(vb, d)
+            vt_d = vb.rmatvec(d)
             step, accepted, objective = armijo_search(y, d, lam, sigma, vt_y, vt_d, u_b, reg, options.beta,
                                                       max_backtracks=MAX_BACKTRACKS)
             if not accepted:
                 warnings.warn("line search exhausted; taking smallest trial step", RuntimeWarning)
             y = y + step * d
-            vt_y = rmatvec(vb, y)
+            vt_y = vb.rmatvec(y)
             inner_total += 1
             records.append({
                 "solver": "alm", "kind": "inner", "outer": k, "inner": l,

@@ -30,10 +30,10 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .export import write_file
-from .realfield import derealify, realify, realify_matrix
+from .realfield import MeasurementOperator, derealify, realify
 
 _CACHE_MAGIC = b"VBOP"
-_CACHE_VERSION = 4  # 4: the header is magic, key, crc; the payload is vb.T in C order (since 3)
+_CACHE_VERSION = 5  # 5: the payload is T, complex128, column-major (4 held the realified vb)
 _CACHE_HEADER = "<4s32sI"  # magic, `_cache_key`, payload crc32: 40 bytes, so the payload stays 8-aligned
 _BLOCK = 1 << 19  # kernel points per block of rows: bounds the temporaries to tens of MB
 _FFT_BLOCK = 16  # rows per batched FFT: bounds the padded workspace to 16 * (2n)^d entries
@@ -310,9 +310,10 @@ def source_to_measurement(grid, medium, receivers, mu, tol=1e-10):
 
 
 def assemble_vb(grid, medium, receivers, tol=1e-8):
-    """Assemble the realified measurement operator (2M x 2N).
+    """Assemble the measurement operator: a `MeasurementOperator` holding T (M x N complex, column-major).
 
-    Row i is the map mu -> scattered boundary data at receiver i.  By
+    Row i of T is the map from a complex source to the scattered boundary
+    data at receiver i; the operator applies it to realified sources.  By
     reciprocity of the Green's function for real contrast, row i is
     (phi_i + V psi_i) / k^2, where phi_i is the free-space kernel row of
     receiver i and psi_i = q (phi_i + V psi_i) is supported on the K nodes
@@ -324,28 +325,29 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     `volume_potential_fft`), whatever the BLAS thread variables say.  At
     the desk bump config (64^2 nodes, K = 360, M = 256, 2 cores) this
     takes 0.25 s (median of 10 calls) against 3.0 s for 256 `ls_solve`
-    GMRES solves, one per kernel row, and the homogeneous desk operator
-    0.065 s.  The margin shrinks as K nears N: at half-width 1 (K = 3228
-    of 4096, with numpy's FFTs) it measured 3.1-3.4 s and a 560 MB peak
-    against 4.4-4.8 s and 145 MB.  No inhomogeneous 3D case has been
-    measured.  Each receiver's relative residual
+    GMRES solves, one per kernel row; the homogeneous desk operator takes
+    0.033-0.037 s (medians of 15 calls in each of 3 processes).  The
+    margin shrinks as K nears N: at half-width 1 (K = 3228 of 4096, with
+    numpy's FFTs) it measured 3.1-3.4 s and a 560 MB peak against
+    4.4-4.8 s and 145 MB.  No inhomogeneous 3D case has been measured.
+    Each receiver's relative residual
     psi_S - q_S (phi + V psi)_S, with V applied by FFT, is checked
-    against `tol` (LsSolveError otherwise).  No kernel block, psi or FFT
-    potential is alive beside phi when `realify_matrix` allocates vb.
-    `medium` is checked by `_check_medium`.
+    against `tol` (LsSolveError otherwise).  T is phi itself, scaled in
+    place: no realified copy is made.  `medium` is checked by
+    `_check_medium`.
     """
     _check_medium(grid, medium)
     k = medium.wavenumber
     nodes = grid.nodes()
     points = receivers.points
-    phi = np.empty((nodes.shape[0], points.shape[0]), dtype=complex).T  # column-major, like vb
+    phi = np.empty((nodes.shape[0], points.shape[0]), dtype=complex).T  # column-major, as T is held
     for cols, block in _kernel_blocks(k, grid.dim, nodes, points, grid.cell_volume()):
         phi[:, cols] = block.T
     del block  # one block of rows, 8 MB at the desk
     if not medium.is_homogeneous:
         _add_scattered_rows(grid, medium, phi, tol)
-    phi /= k**2  # in place: no second M x N temporary beside vb
-    return realify_matrix(phi)
+    phi /= k**2  # in place: no second M x N temporary
+    return MeasurementOperator(phi)
 
 
 def _add_scattered_rows(grid, medium, phi, tol):
@@ -357,7 +359,7 @@ def _add_scattered_rows(grid, medium, phi, tol):
     rhs = q_s[:, None] * phi[:, support].T
     psi = np.zeros(phi.shape, dtype=complex)  # row-major: the FFT potential transforms it by rows
     psi[:, support] = lu_solve(lu_factor(system, overwrite_a=True, check_finite=False), rhs).T
-    np.add(phi, volume_potential_fft(grid, medium, psi), out=phi)  # in place: column-major, as vb
+    np.add(phi, volume_potential_fft(grid, medium, psi), out=phi)  # in place: column-major, as T
     residual = np.linalg.norm(psi[:, support] - q_s * phi[:, support], axis=1)
     worst = np.max(residual / np.linalg.norm(rhs, axis=0))
     if worst > tol:
@@ -374,28 +376,29 @@ def _cache_key(grid, medium, receivers):
     return h.digest()
 
 
-def save_vb_cache(path, vb, grid, medium, receivers):
-    """Persist an operator: magic, `_cache_key`, payload crc32, then the f64 payload (vb's own bytes)."""
-    payload = memoryview(np.asarray(vb, dtype="<f8", order="F").T).cast("B")
+def save_vb_cache(path, op, grid, medium, receivers):
+    """Persist a `MeasurementOperator`: magic, `_cache_key`, payload crc32, then T's own bytes (complex128,
+    column-major), 16 M N of them."""
+    payload = memoryview(op.t.T.view(np.uint8).reshape(-1))
     header = struct.pack(_CACHE_HEADER, _CACHE_MAGIC, _cache_key(grid, medium, receivers), zlib.crc32(payload))
     write_file(path, header, payload)
 
 
 def load_vb_cache(path, grid, medium, receivers):
-    """A cached operator, a column-major view of the file's payload; None when missing, stale, truncated
-    or corrupt.  The size, magic and key are checked before the payload is read."""
-    rows, cols = 2 * receivers.count, 2 * grid.num_nodes
+    """A cached `MeasurementOperator`, whose T is a column-major view of the file's payload; None when
+    missing, stale, truncated or corrupt.  The size, magic and key are checked before the payload is read."""
+    rows, cols = receivers.count, grid.num_nodes
     header_size = struct.calcsize(_CACHE_HEADER)
     try:
         with open(path, "rb", buffering=0) as f:  # unbuffered: a stale cache costs 40 bytes of reading
-            if os.fstat(f.fileno()).st_size != header_size + 8 * rows * cols:
+            if os.fstat(f.fileno()).st_size != header_size + 16 * rows * cols:
                 return None
             magic, key, crc = struct.unpack(_CACHE_HEADER, f.read(header_size))
             if magic != _CACHE_MAGIC or key != _cache_key(grid, medium, receivers):
                 return None
-            payload = np.fromfile(f, dtype="<f8")
+            payload = np.fromfile(f, dtype="<c16")
     except FileNotFoundError:
         return None
     if zlib.crc32(payload) != crc:
         return None
-    return payload.reshape(cols, rows).T
+    return MeasurementOperator(payload.reshape(cols, rows).T)

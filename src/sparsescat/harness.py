@@ -4,11 +4,13 @@ Synthetic data are generated on a fine grid and inverted on a coarser,
 non-nested grid (different discretizations guard against the inverse
 crime).  All randomness flows through one seeded 64-bit permuted
 congruential generator (PCG64), so a config + seed reproduces
-`diagnostics.jsonl`, the `mu_rec` files and `vb.cache` byte for byte;
+`diagnostics.jsonl`, the `mu_rec` files and `vb.cache` byte for byte at
+a fixed BLAS thread count (the rounding of some products depends on it);
 `result.json` differs only in its wall times, and `config.json` in its
 output_dir.
 """
 
+import ctypes
 import json
 import time
 from contextlib import contextmanager
@@ -216,16 +218,35 @@ def _export(config, result, coarse_grid):
     result.output_paths = {k: str(v) for k, v in paths.items()}
 
 
+# the symbol that reports the thread count of numpy's OpenBLAS (64-bit integers, suffixed) and scipy's
+_BLAS_THREAD_SYMBOLS = {"numpy": "scipy_openblas_get_num_threads64_", "scipy": "scipy_openblas_get_num_threads"}
+
+
 def _blas_libraries():
-    """The BLAS library of numpy and that of scipy, each as "<name> <version>".
+    """The BLAS library of numpy and that of scipy: {"library": "<name> <version>", "threads": count}.
 
     They are two libraries, each with its own thread pool: the wheels of
-    numpy and scipy each bring their own OpenBLAS.
+    numpy and scipy each bring their own OpenBLAS.  The thread count is
+    read from the OpenBLAS mapped into this process by the symbol of
+    `_BLAS_THREAD_SYMBOLS`, and is None where none exports it.
     """
-    return {
-        module.__name__: "{name} {version}".format(**module.show_config(mode="dicts")["Build Dependencies"]["blas"])
-        for module in (np, scipy)
-    }
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line and line.rstrip().endswith(".so")})
+    except OSError:  # not Linux
+        paths = []
+    libraries = [ctypes.CDLL(path) for path in paths]
+    versions = {}
+    for module in (np, scipy):
+        symbol = _BLAS_THREAD_SYMBOLS[module.__name__]
+        getters = [getattr(lib, symbol) for lib in libraries if hasattr(lib, symbol)]
+        threads = None
+        if getters:
+            getters[0].argtypes, getters[0].restype = [], ctypes.c_int
+            threads = getters[0]()
+        library = "{name} {version}".format(**module.show_config(mode="dicts")["Build Dependencies"]["blas"])
+        versions[module.__name__] = {"library": library, "threads": threads}
+    return versions
 
 
 def coarse_problem(config):

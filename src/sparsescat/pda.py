@@ -21,9 +21,11 @@ every product goes through `realfield` (see there for the BLAS rule):
   r > t_j or mu_j != 0.
 - At each dense product (each record, and each step that leaves the
   block) p becomes the reference, the t_j are formed and shrunk by a
-  rounding margin, and one column-major block of vb is copied: first the
+  rounding margin, and one realified column-major block of vb is
+  gathered from the operator's complex matrix T (`columns`): first the
   head, the columns on supp mu U supp mu_bar, then the 2M columns with
-  the smallest t_j, in increasing t.
+  the smallest t_j, in increasing t.  The dense products themselves are
+  the operator's `zgemv` on T.
 - A step inside the block keeps mu and mu_bar on its first k columns.
   Its candidates lie in the head and the columns after it with t_j < r,
   a prefix of the block; k grows to cover them and never shrinks, so
@@ -58,7 +60,7 @@ from scipy.linalg import eigvalsh
 
 from .grid import check_integer
 from .prox import SolveResult, dual_objective, primal_objective, prox_p
-from .realfield import check_problem, column_norms, columns, gram, matvec, rmatvec
+from .realfield import check_problem, matvec, rmatvec
 
 CERTIFY_RTOL = 1e-5  # certified stop: distance bound <= CERTIFY_RTOL * ||mu||
 GAP_ULPS = 4  # rounding allowance of the computed gap, in ulps of |P| + |D|
@@ -95,9 +97,9 @@ class PdaOptions:
 class AdjointScreen:
     """Safe screen of vb^T p in block coordinates (see the module docstring).
 
-    Holds vb, the column norms ||vb_j|| and the current block: `cols`, the
-    columns of vb it holds, head first (None in full coordinates); `v`,
-    their column-major copy (vb itself in full coordinates); `t`, the
+    Holds the operator vb, the column norms ||vb_j|| and the current block:
+    `cols`, the columns of vb it holds, head first, and `v`, their
+    realified column-major copy (both None in full coordinates); `t`, the
     shrunk t_j of the columns after the head, increasing; `t_out`, the
     smallest t_j left out of the block; `s`, the head's size; and `k`, how
     many of its columns the iterates reach.  Blocks are formed only where
@@ -107,11 +109,11 @@ class AdjointScreen:
     def __init__(self, vb, alpha):
         m2 = vb.shape[0]
         self.vb = vb
-        self.col_norms = column_norms(vb)
+        self.col_norms = vb.column_norms()
         self.slack = SCREEN_EPS_PER_TERM * (m2 + 4) * np.finfo(float).eps
         self.threshold = alpha * (1.0 - self.slack)  # so that a rounded "<=" still means "<= alpha"
-        self.blocks = alpha > 0 and vb.size >= SCREEN_MIN_ENTRIES
-        self.cols, self.v = None, vb
+        self.blocks = alpha > 0 and m2 * vb.shape[1] >= SCREEN_MIN_ENTRIES
+        self.cols = self.v = None
 
     def form(self, p, vt_p, mu, mu_bar):
         """Form the block at the dense product vt_p = vb^T p; returns mu and mu_bar in its coordinates."""
@@ -134,7 +136,7 @@ class AdjointScreen:
         self.cols = order[np.argsort(t[order], kind="stable")]
         self.t = t[self.cols[head.size:]]
         self.s = self.k = head.size
-        self.v = columns(self.vb, self.cols)
+        self.v = self.vb.columns(self.cols)
         self.p_ref, self.ref_norm = p, sqrt(p @ p)
         return mu[self.cols[:self.k]], mu_bar[self.cols[:self.k]]
 
@@ -155,24 +157,35 @@ class AdjointScreen:
             return mu, mu_bar
         full = np.zeros((2, self.vb.shape[1]))
         full[:, self.cols[:mu.size]] = mu, mu_bar
-        self.cols, self.v = None, self.vb
+        self.cols = self.v = None
         return full[0], full[1]
+
+    def matvec(self, x):
+        """vb @ x for x in the screen's coordinates: the operator's product, or the block's first x.size columns'."""
+        if self.cols is None:
+            return self.vb.matvec(x)
+        return matvec(self.v[:, :x.size], x) if x.size else np.zeros(self.vb.shape[0])
 
 
 def default_steps(vb, sigma=0.5):
     """Step sizes sigma (as given) and tau = 1/((||vb||^2 + 1e-6) * sigma).
 
-    ||vb||^2 is the largest eigenvalue of the smaller Gram matrix, so
-    sigma*tau*||vb||^2 <= 1, the standard convergence condition.
+    ||vb||^2 = ||T||^2 is the largest eigenvalue of the operator's smaller
+    complex Gram matrix, so sigma*tau*||vb||^2 <= 1, the standard
+    convergence condition.
     """
-    norm_sq = float(eigvalsh(gram(vb, trans=vb.shape[0] > vb.shape[1]), lower=False, check_finite=False)[-1])
+    norm_sq = float(eigvalsh(vb.gram(), lower=False, check_finite=False)[-1])
     tau = 1.0 / ((norm_sq + 1e-6) * sigma)
     return sigma, tau
 
 
-def pda_dual_step(p, mu_bar, vb, u_b, sigma):
-    """Resolvent of the data-term conjugate: (p + sigma*(vb@mu_bar - u_b)) / (1+sigma), vb@mu_bar by `matvec`."""
-    return (p + sigma * matvec(vb, mu_bar) - sigma * u_b) / (1.0 + sigma)
+def pda_dual_step(p, mu_bar, screen, u_b, sigma):
+    """Resolvent of the data-term conjugate: (p + sigma*(vb@mu_bar - u_b)) / (1+sigma).
+
+    mu_bar is in the coordinates of the `AdjointScreen`, whose `matvec`
+    forms vb@mu_bar.
+    """
+    return (p + sigma * screen.matvec(mu_bar) - sigma * u_b) / (1.0 + sigma)
 
 
 def pda_primal_step(mu, p_next, screen, tau, reg, vt_p=None):
@@ -216,12 +229,12 @@ def solve_pda(vb, u_b, reg, options=None):
     for it in range(1, options.iters + 1):
         if vt_p is not None:  # the last step was dense: a new block from its product
             mu, mu_bar = screen.form(p, vt_p, mu, mu_bar)
-        p = pda_dual_step(p, mu_bar, screen.v[:, :mu_bar.size], u_b, sigma)
+        p = pda_dual_step(p, mu_bar, screen, u_b, sigma)
         record = it % options.record_every == 0 or it == options.iters
         k = None if record else screen.prefix(p)
         if k is None:
             mu, mu_bar = screen.release(mu, mu_bar)
-            vt_p = rmatvec(vb, p)
+            vt_p = vb.rmatvec(p)
             dense += 1
         else:
             vt_p = None

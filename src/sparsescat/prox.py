@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .realfield import matvec
-
 
 CONVERGENCE_EXITS = ("multiplier_change", "duality_gap", "path_end", "certified")
 
@@ -104,9 +102,9 @@ def p_star(z, reg):
 
 
 def primal_objective(mu, vb, u_b, reg):
-    """P(mu) = 1/2||vb@mu - u_b||^2 + alpha0/2 ||mu||^2 + alpha ||mu||_1, with vb@mu from `matvec`."""
+    """P(mu) = 1/2||vb@mu - u_b||^2 + alpha0/2 ||mu||^2 + alpha ||mu||_1, with vb@mu from the operator's `matvec`."""
     mu = np.asarray(mu, dtype=float)
-    r = matvec(vb, mu) - u_b
+    r = vb.matvec(mu) - u_b
     return (
         0.5 * float(r @ r)
         + 0.5 * reg.alpha0 * float(mu @ mu)

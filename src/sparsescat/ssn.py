@@ -19,11 +19,14 @@ induce the Newton system
 iterated until the active sets repeat.  The dense 2N x 2N matrix B is
 formed once per instance, an O(M N^2) product and 8(2N)^2 bytes in the
 source dimension, about half of them resident (`realfield.normal`);
-that cost is exactly what the measurement-space ALM avoids.
+that cost is exactly what the measurement-space ALM avoids.  B and the
+Gram matrix G below are formed from one transient realified copy of the
+operator (`MeasurementOperator.dense`), which is dropped before the path.
 `realfield.normal` writes B's lower triangle, and B is read only
 through its active blocks: each Newton solve gathers B_AA and
 factors that block's lower triangle, and B itself is never factored.
-Every product B x is two products with vb, vb^T (vb x) + alpha0*x.
+Every product B x is two products with vb, vb^T (vb x) + alpha0*x, each
+one `zgemv` on the complex matrix T.
 The path starts at the ridge solution mu0 = B^{-1} c, where w = 0,
 solved once in the measurement space by the push-through identity
 
@@ -38,8 +41,8 @@ the record's residual is ||B^{-1} grad E||, which needs no product.
 
 Every product goes through `realfield`, in scipy's BLAS, the library of
 the Cholesky factors: `realfield.normal` forms B, `realfield.gram` G,
-and `realfield.matvec` and `realfield.rmatvec` give vb^T u_b, the start
-and every B x, the same product path as ALM and PDA.
+and the operator's `matvec` and `rmatvec` give vb^T u_b, the start and
+every B x, the same product path as ALM and PDA.
 """
 
 import warnings
@@ -49,7 +52,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .prox import SolveResult, cholesky_solve
-from .realfield import check_problem, gram, matvec, normal, rmatvec
+from .realfield import MeasurementOperator, check_problem, gram, normal
 
 
 MAX_INNER = 50  # Newton solves per gamma stage before the stage keeps its iterate
@@ -71,7 +74,7 @@ class SsnOptions:
 
 @dataclass
 class BOperator:
-    """Dense B = vb^T vb + alpha0*I, the Cholesky factor of G = vb vb^T + alpha0*I, and vb and alpha0 themselves.
+    """Dense B = vb^T vb + alpha0*I, the Cholesky factor of G = vb vb^T + alpha0*I, and the operator vb and alpha0.
 
     `matrix` is the source-space cost: 8(2N)^2 bytes, about half of them
     resident (`realfield.normal`), formed once by an O(M N^2) product and
@@ -88,20 +91,22 @@ class BOperator:
 
     matrix: np.ndarray = field(repr=False)
     factor: tuple = field(repr=False)
-    vb: np.ndarray = field(repr=False)
+    vb: MeasurementOperator = field(repr=False)
     alpha0: float
 
     def dot(self, x):
-        """B x = vb^T (vb x) + alpha0*x, by `realfield`'s products with vb: `matrix` is not read."""
-        return rmatvec(self.vb, matvec(self.vb, x)) + self.alpha0 * x
+        """B x = vb^T (vb x) + alpha0*x, by the operator's zgemv products: `matrix` is not read."""
+        return self.vb.rmatvec(self.vb.matvec(x)) + self.alpha0 * x
 
 
 def build_b_operator(vb, reg):
+    """B and G's factor from one realified copy of the `MeasurementOperator` vb, which dies on return."""
     if reg.alpha0 <= 0:
         raise ValueError("B is positive definite only for alpha0 > 0")
-    b = normal(vb)
+    dense = vb.dense()
+    b = normal(dense)
     b[np.diag_indices_from(b)] += reg.alpha0
-    g = gram(vb)
+    g = gram(dense)
     g[np.diag_indices_from(g)] += reg.alpha0
     return BOperator(matrix=b, factor=cho_factor(g, lower=True), vb=vb, alpha0=reg.alpha0)
 
@@ -254,6 +259,6 @@ def solve_ssn(vb, u_b, reg, options=None):
     """
     vb, u_b = check_problem(vb, u_b)
     b = build_b_operator(vb, reg)
-    mu0 = rmatvec(vb, cho_solve(b.factor, u_b))
-    mu, records, solves, converged = path_follow(b, rmatvec(vb, u_b), mu0, reg.alpha, options=options)
+    mu0 = vb.rmatvec(cho_solve(b.factor, u_b))
+    mu, records, solves, converged = path_follow(b, vb.rmatvec(u_b), mu0, reg.alpha, options=options)
     return SolveResult(mu=mu, stop_reason="path_end" if converged else "cycling", iterations=solves, records=records)

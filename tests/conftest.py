@@ -8,11 +8,12 @@ from sparsescat.forward import fundamental_solution, self_cell_integral
 from sparsescat.harness import ExperimentConfig
 from sparsescat.phantoms import PhantomSpec
 from sparsescat.prox import RegParams, prox_p
-from sparsescat.realfield import realify_matrix
+from sparsescat.realfield import MeasurementOperator
 
 
 def random_instance(seed, m=None, n=None, alpha=None, alpha0=None, sparsity=3):
-    """Small random realified least-squares instance with a nonzero minimizer.
+    """Small random least-squares instance with a nonzero minimizer: the operator of a complex
+    Gaussian M x N matrix, realified data and the weights.
 
     The data are scaled so that ||vb^T u_b||_inf == 1; any alpha < 1 then
     guarantees the regularized minimizer is not the zero vector.
@@ -20,12 +21,13 @@ def random_instance(seed, m=None, n=None, alpha=None, alpha0=None, sparsity=3):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(3, 7)) if m is None else m
     n = int(rng.integers(10, 25)) if n is None else n
-    vb = realify_matrix(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    vb = MeasurementOperator(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    dense = vb.dense()
     mu = np.zeros(2 * n)
     idx = rng.choice(2 * n, size=sparsity, replace=False)
     mu[idx] = 2.0 * rng.standard_normal(sparsity)
-    u_b = vb @ mu + 0.01 * rng.standard_normal(2 * m)
-    u_b /= np.max(np.abs(vb.T @ u_b))
+    u_b = dense @ mu + 0.01 * rng.standard_normal(2 * m)
+    u_b /= np.max(np.abs(dense.T @ u_b))
     alpha = float(10 ** rng.uniform(-3, -1)) if alpha is None else alpha
     alpha0 = float(10 ** rng.uniform(-4, -2)) if alpha0 is None else alpha0
     return vb, u_b, RegParams(alpha=alpha, alpha0=alpha0)

@@ -124,18 +124,18 @@ def test_criterion_3_newton_derivative():
     while checked < 100:
         y = rng.standard_normal(vb.shape[0])
         lam = rng.standard_normal(vb.shape[1])
-        w = lam + sigma * (vb.T @ y)
+        w = lam + sigma * (vb.dense().T @ y)
         if np.min(np.abs(np.abs(w) - sigma * reg.alpha)) < margin:
             continue
         checked += 1
-        nmat = newton_matrix(y, lam, sigma, vb, reg, vt_y=vb.T @ y)
+        nmat = newton_matrix(y, lam, sigma, vb, reg, vt_y=vb.dense().T @ y)
         fd = np.empty_like(nmat)
         for j in range(vb.shape[0]):
             e = np.zeros(vb.shape[0])
             e[j] = eps
             fd[:, j] = (
-                residual_F(y + e, lam, sigma, vb, u_b, reg, vb.T @ (y + e))
-                - residual_F(y - e, lam, sigma, vb, u_b, reg, vb.T @ (y - e))
+                residual_F(y + e, lam, sigma, vb, u_b, reg, vb.dense().T @ (y + e))
+                - residual_F(y - e, lam, sigma, vb, u_b, reg, vb.dense().T @ (y - e))
             ) / (2 * eps)
         worst = max(worst, float(np.linalg.norm(fd - nmat) / np.linalg.norm(nmat)))
     dt = time.perf_counter() - t0

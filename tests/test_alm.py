@@ -17,7 +17,7 @@ from sparsescat.alm import (
 from sparsescat.harness import run_experiment
 from sparsescat.pda import PdaOptions, solve_pda
 from sparsescat.prox import RegParams, dual_objective, primal_objective
-from sparsescat.realfield import check_problem, rmatvec
+from sparsescat.realfield import MeasurementOperator
 
 
 def three_regime_resolvent(x, sigma, reg):
@@ -37,8 +37,8 @@ def test_residual_saturation_root(rng):
     vb, u_b, _ = random_instance(1, m=3, n=8)
     reg = RegParams(alpha=1e9, alpha0=0.0)
     y = rng.standard_normal(len(u_b))
-    assert np.allclose(residual_F(y, np.zeros(vb.shape[1]), 1.0, vb, u_b, reg, vb.T @ y), y + u_b, atol=0)
-    assert np.max(np.abs(residual_F(-u_b, np.zeros(vb.shape[1]), 1.0, vb, u_b, reg, vb.T @ -u_b))) == 0.0
+    assert np.allclose(residual_F(y, np.zeros(vb.shape[1]), 1.0, vb, u_b, reg, vb.dense().T @ y), y + u_b, atol=0)
+    assert np.max(np.abs(residual_F(-u_b, np.zeros(vb.shape[1]), 1.0, vb, u_b, reg, vb.dense().T @ -u_b))) == 0.0
 
 
 def test_residual_affine_when_alpha_zero(rng):
@@ -48,8 +48,8 @@ def test_residual_affine_when_alpha_zero(rng):
     lam = rng.standard_normal(vb.shape[1])
     y = rng.standard_normal(vb.shape[0])
     scale = 1.0 + sigma * reg.alpha0
-    expected = y + u_b + (vb @ lam + sigma * (vb @ (vb.T @ y))) / scale
-    got = residual_F(y, lam, sigma, vb, u_b, reg, vb.T @ y)
+    expected = y + u_b + (vb.dense() @ lam + sigma * (vb.dense() @ (vb.dense().T @ y))) / scale
+    got = residual_F(y, lam, sigma, vb, u_b, reg, vb.dense().T @ y)
     assert np.max(np.abs(got - expected)) < 1e-13
 
 
@@ -59,8 +59,8 @@ def test_residual_against_independent_resolvent(rng):
     for _ in range(20):
         y = rng.standard_normal(vb.shape[0])
         lam = rng.standard_normal(vb.shape[1])
-        direct = y + u_b - vb @ three_regime_resolvent(-lam - sigma * (vb.T @ y), sigma, reg)
-        got = residual_F(y, lam, sigma, vb, u_b, reg, vb.T @ y)
+        direct = y + u_b - vb.dense() @ three_regime_resolvent(-lam - sigma * (vb.dense().T @ y), sigma, reg)
+        got = residual_F(y, lam, sigma, vb, u_b, reg, vb.dense().T @ y)
         assert np.max(np.abs(got - direct)) <= 1e-14 * max(1.0, np.max(np.abs(direct)))
 
 
@@ -68,7 +68,7 @@ def test_newton_matrix_all_inactive(rng):
     vb, u_b, _ = random_instance(4, m=4, n=10)
     reg = RegParams(alpha=1e9, alpha0=0.1)
     y = rng.standard_normal(vb.shape[0])
-    nmat = newton_matrix(y, np.zeros(vb.shape[1]), 1.0, vb, reg, vt_y=vb.T @ y)
+    nmat = newton_matrix(y, np.zeros(vb.shape[1]), 1.0, vb, reg, vt_y=vb.dense().T @ y)
     assert np.array_equal(nmat, np.eye(vb.shape[0]))
 
 
@@ -78,9 +78,9 @@ def test_newton_matrix_all_active(rng):
     sigma = 2.0
     y = rng.standard_normal(vb.shape[0])
     lam = 1e-3 + np.abs(rng.standard_normal(vb.shape[1]))  # strictly away from the kink
-    expected = np.eye(vb.shape[0]) + sigma * (vb @ vb.T)
+    expected = np.eye(vb.shape[0]) + sigma * (vb.dense() @ vb.dense().T)
     y = y * 0
-    assert np.max(np.abs(newton_matrix(y, lam, sigma, vb, reg, vt_y=vb.T @ y) - expected)) < 1e-13
+    assert np.max(np.abs(newton_matrix(y, lam, sigma, vb, reg, vt_y=vb.dense().T @ y) - expected)) < 1e-13
 
 
 def test_newton_matrix_matches_finite_differences(rng):
@@ -90,17 +90,17 @@ def test_newton_matrix_matches_finite_differences(rng):
     for _ in range(5):
         y = rng.standard_normal(vb.shape[0])
         lam = rng.standard_normal(vb.shape[1])
-        w = lam + sigma * (vb.T @ y)
+        w = lam + sigma * (vb.dense().T @ y)
         if np.min(np.abs(np.abs(w) - sigma * reg.alpha)) < 1e-6:
             continue
-        nmat = newton_matrix(y, lam, sigma, vb, reg, vt_y=vb.T @ y)
+        nmat = newton_matrix(y, lam, sigma, vb, reg, vt_y=vb.dense().T @ y)
         fd = np.empty_like(nmat)
         for j in range(vb.shape[0]):
             e = np.zeros(vb.shape[0])
             e[j] = eps
             fd[:, j] = (
-                residual_F(y + e, lam, sigma, vb, u_b, reg, vb.T @ (y + e))
-                - residual_F(y - e, lam, sigma, vb, u_b, reg, vb.T @ (y - e))
+                residual_F(y + e, lam, sigma, vb, u_b, reg, vb.dense().T @ (y + e))
+                - residual_F(y - e, lam, sigma, vb, u_b, reg, vb.dense().T @ (y - e))
             ) / (2 * eps)
         assert np.linalg.norm(fd - nmat) <= 1e-5 * np.linalg.norm(nmat)
 
@@ -112,14 +112,14 @@ def test_newton_matrix_eigenvalue_floor(rng):
         vb, u_b, reg = random_instance(40 + seed)
         y = rng.standard_normal(vb.shape[0])
         lam = rng.standard_normal(vb.shape[1])
-        nmat = newton_matrix(y, lam, 4.0, vb, reg, vt_y=vb.T @ y)
+        nmat = newton_matrix(y, lam, 4.0, vb, reg, vt_y=vb.dense().T @ y)
         assert eigvalsh(nmat)[0] >= 1.0 - 1e-10
 
 
 def test_newton_step_zero_residual(rng):
     vb, u_b, reg = random_instance(7, m=3, n=9)
     y = rng.standard_normal(vb.shape[0])
-    d = newton_step(y, np.zeros(vb.shape[1]), 1.0, vb, reg, residual=np.zeros(vb.shape[0]), vt_y=vb.T @ y)
+    d = newton_step(y, np.zeros(vb.shape[1]), 1.0, vb, reg, residual=np.zeros(vb.shape[0]), vt_y=vb.dense().T @ y)
     assert not np.any(d)
 
 
@@ -127,8 +127,8 @@ def test_newton_step_identity_matrix(rng):
     vb, u_b, _ = random_instance(8, m=3, n=9)
     reg = RegParams(alpha=1e9, alpha0=0.0)  # all-inactive: N == I
     y = rng.standard_normal(vb.shape[0])
-    resid = residual_F(y, np.zeros(vb.shape[1]), 1.0, vb, u_b, reg, vb.T @ y)
-    d = newton_step(y, np.zeros(vb.shape[1]), 1.0, vb, reg, residual=resid, vt_y=vb.T @ y)
+    resid = residual_F(y, np.zeros(vb.shape[1]), 1.0, vb, u_b, reg, vb.dense().T @ y)
+    d = newton_step(y, np.zeros(vb.shape[1]), 1.0, vb, reg, residual=resid, vt_y=vb.dense().T @ y)
     assert np.max(np.abs(d + resid)) < 1e-14
 
 
@@ -137,9 +137,9 @@ def test_newton_step_matches_dense_solve(rng):
     sigma = 2.2
     y = rng.standard_normal(vb.shape[0])
     lam = rng.standard_normal(vb.shape[1])
-    nmat = newton_matrix(y, lam, sigma, vb, reg, vt_y=vb.T @ y)
-    resid = residual_F(y, lam, sigma, vb, u_b, reg, vb.T @ y)
-    d = newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vb.T @ y)
+    nmat = newton_matrix(y, lam, sigma, vb, reg, vt_y=vb.dense().T @ y)
+    resid = residual_F(y, lam, sigma, vb, u_b, reg, vb.dense().T @ y)
+    d = newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vb.dense().T @ y)
     oracle = np.linalg.solve(nmat, -resid)  # LU path
     assert np.linalg.norm(nmat @ d + resid) <= 1e-12 * np.linalg.norm(resid)
     assert np.max(np.abs(d - oracle)) < 1e-11
@@ -147,8 +147,8 @@ def test_newton_step_matches_dense_solve(rng):
 
 def _newton_direction(y, lam, sigma, vb, u_b, reg):
     """The Newton step at y with its products formed from scratch."""
-    resid = residual_F(y, lam, sigma, vb, u_b, reg, vb.T @ y)
-    return newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vb.T @ y)
+    resid = residual_F(y, lam, sigma, vb, u_b, reg, vb.dense().T @ y)
+    return newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vb.dense().T @ y)
 
 
 def test_armijo_full_step_on_affine_residual(rng):
@@ -160,7 +160,7 @@ def test_armijo_full_step_on_affine_residual(rng):
     lam = rng.standard_normal(vb.shape[1])
     y = rng.standard_normal(vb.shape[0])
     d = _newton_direction(y, lam, sigma, vb, u_b, reg)
-    step, ok, _ = armijo_search(y, d, lam, sigma, vb.T @ y, vb.T @ d, u_b, reg, beta=0.3, c=1e-4)
+    step, ok, _ = armijo_search(y, d, lam, sigma, vb.dense().T @ y, vb.dense().T @ d, u_b, reg, beta=0.3, c=1e-4)
     assert ok and step == 1.0
 
 
@@ -170,10 +170,10 @@ def test_armijo_accepts_newton_direction(rng):
     lam = rng.standard_normal(vb.shape[1])
     y = rng.standard_normal(vb.shape[0])
     d = _newton_direction(y, lam, sigma, vb, u_b, reg)
-    step, ok, value = armijo_search(y, d, lam, sigma, vb.T @ y, vb.T @ d, u_b, reg, beta=0.3, c=1e-12)
+    step, ok, value = armijo_search(y, d, lam, sigma, vb.dense().T @ y, vb.dense().T @ d, u_b, reg, beta=0.3, c=1e-12)
     assert ok
-    base = lagrangian_value(y, lam, sigma, vb.T @ y, u_b, reg)
-    after = lagrangian_value(y + step * d, lam, sigma, vb.T @ (y + step * d), u_b, reg)
+    base = lagrangian_value(y, lam, sigma, vb.dense().T @ y, u_b, reg)
+    after = lagrangian_value(y + step * d, lam, sigma, vb.dense().T @ (y + step * d), u_b, reg)
     assert after <= base - 1e-12 * step * float(d @ d)
     assert abs(value - after) <= 1e-12 * abs(after)
 
@@ -183,13 +183,13 @@ def test_armijo_fails_on_ascent_direction(rng):
     sigma = 2.0
     lam = rng.standard_normal(vb.shape[1])
     y = rng.standard_normal(vb.shape[0])
-    ascent = residual_F(y, lam, sigma, vb, u_b, reg, vb.T @ y)  # F is the reduced gradient
+    ascent = residual_F(y, lam, sigma, vb, u_b, reg, vb.dense().T @ y)  # F is the reduced gradient
     assert np.linalg.norm(ascent) > 1e-8
-    step, ok, value = armijo_search(y, ascent, lam, sigma, vb.T @ y, vb.T @ ascent, u_b, reg,
+    step, ok, value = armijo_search(y, ascent, lam, sigma, vb.dense().T @ y, vb.dense().T @ ascent, u_b, reg,
                                     beta=0.5, c=1e-4, max_backtracks=12)
     assert not ok
     assert step == 0.5**12  # the smallest trial step, and the objective there
-    assert abs(value - lagrangian_value(y + step * ascent, lam, sigma, vb.T @ (y + step * ascent), u_b, reg)) \
+    assert abs(value - lagrangian_value(y + step * ascent, lam, sigma, vb.dense().T @ (y + step * ascent), u_b, reg)) \
         <= 1e-12 * abs(value)
 
 
@@ -202,7 +202,7 @@ def test_armijo_requires_nonzero_direction(rng):
 
 def test_recover_z_zero():
     vb, u_b, reg = random_instance(14)
-    z = recover_z(vb.T @ np.zeros(vb.shape[0]), np.zeros(vb.shape[1]), 1.0, reg)
+    z = recover_z(vb.dense().T @ np.zeros(vb.shape[0]), np.zeros(vb.shape[1]), 1.0, reg)
     assert not np.any(z)
 
 
@@ -212,8 +212,8 @@ def test_recover_z_saturation(rng):
     sigma = 2.0
     y = rng.standard_normal(vb.shape[0])
     lam = rng.standard_normal(vb.shape[1])
-    expected = -(vb.T @ y) - lam / sigma
-    assert np.max(np.abs(recover_z(vb.T @ y, lam, sigma, reg) - expected)) < 1e-14
+    expected = -(vb.dense().T @ y) - lam / sigma
+    assert np.max(np.abs(recover_z(vb.dense().T @ y, lam, sigma, reg) - expected)) < 1e-14
 
 
 def test_multiplier_update_feasible_point():
@@ -228,15 +228,14 @@ def test_multiplier_update_maintains_z_invariant():
     # the run stopped after outer iteration k ends with the y of that iteration,
     # so each multiplier step lam_{k+1} = lam_k + sigma_k (vb^T y + z) is checked
     # on its own run, with z the Moreau recovery at the pre-update multiplier
-    # (vb^T y is the solver's own product, rmatvec on the checked operator)
+    # (vb^T y is the solver's own product, the operator's rmatvec)
     vb, u_b, reg = random_instance(33, m=3, n=8)
-    vb, u_b = check_problem(vb, u_b)
     for k in range(4):
         result = solve_alm(vb, u_b, reg, options=AlmOptions(max_outer=k + 1, lam_tol=0.0, gap_tol=0.0))
         assert result.outer_iters == k + 1
         lam_k = result.lam_history[k]
         sigma_k = [r["sigma"] for r in result.records if r["kind"] == "outer"][k]
-        vt_y = rmatvec(vb, result.y)
+        vt_y = vb.rmatvec(result.y)
         assert np.array_equal(result.z, recover_z(vt_y, lam_k, sigma_k, reg))
         assert np.array_equal(result.lam_history[k + 1], lam_k + sigma_k * (vt_y + result.z))
 
@@ -260,13 +259,13 @@ def test_sigma_growth_capped(monkeypatch):
 
 def test_recover_mu_zero_dual():
     vb, u_b, reg = random_instance(18)
-    assert not np.any(recover_mu(vb.T @ np.zeros(vb.shape[0]), reg))
+    assert not np.any(recover_mu(vb.dense().T @ np.zeros(vb.shape[0]), reg))
 
 
 def test_recover_mu_requires_alpha0():
     vb, u_b, _ = random_instance(19)
     with pytest.raises(ValueError):
-        recover_mu(vb.T @ np.zeros(vb.shape[0]), RegParams(alpha=0.1, alpha0=0.0))
+        recover_mu(vb.dense().T @ np.zeros(vb.shape[0]), RegParams(alpha=0.1, alpha0=0.0))
 
 
 def tight_options(**kw):
@@ -294,17 +293,18 @@ def test_solve_matches_long_run_pda():
 def test_solve_multiplies_by_vb_transpose_twice_per_newton_step(monkeypatch):
     # vb^T d for the line search and vb^T y after the step; a loop head reuses the last vb^T y
     vb, u_b, reg = random_instance(22, m=4, n=12, alpha=0.05, alpha0=0.005)
-    calls = []
-    product = alm.rmatvec
+    calls = 0
+    product = MeasurementOperator.rmatvec
 
-    def counted(a, x):
-        calls.append(a.shape == vb.shape)  # the SMW branch multiplies column blocks, never the whole of vb
-        return product(a, x)
+    def counted(op, y):  # the SMW branch multiplies column blocks by dgemv, never the whole of vb
+        nonlocal calls
+        calls += 1
+        return product(op, y)
 
-    monkeypatch.setattr(alm, "rmatvec", counted)
+    monkeypatch.setattr(MeasurementOperator, "rmatvec", counted)
     result = solve_alm(vb, u_b, reg, options=tight_options())
     assert result.iterations > 0
-    assert sum(calls) == 2 * result.iterations
+    assert calls == 2 * result.iterations
 
 
 def test_solve_duality_and_multiplier_identities():
@@ -314,13 +314,13 @@ def test_solve_duality_and_multiplier_identities():
     assert result.gap <= 1e-6 * (1.0 + abs(p))
     assert np.linalg.norm(result.mu + result.lam) <= 1e-5
     # feasibility of the dualized constraint at termination
-    assert np.linalg.norm(vb.T @ result.y + result.z) <= 1e-8
+    assert np.linalg.norm(vb.dense().T @ result.y + result.z) <= 1e-8
 
 
 def test_solve_kkt_componentwise():
     vb, u_b, reg = random_instance(23, m=5, n=14, alpha=0.08, alpha0=0.01)
     result = solve_alm(vb, u_b, reg, options=tight_options())
-    grad = -(vb.T @ result.y)
+    grad = -(vb.dense().T @ result.y)
     mu = result.mu
     on = np.abs(mu) > 1e-12
     assert np.max(np.abs(grad[on] - reg.alpha * np.sign(mu[on]) - reg.alpha0 * mu[on])) < 1e-6
@@ -370,7 +370,7 @@ def _instance_with_active_set(seed, n_active, sigma=1.7):
     vb, u_b, reg = random_instance(seed, m=4, n=10, alpha=0.1, alpha0=0.01)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(vb.shape[0])
-    vt_y = vb.T @ y
+    vt_y = vb.dense().T @ y
     active = np.zeros(vb.shape[1], dtype=bool)
     active[rng.choice(vb.shape[1], size=n_active, replace=False)] = True
     # |lam + sigma*vb^T y| is 2*sigma*alpha on the active set and 0 off it
@@ -382,11 +382,11 @@ def _instance_with_active_set(seed, n_active, sigma=1.7):
 def test_newton_step_smw_matches_dense_solve(n_active):
     for seed in range(3):
         vb, u_b, reg, y, lam, sigma = _instance_with_active_set(60 + seed, n_active)
-        assert np.count_nonzero(np.abs(lam + sigma * (vb.T @ y)) > sigma * reg.alpha) == n_active
-        nmat = newton_matrix(y, lam, sigma, vb, reg, vt_y=vb.T @ y)
-        resid = residual_F(y, lam, sigma, vb, u_b, reg, vb.T @ y)
+        assert np.count_nonzero(np.abs(lam + sigma * (vb.dense().T @ y)) > sigma * reg.alpha) == n_active
+        nmat = newton_matrix(y, lam, sigma, vb, reg, vt_y=vb.dense().T @ y)
+        resid = residual_F(y, lam, sigma, vb, u_b, reg, vb.dense().T @ y)
         oracle = np.linalg.solve(nmat, -resid)
-        d = newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vb.T @ y)
+        d = newton_step(y, lam, sigma, vb, reg, residual=resid, vt_y=vb.dense().T @ y)
         assert np.linalg.norm(d - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
@@ -409,11 +409,11 @@ def test_desk_run_takes_no_gram_step(monkeypatch):
 
 def _armijo_from_scratch(y, d, lam, sigma, vb, u_b, reg, beta, c, max_backtracks):
     """The line search with every trial objective recomputed from y + t*d."""
-    base = lagrangian_value(y, lam, sigma, vb.T @ y, u_b, reg)
+    base = lagrangian_value(y, lam, sigma, vb.dense().T @ y, u_b, reg)
     step = 1.0
     for t in range(max_backtracks + 1):
         step = step * beta if t else step
-        value = lagrangian_value(y + step * d, lam, sigma, vb.T @ (y + step * d), u_b, reg)
+        value = lagrangian_value(y + step * d, lam, sigma, vb.dense().T @ (y + step * d), u_b, reg)
         if value <= base - c * step * float(d @ d):
             return step, True, value
     return step, False, value
@@ -426,10 +426,10 @@ def test_armijo_reused_products_match(rng):
         lam = rng.standard_normal(vb.shape[1])
         y = rng.standard_normal(vb.shape[0])
         newton = _newton_direction(y, lam, sigma, vb, u_b, reg)
-        ascent = residual_F(y, lam, sigma, vb, u_b, reg, vb.T @ y)
+        ascent = residual_F(y, lam, sigma, vb, u_b, reg, vb.dense().T @ y)
         for d, kw in ((newton, dict(beta=0.3, c=1e-4, max_backtracks=30)),
                       (ascent, dict(beta=0.5, c=1e-4, max_backtracks=12))):
-            step, accepted, value = armijo_search(y, d, lam, sigma, vb.T @ y, vb.T @ d, u_b, reg, **kw)
+            step, accepted, value = armijo_search(y, d, lam, sigma, vb.dense().T @ y, vb.dense().T @ d, u_b, reg, **kw)
             ref_step, ref_accepted, ref_value = _armijo_from_scratch(y, d, lam, sigma, vb, u_b, reg, **kw)
             assert (step, accepted) == (ref_step, ref_accepted)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
@@ -450,7 +450,7 @@ def test_inner_records_objective_from_scratch(monkeypatch):
     inner = [r for r in result.records if r["kind"] == "inner"]
     assert inner and len(inner) == len(calls)
     for rec, (y, lam, sigma) in zip(inner, calls):
-        ref = lagrangian_value(y, lam, sigma, vb.T @ y, u_b, reg)
+        ref = lagrangian_value(y, lam, sigma, vb.dense().T @ y, u_b, reg)
         assert abs(rec["objective"] - ref) <= 1e-12 * abs(ref)
 
 
@@ -471,8 +471,8 @@ def test_outer_records_gap_from_scratch():
     for k in range(6):
         result = solve_alm(vb, u_b, reg, options=AlmOptions(max_outer=k + 1, lam_tol=0.0, gap_tol=0.0))
         rec = [r for r in result.records if r["kind"] == "outer"][k]
-        primal = primal_objective(recover_mu(vb.T @ result.y, reg), vb, u_b, reg)
-        dual = dual_objective(result.y, vb.T @ result.y, u_b, reg)
+        primal = primal_objective(recover_mu(vb.dense().T @ result.y, reg), vb, u_b, reg)
+        dual = dual_objective(result.y, vb.dense().T @ result.y, u_b, reg)
         assert abs(rec["gap"] - (primal + dual)) <= 1e-12 * (abs(primal) + abs(dual))
 
 
@@ -485,7 +485,7 @@ def test_lasso_without_alpha0_meets_optimality_conditions(seed):
     result = solve_alm(vb, u_b, reg)
     assert result.converged and result.stop_reason == "multiplier_change"
     mu = result.mu
-    g = vb.T @ (vb @ mu - u_b)
+    g = vb.dense().T @ (vb.dense() @ mu - u_b)
     support = np.abs(mu) > 1e-8 * np.linalg.norm(mu)
     assert support.any()
     assert np.max(np.abs(g)) <= reg.alpha * (1.0 + 1e-8)

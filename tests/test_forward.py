@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import commutes_with_rotation, derealify_matrix, kernel_blocks_per_pair, volume_potential_dense
+from conftest import commutes_with_rotation, kernel_blocks_per_pair, volume_potential_dense
 
 from sparsescat import export, forward, harness
 from sparsescat.export import write_csv_matrix, write_jsonl, write_pgm, write_suite_csv
@@ -26,7 +26,7 @@ from sparsescat.grid import Grid, Medium, ReceiverSet, boundary_receivers
 from sparsescat.harness import ExperimentConfig, ExperimentResult
 from sparsescat.phantoms import make_medium
 from sparsescat.prox import SolveResult
-from sparsescat.realfield import check_problem, realify, realify_matrix
+from sparsescat.realfield import MeasurementOperator, check_problem, realify, realify_matrix
 
 
 def small_bump_medium(grid, k, strength=1.0):
@@ -272,7 +272,7 @@ def test_source_to_measurement_matches_matrix(inhomogeneous, rng):
     vb = assemble_vb(g, med, recv, tol=1e-12)
     mu = rng.standard_normal(2 * g.num_nodes)
     direct = source_to_measurement(g, med, recv, mu, tol=1e-12)
-    via_matrix = vb @ mu
+    via_matrix = vb.matvec(mu)
     assert np.max(np.abs(direct - via_matrix)) <= 1e-10 * max(1.0, np.max(np.abs(direct)))
 
 
@@ -300,7 +300,7 @@ def test_assemble_homogeneous_closed_form():
         fundamental_solution(3.0, np.linalg.norm(p - nodes, axis=1), 2) * g.cell_volume()
         for p in recv.points
     ])
-    assert np.max(np.abs(vb - realify_matrix(t))) < 1e-15
+    assert np.max(np.abs(vb.dense() - realify_matrix(t))) < 1e-15
 
 
 def test_assemble_block_structure():
@@ -308,14 +308,13 @@ def test_assemble_block_structure():
     med = small_bump_medium(g, 4.0, strength=0.4)
     recv = boundary_receivers(g, 6)
     vb = assemble_vb(g, med, recv)
-    assert commutes_with_rotation(vb)
+    assert commutes_with_rotation(vb.dense())
 
 
 def _assert_rows_match_columns(g, med, recv, rng):
     # rows built from receiver-side excitations must match columns built by
     # forward solves on basis sources
-    vb = assemble_vb(g, med, recv, tol=1e-12)
-    t = derealify_matrix(vb)
+    t = assemble_vb(g, med, recv, tol=1e-12).t
     for j in rng.choice(g.num_nodes, size=4, replace=False):
         basis = np.zeros(g.num_nodes, dtype=complex)
         basis[j] = 1.0
@@ -477,7 +476,7 @@ def test_assemble_vb_equals_per_pair_oracle(case, inhomogeneous, monkeypatch):
     medium = make_medium(grid, DESK_K, inhomogeneous)
     receivers = boundary_receivers(grid, count)
     vb = assemble_vb(grid, medium, receivers)
-    assert np.array_equal(vb, _per_pair(monkeypatch, assemble_vb, grid, medium, receivers))
+    assert np.array_equal(vb.t, _per_pair(monkeypatch, assemble_vb, grid, medium, receivers).t)
 
 
 @pytest.mark.parametrize("case", KERNEL_GEOMETRIES + ["fine-supp-q"], ids=GEOMETRY_IDS + ["fine-supp-q"])
@@ -528,8 +527,8 @@ def test_kernel_table_rejects_a_point_on_a_node():
 
 
 def test_assemble_peak_memory_below_two_operators():
-    # phi is scaled in place and no kernel block, psi or FFT potential is alive when realify_matrix
-    # allocates vb; the bump peak is the reciprocity step's phi, psi and FFT potential
+    # phi is scaled in place and becomes T, with no realified copy; the bump peak is the reciprocity step's
+    # phi, psi and FFT potential.  The bounds count realified operators, 2 * vb.nbytes each (T is half that)
     g = Grid(dim=2, n_per_axis=64, half_width=3.0)
     receivers = boundary_receivers(g, 256)
     for inhomogeneous, bound in ((False, 2.0), (True, 2.2)):
@@ -540,10 +539,12 @@ def test_assemble_peak_memory_below_two_operators():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * vb.nbytes, f"inhomogeneous={inhomogeneous}: {peak / vb.nbytes:.2f} x vb.nbytes"
+        realified = 2 * vb.nbytes
+        assert peak < bound * realified, f"inhomogeneous={inhomogeneous}: {peak / realified:.2f} x the realified vb"
 
 
 def test_vb_cache_roundtrip(tmp_path):
+    # format 5: T comes back bitwise, column-major, in a file of 40 + 16 M N bytes
     g = Grid(dim=2, n_per_axis=10)
     med = small_bump_medium(g, 4.0, strength=0.3)
     recv = boundary_receivers(g, 6)
@@ -551,19 +552,21 @@ def test_vb_cache_roundtrip(tmp_path):
     path = tmp_path / "vb.cache"
     save_vb_cache(path, vb, g, med, recv)
     loaded = load_vb_cache(path, g, med, recv)
-    assert np.array_equal(loaded, vb)
+    assert path.stat().st_size == 40 + 16 * recv.count * g.num_nodes
+    assert loaded.t.flags.f_contiguous and loaded.t.tobytes(order="F") == vb.t.tobytes(order="F")
 
 
 def test_operator_is_column_major_from_assembly_to_the_solvers(tmp_path):
-    # assembly, the cache and realify_matrix give the layout check_problem keeps without a copy
+    # assembly, the cache and the operator built from a row-major T all hold T column-major, and
+    # check_problem passes each operator on as it is
     g = Grid(dim=2, n_per_axis=10)
     med = small_bump_medium(g, 4.0, strength=0.3)
     recv = boundary_receivers(g, 6)
     vb = assemble_vb(g, med, recv)
     save_vb_cache(tmp_path / "vb.cache", vb, g, med, recv)
     t = np.arange(6.0).reshape(2, 3) + 1j
-    for op in (vb, load_vb_cache(tmp_path / "vb.cache", g, med, recv), realify_matrix(t)):
-        assert op.flags["F_CONTIGUOUS"] and op.flags["WRITEABLE"]
+    for op in (vb, load_vb_cache(tmp_path / "vb.cache", g, med, recv), MeasurementOperator(t)):
+        assert op.t.flags["F_CONTIGUOUS"] and op.t.flags["WRITEABLE"]
         assert check_problem(op, np.zeros(op.shape[0]))[0] is op
 
 
@@ -600,30 +603,31 @@ def test_vb_cache_rejects_stale(tmp_path):
 
 def _format3_cache(path, vb, grid, medium, receivers):
     """The cache as format 3 wrote it: a header of seven fields with a 64-bit hash of the contrast,
-    half-width and receiver points, then the same payload."""
+    half-width and receiver points, then the realified vb, column-major."""
     h = hashlib.sha256()
     h.update(medium.contrast.tobytes())
     h.update(struct.pack("<d", grid.half_width))
     h.update(receivers.points.tobytes())
-    payload = np.asarray(vb, order="F").T.tobytes()
+    payload = vb.dense().T.tobytes()
     header = struct.pack("<4sIIIIdQI", b"VBOP", 3, grid.dim, grid.n_per_axis, receivers.count, medium.wavenumber,
                          struct.unpack("<Q", h.digest()[:8])[0], zlib.crc32(payload))
     path.write_bytes(header + payload)
 
 
 def test_vb_cache_format_on_the_desk_bump_operator(tmp_path):
-    # magic, key and crc32 in 40 bytes, then the payload of format 3 byte for byte; a format-3 file is a miss
+    # magic, key and crc32 in 40 bytes, then T's bytes, column-major: half the realified payload of
+    # format 3, whose file is a miss
     g = Grid(dim=2, n_per_axis=64, half_width=3.0)
     med, recv = make_medium(g, DESK_K, True), boundary_receivers(g, 256)
     vb = assemble_vb(g, med, recv)
     save_vb_cache(tmp_path / "vb.cache", vb, g, med, recv)
     _format3_cache(tmp_path / "old.cache", vb, g, med, recv)
     raw, old = (tmp_path / "vb.cache").read_bytes(), (tmp_path / "old.cache").read_bytes()
-    assert len(raw) == len(old) == 40 + vb.nbytes
+    assert len(raw) == 40 + vb.nbytes == 40 + 16 * 256 * 64**2 and len(old) == 40 + 2 * vb.nbytes
     assert raw[:4] == b"VBOP" and raw[4:36] == forward._cache_key(g, med, recv)
     assert struct.unpack("<I", raw[36:40])[0] == zlib.crc32(raw[40:])
-    assert raw[40:] == old[40:]
-    assert np.array_equal(load_vb_cache(tmp_path / "vb.cache", g, med, recv), vb)
+    assert raw[40:] == vb.t.tobytes(order="F")
+    assert load_vb_cache(tmp_path / "vb.cache", g, med, recv).t.tobytes(order="F") == raw[40:]
     assert load_vb_cache(tmp_path / "old.cache", g, med, recv) is None
 
 
@@ -650,7 +654,7 @@ def test_vb_cache_of_other_inputs_is_a_miss(tmp_path, monkeypatch, change):
     g = Grid(dim=2, n_per_axis=8)
     med, recv = make_medium(g, 4.0), boundary_receivers(g, 6)
     path = tmp_path / "vb.cache"
-    save_vb_cache(path, np.ones((12, 128)), g, med, recv)
+    save_vb_cache(path, MeasurementOperator(np.ones((6, 64), dtype=complex)), g, med, recv)
     assert load_vb_cache(path, g, med, recv) is not None
     key = forward._cache_key(g, med, recv)
     if change == "version":
@@ -664,7 +668,7 @@ def _write_vb_cache(path, version):
     g = Grid(dim=2, n_per_axis=10)
     med = make_medium(g, 4.0)
     recv = boundary_receivers(g, 6)
-    save_vb_cache(path, version * assemble_vb(g, med, recv), g, med, recv)
+    save_vb_cache(path, MeasurementOperator(version * assemble_vb(g, med, recv).t), g, med, recv)
 
 
 def _export_result_json(path, version):
@@ -735,3 +739,23 @@ def test_vb_cache_truncated_is_a_miss(tmp_path):
     for size in (len(raw) - 8, len(raw) // 2, 20):
         path.write_bytes(raw[:size])
         assert load_vb_cache(path, g, med, recv) is None
+
+
+def test_vb_cache_of_format_4_size_or_a_flipped_bit_is_a_miss(tmp_path):
+    # a file of the format-4 size (the realified payload, with a valid header and crc), and a format-5
+    # file with one payload bit flipped, both load as None
+    g = Grid(dim=2, n_per_axis=10)
+    med = make_medium(g, 4.0)
+    recv = boundary_receivers(g, 6)
+    vb = assemble_vb(g, med, recv)
+    path = tmp_path / "vb.cache"
+    realified = vb.dense().T.tobytes()
+    header = struct.pack("<4s32sI", b"VBOP", forward._cache_key(g, med, recv), zlib.crc32(realified))
+    path.write_bytes(header + realified)
+    assert load_vb_cache(path, g, med, recv) is None
+    save_vb_cache(path, vb, g, med, recv)
+    raw = bytearray(path.read_bytes())
+    assert load_vb_cache(path, g, med, recv) is not None
+    raw[40 + 8 * vb.t.size + 3] ^= 0x10
+    path.write_bytes(bytes(raw))
+    assert load_vb_cache(path, g, med, recv) is None

@@ -355,7 +355,18 @@ def test_export_writes_config_and_versions(tmp_path):
         assert fft == {"library": "scipy.fft", "workers": scipy.fft.get_workers()}
     for module in (np, scipy):
         library = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        assert blas[module.__name__] == f"{library['name']} {library['version']}"
+        assert blas[module.__name__]["library"] == f"{library['name']} {library['version']}"
+        threads = blas[module.__name__]["threads"]  # None only where the OpenBLAS symbol is not found
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
+
+
+def test_versions_record_the_thread_count_of_each_blas():
+    # the bits of some products depend on the BLAS thread count, so result.json records it for both libraries
+    code = ("from sparsescat.harness import _blas_libraries; "
+            "print(sorted((name, blas['threads']) for name, blas in _blas_libraries().items()))")
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[('numpy', 1), ('scipy', 1)]"
 
 
 def test_package_imports_stay_lazy():

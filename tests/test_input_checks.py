@@ -6,20 +6,21 @@ import re
 import numpy as np
 import pytest
 
-from sparsescat.alm import AlmOptions
+from sparsescat.alm import AlmOptions, solve_alm
 from sparsescat.cli import main
 from sparsescat.export import write_json, write_pgm
 from sparsescat.forward import fundamental_solution, ls_solve, self_cell_integral, volume_potential_fft
 from sparsescat.grid import Grid, Medium, ReceiverSet, boundary_receivers
 from sparsescat.harness import ExperimentConfig, add_noise, n_error, restrict_to_coarse
-from sparsescat.pda import PdaOptions
+from sparsescat.pda import PdaOptions, solve_pda
 from sparsescat.phantoms import PhantomSpec, make_medium, make_phantom
 from sparsescat.prox import RegParams, soft_threshold
-from sparsescat.realfield import realify_matrix
-from sparsescat.ssn import SsnOptions
+from sparsescat.realfield import MeasurementOperator, realify_matrix
+from sparsescat.ssn import SsnOptions, solve_ssn
 
 G2, G3 = Grid(dim=2, n_per_axis=8), Grid(dim=3, n_per_axis=8)
 HOMO2, BUMP2 = make_medium(G2, 3.0), make_medium(G2, 3.0, inhomogeneous=True)
+REG = RegParams(alpha=1e-3, alpha0=1e-6)
 CONFIG = dict(solver="alm", alpha=1e-3, alpha0=1e-6, phantom={"kind": "peaks"}, fine_n=24, coarse_n=16)
 
 
@@ -56,6 +57,16 @@ CASES = {
     "write_pgm-3D-field": (lambda tmp: write_pgm(tmp / "field.pgm", np.zeros((2, 2, 2))), "2-d field"),
     "soft_threshold-negative-threshold": (lambda tmp: soft_threshold(np.ones(3), -1.0), "nonnegative"),
     "realify_matrix-1-D-input": (lambda tmp: realify_matrix(np.ones(3)), "matrix"),
+    # the operator is checked once, where it is built: from T by assembly, the cache, or a solver's entry
+    "MeasurementOperator-1-D": (lambda tmp: MeasurementOperator(np.ones(3, dtype=complex)), "vb must be a 2-D array"),
+    "MeasurementOperator-nan": (
+        lambda tmp: MeasurementOperator(np.array([[1j, np.nan]])), "vb contains NaN or inf"),
+    "solve_alm-real-vb": (
+        lambda tmp: solve_alm(np.ones((4, 6)), np.ones(4), REG), "vb must be a 2-D array of complex entries"),
+    "solve_ssn-inf-vb": (
+        lambda tmp: solve_ssn(np.full((2, 3), np.inf + 0j), np.ones(4), REG), "vb contains NaN or inf"),
+    "solve_pda-3-D-vb": (
+        lambda tmp: solve_pda(np.ones((2, 3, 1), dtype=complex), np.ones(4), REG), "vb must be a 2-D array"),
     "AlmOptions-beta-1": (lambda tmp: AlmOptions(beta=1), "beta"),
     "fundamental_solution-dim-4": (lambda tmp: fundamental_solution(1.0, np.ones(2), 4), "dim must be 2 or 3"),
     "self_cell_integral-dim-4": (lambda tmp: self_cell_integral(1.0, 0.1, 4), "dim must be 2 or 3"),

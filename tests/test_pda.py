@@ -18,29 +18,32 @@ from sparsescat.pda import (
     solve_pda,
 )
 from sparsescat.prox import RegParams, primal_objective, prox_p
-from sparsescat.realfield import realify_matrix
+from sparsescat.realfield import MeasurementOperator
+
+
+def zero_screen(m, n):
+    """The screen, in full coordinates, of the zero operator of a complex m x n matrix."""
+    return AdjointScreen(MeasurementOperator(np.zeros((m, n), dtype=complex)), 0.0)
 
 
 def test_dual_step_cancellation():
     u_b = np.array([1.0, -2.0, 0.5, 3.0])
     p = u_b.copy()
-    vb = np.zeros((4, 6))
-    out = pda_dual_step(p, np.zeros(6), vb, u_b, sigma=1.0)
+    out = pda_dual_step(p, np.zeros(6), zero_screen(2, 3), u_b, sigma=1.0)
     assert np.array_equal(out, np.zeros(4))
 
 
 def test_dual_step_geometric_decay(rng):
     p = rng.standard_normal(8)
-    vb = np.zeros((8, 10))
-    out = pda_dual_step(p, np.zeros(10), vb, np.zeros(8), sigma=0.5)
+    out = pda_dual_step(p, np.zeros(10), zero_screen(4, 5), np.zeros(8), sigma=0.5)
     assert np.allclose(out, p / 1.5, atol=0)
 
 
 def test_primal_step_zero_argument():
-    vb = np.zeros((4, 6))
+    vb = MeasurementOperator(np.zeros((2, 3), dtype=complex))
     p = np.zeros(4)
     reg = RegParams(alpha=0.3, alpha0=0.1)
-    out = pda_primal_step(np.zeros(6), p, AdjointScreen(vb, reg.alpha), 0.7, reg, vt_p=vb.T @ p)
+    out = pda_primal_step(np.zeros(6), p, AdjointScreen(vb, reg.alpha), 0.7, reg, vt_p=vb.rmatvec(p))
     assert not np.any(out)
 
 
@@ -50,8 +53,8 @@ def test_primal_step_alpha_zero(rng):
     mu = rng.standard_normal(vb.shape[1])
     p = rng.standard_normal(vb.shape[0])
     tau = 0.9
-    expected = (mu - tau * (vb.T @ p)) / (1.0 + tau * reg.alpha0)
-    step = pda_primal_step(mu, p, AdjointScreen(vb, reg.alpha), tau, reg, vt_p=vb.T @ p)
+    expected = (mu - tau * (vb.dense().T @ p)) / (1.0 + tau * reg.alpha0)
+    step = pda_primal_step(mu, p, AdjointScreen(vb, reg.alpha), tau, reg, vt_p=vb.dense().T @ p)
     assert np.max(np.abs(step - expected)) < 1e-15
 
 
@@ -61,17 +64,18 @@ def test_primal_step_equals_prox(rng):
         mu = rng.standard_normal(vb.shape[1])
         p = rng.standard_normal(vb.shape[0])
         tau = float(rng.uniform(0.1, 3.0))
-        lhs = pda_primal_step(mu, p, AdjointScreen(vb, reg.alpha), tau, reg, vt_p=vb.T @ p)
-        rhs = prox_p(mu - tau * (vb.T @ p), tau, reg)
+        lhs = pda_primal_step(mu, p, AdjointScreen(vb, reg.alpha), tau, reg, vt_p=vb.dense().T @ p)
+        rhs = prox_p(mu - tau * (vb.dense().T @ p), tau, reg)
         assert np.array_equal(lhs, rhs)
 
 
 def test_default_steps_satisfy_convergence_condition(rng):
-    # a Gaussian 128 x 2048 operator, wide and tall, whose norm a 50-step power iteration reads 1% low
-    gauss = rng.standard_normal((128, 2048))
-    for vb in (random_instance(3)[0], gauss, gauss.T):
+    # a complex Gaussian 64 x 1024 operator (vb is 128 x 2048), wide and tall, whose norm a 50-step power
+    # iteration reads 1% low
+    gauss = rng.standard_normal((64, 1024)) + 1j * rng.standard_normal((64, 1024))
+    for vb in (random_instance(3)[0], MeasurementOperator(gauss), MeasurementOperator(gauss.T)):
         sigma, tau = default_steps(vb)
-        assert sigma * tau * np.linalg.norm(vb, 2) ** 2 <= 1.0 + 1e-12
+        assert sigma * tau * np.linalg.norm(vb.dense(), 2) ** 2 <= 1.0 + 1e-12
 
 
 def test_solve_zero_data():
@@ -158,16 +162,17 @@ def test_options_reject_bad_values(bad, match):
 
 
 def wide_instance(seed, alpha_frac, alpha0=1e-3):
-    """Realified complex Gaussian 16 x 1024 operator and noisy data of a 3-sparse source.
+    """The operator of a complex Gaussian 16 x 1024 matrix and noisy data of a 3-sparse source.
 
     alpha is `alpha_frac` of ||vb^T u_b||_inf, the smallest alpha at which the minimizer is 0.
     """
     rng = np.random.default_rng(seed)
-    vb = realify_matrix(rng.standard_normal((16, 1024)) + 1j * rng.standard_normal((16, 1024)))
+    vb = MeasurementOperator(rng.standard_normal((16, 1024)) + 1j * rng.standard_normal((16, 1024)))
+    dense = vb.dense()
     mu = np.zeros(vb.shape[1])
     mu[rng.choice(vb.shape[1], size=3, replace=False)] = 2.0 * rng.standard_normal(3)
-    u_b = vb @ mu + 0.01 * rng.standard_normal(vb.shape[0])
-    return vb, u_b, RegParams(alpha=alpha_frac * float(np.max(np.abs(vb.T @ u_b))), alpha0=alpha0)
+    u_b = dense @ mu + 0.01 * rng.standard_normal(vb.shape[0])
+    return vb, u_b, RegParams(alpha=alpha_frac * float(np.max(np.abs(dense.T @ u_b))), alpha0=alpha0)
 
 
 def screened_run(monkeypatch, vb, u_b, reg, iters):
@@ -194,14 +199,15 @@ def test_screened_steps_match_dense_loop(monkeypatch):
     vb, u_b, reg = wide_instance(11, alpha_frac=0.1)
     result, steps = screened_run(monkeypatch, vb, u_b, reg, iters=2000)
     assert result.iterations == len(steps) == 2000
-    # the same loop with both products dense
+    # the same loop with both products dense, on the realified matrix
     sigma, tau = default_steps(vb, PdaOptions().sigma)
+    dense = vb.dense()
     p = np.zeros(vb.shape[0])
     mu = np.zeros(vb.shape[1])
     mu_bar = mu.copy()
     for it, screened in enumerate(steps, start=1):
-        p = (p + sigma * (vb @ mu_bar) - sigma * u_b) / (1.0 + sigma)
-        mu_next = prox_p(mu - tau * (vb.T @ p), tau, reg)
+        p = (p + sigma * (dense @ mu_bar) - sigma * u_b) / (1.0 + sigma)
+        mu_next = prox_p(mu - tau * (dense.T @ p), tau, reg)
         assert np.array_equal(screened != 0, mu_next != 0), f"support differs at step {it}"
         assert np.linalg.norm(screened - mu_next) <= 1e-12 * np.linalg.norm(mu_next), f"step {it}"
         mu_bar = mu_next + (mu_next - mu)
@@ -219,7 +225,7 @@ def test_block_certifies_where_the_dense_loop_does(monkeypatch, seed):
     vb, u_b, reg = wide_instance(seed, alpha_frac=0.1)
     options = PdaOptions(iters=10**5, record_every=50)
     blocked = solve_pda(vb, u_b, reg, options=options)
-    monkeypatch.setattr(pda, "SCREEN_MIN_ENTRIES", vb.size + 1)
+    monkeypatch.setattr(pda, "SCREEN_MIN_ENTRIES", vb.shape[0] * vb.shape[1] + 1)
     dense = solve_pda(vb, u_b, reg, options=options)
     assert blocked.stop_reason == dense.stop_reason == "certified"
     assert blocked.iterations == dense.iterations
@@ -240,21 +246,22 @@ def test_screen_runs_only_on_operators_where_it_can_pay():
     # a block is formed only on an operator with at least SCREEN_MIN_ENTRIES entries; on a smaller one the
     # iterates stay in full coordinates and every step is dense
     small, wide = random_instance(511)[0], wide_instance(11, alpha_frac=0.1)[0]
-    assert small.size < SCREEN_MIN_ENTRIES <= wide.size
+    assert small.shape[0] * small.shape[1] < SCREEN_MIN_ENTRIES <= wide.shape[0] * wide.shape[1]
     for vb, blocked in ((small, False), (wide, True)):
         screen = AdjointScreen(vb, 0.1)
         p, mu = np.zeros(vb.shape[0]), np.zeros(vb.shape[1])
         mu_b, mu_bar_b = screen.form(p, np.zeros(vb.shape[1]), mu, mu)
         if not blocked:
-            assert mu_b is mu and mu_bar_b is mu and screen.cols is None and screen.v is vb
+            assert mu_b is mu and mu_bar_b is mu and screen.cols is None and screen.v is None
             assert screen.prefix(p) is None
             continue
         # at p = p_ref = 0 with mu = 0: an empty head, the 2M columns of largest norm (t_j = alpha/||vb_j||),
         # and no candidate
         assert mu_b.size == mu_bar_b.size == 0 and screen.v.shape == (vb.shape[0], vb.shape[0])
-        norms = np.linalg.norm(vb, axis=0)
+        dense = vb.dense()
+        norms = np.linalg.norm(dense, axis=0)
         assert np.array_equal(np.sort(screen.cols), np.sort(np.argsort(-norms)[:vb.shape[0]]))
-        assert np.array_equal(screen.v, vb[:, screen.cols]) and screen.v.flags.f_contiguous
+        assert np.array_equal(screen.v, dense[:, screen.cols]) and screen.v.flags.f_contiguous
         assert screen.prefix(p) == 0
     small_run = solve_pda(*random_instance(511), options=PdaOptions(iters=300, record_every=100))
     assert [r["dense_adjoints"] for r in small_run.records] == [100, 200, 300]
@@ -275,7 +282,7 @@ def test_screen_excludes_only_zero_steps(monkeypatch):
             outside = np.ones(vb.shape[1], dtype=bool)
             outside[screen.cols[:mu.size]] = False
             assert not np.any(last[outside])
-            assert np.max(np.abs(vb.T @ p_next)[outside]) <= reg.alpha
+            assert np.max(np.abs(vb.dense().T @ p_next)[outside]) <= reg.alpha
             in_block.append(mu.size)
             last = np.zeros(vb.shape[1])
             last[screen.cols[:out.size]] = out
@@ -289,11 +296,11 @@ def test_screen_excludes_only_zero_steps(monkeypatch):
 
 
 def test_solve_pda_does_not_copy_the_operator(rng):
-    # every product reads vb itself, as check_problem returns it: a few steps on a 512 x 8192 operator,
-    # screened adjoints and records included, allocate far less than the 32 MB of vb
-    vb = realify_matrix(rng.standard_normal((256, 4096)) + 1j * rng.standard_normal((256, 4096)))
-    u_b = vb[:, :3].sum(axis=1)  # the data of a 3-sparse source
-    reg = RegParams(alpha=0.5 * float(np.max(np.abs(vb.T @ u_b))), alpha0=1e-3)
+    # every product reads T itself, as the operator holds it: a few steps on a 256 x 4096 T (a 512 x 8192 vb),
+    # screened adjoints and records included, allocate far less than the 16 MB of T
+    vb = MeasurementOperator(rng.standard_normal((256, 4096)) + 1j * rng.standard_normal((256, 4096)))
+    u_b = vb.columns(np.arange(3)).sum(axis=1)  # the data of a 3-sparse source
+    reg = RegParams(alpha=0.5 * float(np.max(np.abs(vb.rmatvec(u_b)))), alpha0=1e-3)
     tracemalloc.start()
     try:
         result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=6, record_every=3))

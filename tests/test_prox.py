@@ -15,7 +15,7 @@ from sparsescat.prox import (
     prox_p,
     soft_threshold,
 )
-from sparsescat.realfield import SUPPORT_SUM_DIVISOR, check_problem, matvec, realify_matrix, rmatvec
+from sparsescat.realfield import SUPPORT_SUM_DIVISOR, MeasurementOperator, check_problem
 from sparsescat.ssn import solve_ssn
 
 
@@ -185,75 +185,82 @@ def test_weak_duality(rng):
     for _ in range(20):
         mu = rng.standard_normal(vb.shape[1])
         y = rng.standard_normal(vb.shape[0])
-        assert primal_objective(mu, vb, u_b, reg) + dual_objective(y, vb.T @ y, u_b, reg) >= -1e-10
+        assert primal_objective(mu, vb, u_b, reg) + dual_objective(y, vb.dense().T @ y, u_b, reg) >= -1e-10
 
 
 def test_primal_objective_matches_dense_formula(rng):
-    # the sum over supp mu (at most 2N/64 = 16 nonzeros here) and the dense product differ only by rounding
-    vb = realify_matrix(rng.standard_normal((4, 512)) + 1j * rng.standard_normal((4, 512)))
+    # the sum over the complex support of mu (at most N/SUPPORT_SUM_DIVISOR columns) and the dense product
+    # differ only by rounding; mu is drawn on its first N components, so its complex support has `size` columns
+    vb = MeasurementOperator(rng.standard_normal((4, 512)) + 1j * rng.standard_normal((4, 512)))
+    realified = vb.dense()
     u_b = rng.standard_normal(vb.shape[0])
     reg = RegParams(alpha=0.1, alpha0=0.01)
-    for size in (0, 3, vb.shape[1] // SUPPORT_SUM_DIVISOR, vb.shape[1] // SUPPORT_SUM_DIVISOR + 1, vb.shape[1]):
+    n = vb.shape[1] // 2
+    for size in (0, 3, n // SUPPORT_SUM_DIVISOR, n // SUPPORT_SUM_DIVISOR + 1, n):
         mu = np.zeros(vb.shape[1])
-        mu[rng.choice(vb.shape[1], size=size, replace=False)] = rng.standard_normal(size)
-        r = vb @ mu - u_b
+        mu[rng.choice(n, size=size, replace=False)] = rng.standard_normal(size)
+        r = realified @ mu - u_b
         dense = 0.5 * float(r @ r) + 0.5 * reg.alpha0 * float(mu @ mu) + reg.alpha * float(np.sum(np.abs(mu)))
         assert abs(primal_objective(mu, vb, u_b, reg) - dense) <= 1e-14 * dense
 
 
 @pytest.mark.parametrize("vb, u_b, match", [
-    (np.zeros(6), np.zeros(6), "vb must be a 2-D array"),
-    (np.zeros((5, 8)), np.zeros(5), "vb must be a 2-D array"),
-    (np.zeros((6, 7)), np.zeros(6), "vb must be a 2-D array"),
-    (np.zeros((6, 8)), np.zeros((6, 1)), "u_b must have shape"),
-    (np.full((6, 8), np.inf), np.zeros(6), "vb contains NaN or inf"),
-    (np.zeros((6, 8)), np.full(6, -np.inf), "u_b contains NaN or inf"),
+    (np.zeros(6, dtype=complex), np.zeros(6), "vb must be a 2-D array"),
+    (np.zeros((3, 4)), np.zeros(6), "vb must be a 2-D array"),  # a real array: the realified vb, say
+    (np.zeros((3, 4, 2), dtype=complex), np.zeros(6), "vb must be a 2-D array"),
+    (np.zeros((3, 4), dtype=complex), np.zeros((6, 1)), "u_b must have shape"),
+    (np.full((3, 4), np.inf + 0j), np.zeros(6), "vb contains NaN or inf"),
+    (np.zeros((3, 4), dtype=complex), np.full(6, -np.inf), "u_b contains NaN or inf"),
 ])
 def test_check_problem_names_bad_argument(vb, u_b, match):
     with pytest.raises(ValueError, match=match):
         check_problem(vb, u_b)
 
 
-def test_check_problem_returns_float_arrays():
-    vb, u_b = check_problem([[1, 2], [3, 4]], [1, 2])
-    assert vb.dtype == float and u_b.dtype == float and vb.shape == (2, 2)
+def test_check_problem_returns_an_operator_and_float_data():
+    vb, u_b = check_problem([[1j, 2], [3, 4]], [1, 2, 3, 4])
+    assert isinstance(vb, MeasurementOperator) and vb.t.dtype == complex and vb.shape == (4, 4)
+    assert u_b.dtype == float
 
 
 def test_check_problem_keeps_a_column_major_operator():
-    vb = np.asfortranarray(np.ones((4, 6)))
+    vb = MeasurementOperator(np.asfortranarray(np.ones((2, 3)) + 1j))
     checked, _ = check_problem(vb, np.ones(4))
     assert checked is vb
-    for layout in (np.ascontiguousarray(vb), np.ones((4, 12))[:, ::2]):
+    for layout in (np.ascontiguousarray(vb.t), (np.ones((2, 6)) + 1j)[:, ::2]):
         checked, _ = check_problem(layout, np.ones(4))
-        assert checked.flags["F_CONTIGUOUS"] and np.array_equal(checked, vb)
+        assert checked.t.flags["F_CONTIGUOUS"] and np.array_equal(checked.t, vb.t)
 
 
 @pytest.mark.parametrize("solve", [solve_alm, solve_ssn])
 def test_solvers_agree_on_every_operator_layout(solve):
+    # the operator, and its complex matrix in other layouts, from which the solver builds the operator
     vb, u_b, reg = random_instance(3, m=6, n=40)
-    wide = np.zeros((vb.shape[0], 2 * vb.shape[1]))
-    wide[:, ::2] = vb
+    wide = np.zeros((vb.t.shape[0], 2 * vb.t.shape[1]), dtype=complex)
+    wide[:, ::2] = vb.t
     reference = solve(vb, u_b, reg).mu
     assert np.any(reference)
-    for layout in (np.asfortranarray(vb), wide[:, ::2]):
+    for layout in (np.ascontiguousarray(vb.t), wide[:, ::2]):
         mu = solve(layout, u_b, reg).mu
         assert np.linalg.norm(mu - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_matvec_and_rmatvec_do_not_copy_the_operator(rng):
-    # f2py copies an operand that is not column-major; the operator as check_problem returns it is, and
-    # so is the block of columns that the support sum gathers, so the products allocate only that block
-    # (at most 2N/SUPPORT_SUM_DIVISOR of the 32 MB of vb) and their vectors, under vb.nbytes / 64
-    vb, _ = check_problem(rng.standard_normal((512, 8192)), np.zeros(512))
-    x, y = rng.standard_normal(vb.shape[1]), rng.standard_normal(vb.shape[0])
-    sparse = np.zeros(vb.shape[1])
-    support = rng.choice(vb.shape[1], size=vb.shape[1] // SUPPORT_SUM_DIVISOR, replace=False)
+    # f2py copies an operand that is not column-major; T, as the operator holds it, is, and so is the block
+    # of T's columns that the support sum gathers, so the products allocate only that block (at most
+    # N/SUPPORT_SUM_DIVISOR of T's 16 MB) and their vectors, under vb.nbytes / 64: never a copy of T
+    vb = MeasurementOperator(rng.standard_normal((256, 4096)) + 1j * rng.standard_normal((256, 4096)))
+    m, n = vb.t.shape
+    x, y = rng.standard_normal(2 * n), rng.standard_normal(2 * m)
+    sparse = np.zeros(2 * n)
+    support = rng.choice(n, size=n // SUPPORT_SUM_DIVISOR, replace=False)
     sparse[support] = rng.standard_normal(support.size)
-    block = support.size * vb.shape[0] * vb.itemsize
-    for product, vector, gathered in ((matvec, x, 0), (matvec, sparse, block), (rmatvec, y, 0)):
+    sparse[n + support[::2]] = rng.standard_normal(support[::2].size)  # imaginary parts on half of them
+    block = support.size * m * vb.t.itemsize
+    for product, vector, gathered in ((vb.matvec, x, 0), (vb.matvec, sparse, block), (vb.rmatvec, y, 0)):
         tracemalloc.start()
         try:
-            product(vb, vector)
+            product(vector)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

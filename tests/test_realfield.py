@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from conftest import commutes_with_rotation, derealify_matrix
 
-from sparsescat.realfield import column_norms, complex_dim, derealify, gram, normal, realify, realify_matrix
+from sparsescat.realfield import (
+    SUPPORT_SUM_DIVISOR,
+    MeasurementOperator,
+    complex_dim,
+    derealify,
+    gram,
+    normal,
+    realify,
+    realify_matrix,
+)
 
 
 def test_realify_single_entry():
@@ -96,7 +105,8 @@ def test_gram_normal_and_column_norms_match_numpy(rng):
     assert np.allclose(gram(vb, trans=True), vb.T @ vb, rtol=1e-13, atol=1e-13)
     b = normal(vb)
     assert b.flags.c_contiguous and np.allclose(np.tril(b), np.tril(vb.T @ vb), rtol=1e-13, atol=1e-13)
-    assert np.allclose(column_norms(vb), np.linalg.norm(vb, axis=0), rtol=1e-14, atol=0)
+    assert np.allclose(MeasurementOperator(derealify_matrix(vb)).column_norms(), np.linalg.norm(vb, axis=0),
+                       rtol=1e-14, atol=0)
 
 
 def test_normal_is_written_in_place_into_its_own_mapping(rng):
@@ -108,3 +118,66 @@ def test_normal_is_written_in_place_into_its_own_mapping(rng):
         owner = owner.base
     assert isinstance(owner, memoryview) and isinstance(owner.obj, mmap.mmap) and b.flags.writeable
     assert np.allclose(np.tril(b), np.tril(vb.T @ vb), rtol=1e-13, atol=1e-13)
+
+
+def complex_operator(rng, m, n):
+    t = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return MeasurementOperator(t), realify_matrix(t)
+
+
+def test_operator_shape_bytes_and_dense(rng):
+    op, dense = complex_operator(rng, 5, 12)
+    assert op.shape == (10, 24) and op.nbytes == 16 * 5 * 12 == dense.nbytes / 2
+    assert op.t.flags.f_contiguous and op.dense().flags.f_contiguous and np.array_equal(op.dense(), dense)
+
+
+def test_operator_products_match_dense(rng):
+    # the support sum (at most N/SUPPORT_SUM_DIVISOR complex columns), the dense zgemv and the adjoint
+    op, dense = complex_operator(rng, 6, 64)
+    n = 64
+    y = rng.standard_normal(12)
+    assert np.allclose(op.rmatvec(y), dense.T @ y, rtol=0, atol=1e-13 * np.abs(dense.T @ y).max())
+    for size in (0, 1, n // SUPPORT_SUM_DIVISOR, n // SUPPORT_SUM_DIVISOR + 1, n):
+        x = np.zeros(2 * n)
+        x[rng.choice(2 * n, size=size, replace=False)] = rng.standard_normal(size)
+        ref = dense @ x
+        assert np.allclose(op.matvec(x), ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max())), size
+
+
+def test_operator_columns_are_those_of_dense(rng):
+    # column j is [Re T_j; Im T_j], column N + j is [-Im T_j; Re T_j]: every entry copied or negated
+    op, dense = complex_operator(rng, 4, 9)
+    mask = rng.random(18) < 0.5
+    index = np.array([17, 0, 9, 3, 12, 8])
+    for select in (mask, index, np.zeros(18, dtype=bool)):
+        block = op.columns(select)
+        assert block.flags.f_contiguous and np.array_equal(block, dense[:, select])
+        assert np.array_equal(np.signbit(block), np.signbit(dense[:, select]))
+
+
+def test_operator_column_norms_and_gram(rng):
+    for m, n in ((4, 9), (9, 4)):
+        op, dense = complex_operator(rng, m, n)
+        assert np.allclose(op.column_norms(), np.linalg.norm(dense, axis=0), rtol=1e-14, atol=0)
+        top = np.linalg.eigvalsh(op.gram(), UPLO="U")[-1]  # the upper triangle holds the product
+        assert op.gram().shape == (min(m, n),) * 2
+        assert abs(top - np.linalg.norm(dense, 2) ** 2) <= 1e-12 * top
+
+
+@pytest.mark.parametrize("t, match", [
+    (np.ones(3, dtype=complex), "vb must be a 2-D array"),
+    (np.ones((2, 3)), "vb must be a 2-D array of complex entries"),
+    (np.full((2, 3), 1j * np.nan), "vb contains NaN or inf"),
+    (np.full((2, 3), np.inf + 0j), "vb contains NaN or inf"),
+])
+def test_operator_checks_t_where_it_is_built(t, match):
+    with pytest.raises(ValueError, match=match):
+        MeasurementOperator(t)
+
+
+def test_operator_keeps_a_column_major_t_and_copies_any_other(rng):
+    t = np.asfortranarray(rng.standard_normal((3, 5)) + 1j)
+    assert MeasurementOperator(t).t is t
+    for layout in (np.ascontiguousarray(t), np.repeat(t, 2, axis=1)[:, ::2]):
+        op = MeasurementOperator(layout)
+        assert op.t.flags.f_contiguous and np.array_equal(op.t, t)

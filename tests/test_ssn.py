@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from conftest import random_instance
 from scipy.linalg import cho_solve
+from scipy.linalg.blas import dsyrk
 
 from sparsescat import ssn
 from sparsescat.alm import AlmOptions, solve_alm
 from sparsescat.prox import RegParams, primal_objective
+from sparsescat.realfield import MeasurementOperator
 from sparsescat.ssn import (
     SsnOptions,
     active_sets,
@@ -33,7 +35,7 @@ def dense_gradient(bm, mu, c, alpha, gamma):
 
 def binv_vt(vb, b, u_b):
     """B^{-1} vb^T u_b by the push-through identity, as solve_ssn forms it."""
-    return vb.T @ cho_solve(b.factor, u_b)
+    return vb.dense().T @ cho_solve(b.factor, u_b)
 
 
 def test_b_operator_requires_alpha0():
@@ -47,9 +49,18 @@ def test_b_operator_definition():
     # block), where products that cancel exactly leave a few ulps of max|B|
     vb, _, reg = random_instance(2)
     b = build_b_operator(vb, reg)
-    ref = vb.T @ vb + reg.alpha0 * np.eye(vb.shape[1])
+    ref = vb.dense().T @ vb.dense() + reg.alpha0 * np.eye(vb.shape[1])
     # only the lower triangle is stored
     assert np.allclose(np.tril(b.matrix), np.tril(ref), rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
+
+
+def test_b_is_bitwise_the_dsyrk_of_the_realified_operator():
+    # build_b_operator forms B from the one realified copy of the operator by the dsyrk of that array
+    vb, _, reg = random_instance(35, m=5, n=40)
+    b = build_b_operator(vb, reg)
+    ref = dsyrk(1.0, vb.dense(), trans=1).T  # the upper triangle of the column-major product, read in C order
+    ref[np.diag_indices_from(ref)] += reg.alpha0
+    assert np.array_equal(np.tril(b.matrix), np.tril(ref))
 
 
 def test_b_operator_is_c_ordered():
@@ -64,7 +75,7 @@ def test_upper_triangle_of_b_is_never_read():
     # active-block gathers and their Cholesky factors read the lower triangle
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c, mu0 = vb.T @ u_b, binv_vt(vb, b, u_b)
+    c, mu0 = vb.dense().T @ u_b, binv_vt(vb, b, u_b)
     options = SsnOptions(gammas=LONG_GAMMAS)
     mu, records, solves, converged = path_follow(b, c, mu0, reg.alpha, options=options)
     b.matrix[np.triu_indices_from(b.matrix, 1)] = np.nan
@@ -109,7 +120,7 @@ def test_push_through_matches_dense_solve(monkeypatch, m, n):
     vb, u_b, reg = random_instance(18, m=m, n=n)
     b = build_b_operator(vb, reg)
     assert b.factor[0].shape == (2 * m, 2 * m)
-    oracle = np.linalg.solve(dense_b(b), vb.T @ u_b)
+    oracle = np.linalg.solve(dense_b(b), vb.dense().T @ u_b)
     assert np.linalg.norm(binv_vt(vb, b, u_b) - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     seen = []
@@ -139,6 +150,26 @@ def test_solve_holds_one_source_space_matrix():
     assert peak < 1.5 * source_square
 
 
+def test_realified_copy_dies_before_the_path(monkeypatch):
+    # build_b_operator forms B and G from one realified copy of the operator, twice T's bytes (B itself
+    # lives in its own mapping, which tracemalloc does not see); the path starts without that copy
+    vb, u_b, reg = random_instance(19, m=8, n=1024, alpha=0.05)
+    path = ssn.path_follow
+    alive = []
+
+    def path_spy(*args, **kwargs):
+        alive.append(tracemalloc.get_traced_memory()[0])
+        return path(*args, **kwargs)
+
+    monkeypatch.setattr(ssn, "path_follow", path_spy)
+    tracemalloc.start()
+    try:
+        solve_ssn(vb, u_b, reg)
+    finally:
+        tracemalloc.stop()
+    assert alive[0] < vb.nbytes / 2, alive
+
+
 def test_active_sets_empty_at_zero():
     vb, _, reg = random_instance(3)
     b = build_b_operator(vb, reg)
@@ -149,11 +180,11 @@ def test_active_sets_empty_at_zero():
 def test_active_sets_boundary_inclusive():
     # exact threshold values: >= alpha joins the upper set, <= -alpha the lower
     alpha = 0.7
-    b = build_b_operator(np.zeros((2, 3)), RegParams(alpha=alpha, alpha0=1.0))  # B = I
-    y = np.array([alpha, -alpha, 0.5 * alpha])
+    b = build_b_operator(MeasurementOperator(np.zeros((1, 2), dtype=complex)), RegParams(alpha=alpha, alpha0=1.0))
+    y = np.array([alpha, -alpha, 0.5 * alpha, 0.0])  # B = I
     plus, minus = active_sets(dense_b(b) @ y, alpha)
-    assert plus.tolist() == [True, False, False]
-    assert minus.tolist() == [False, True, False]
+    assert plus.tolist() == [True, False, False, False]
+    assert minus.tolist() == [False, True, False, False]
 
 
 def test_active_sets_match_brute_force(rng):
@@ -173,7 +204,7 @@ def test_newton_solve_gamma_zero():
     # mu = 0 is y = -B^{-1} vb^T u_b
     vb, u_b, reg = random_instance(6)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
+    c = vb.dense().T @ u_b
     none = np.zeros(vb.shape[1], bool)
     mu = ssn_newton_solve(none, none, b, c, 0.5, 0.0)
     assert np.allclose(mu - binv_vt(vb, b, u_b), -np.linalg.solve(dense_b(b), c), atol=1e-10)
@@ -182,7 +213,7 @@ def test_newton_solve_gamma_zero():
 def test_newton_solve_empty_active_set_matches_gamma_zero():
     vb, u_b, reg = random_instance(7)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
+    c = vb.dense().T @ u_b
     none = np.zeros(vb.shape[1], bool)
     mu = ssn_newton_solve(none, none, b, c, 0.5, 10.0)
     assert np.allclose(mu - binv_vt(vb, b, u_b), -np.linalg.solve(dense_b(b), c), atol=1e-10)
@@ -193,7 +224,7 @@ def test_newton_solve_matches_unreduced_system(rng):
     # (B + gamma B X B) y = -vb^T u_b + gamma alpha B (chi+ - chi-) 1 in y = mu - B^{-1} vb^T u_b
     vb, u_b, reg = random_instance(8, m=4, n=9)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
+    c = vb.dense().T @ u_b
     n2 = vb.shape[1]
     gamma, alpha = 100.0, 0.2
     y0 = rng.standard_normal(n2)
@@ -213,7 +244,7 @@ def test_newton_solve_gathers_only_the_active_block():
     # 2N vectors, well below a quarter of the |A| x |I| block of B
     vb, u_b, reg = random_instance(30, m=8, n=1024)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
+    c = vb.dense().T @ u_b
     n2 = vb.shape[1]
     plus = np.zeros(n2, bool)
     minus = np.zeros(n2, bool)
@@ -236,7 +267,7 @@ def test_fixed_point_residual():
     # it vanishes absolutely, at large gamma up to backward-error scaling
     vb, u_b, reg = random_instance(9, m=4, n=11, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c, mu0 = vb.T @ u_b, binv_vt(vb, b, u_b)
+    c, mu0 = vb.dense().T @ u_b, binv_vt(vb, b, u_b)
     bm = dense_b(b)
     mu, _, _, converged = path_follow(b, c, mu0, reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
     assert converged
@@ -257,7 +288,7 @@ def test_path_follow_carries_b_times_y(monkeypatch):
     # is that of the returned mu
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
+    c = vb.dense().T @ u_b
     mu0 = binv_vt(vb, b, u_b)
     objectives = []
     objective = ssn.penalty_objective
@@ -285,7 +316,7 @@ def test_path_follow_counts_b_products(monkeypatch):
     # damped step reads B d from the carried w, and the records add none
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
+    c = vb.dense().T @ u_b
     count = 0
     dot = ssn.BOperator.dot
 
@@ -307,7 +338,7 @@ def test_stage_records_close_each_gamma():
     # that of its last Newton step
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    _, records, _, converged = path_follow(b, vb.T @ u_b, binv_vt(vb, b, u_b), reg.alpha,
+    _, records, _, converged = path_follow(b, vb.dense().T @ u_b, binv_vt(vb, b, u_b), reg.alpha,
                                            options=SsnOptions(gammas=LONG_GAMMAS))
     stages = [r for r in records if r["kind"] == "stage"]
     assert converged and all(r["settled"] for r in stages)
@@ -322,7 +353,7 @@ def test_record_residual_is_preconditioned_gradient(monkeypatch):
     # stage makes the returned mu the recorded one, and the stage record says it did not settle
     vb, u_b, reg = random_instance(33, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
+    c = vb.dense().T @ u_b
     monkeypatch.setattr(ssn, "MAX_INNER", 1)
     for gamma in (1.0, 10.0, 100.0):
         with pytest.warns(RuntimeWarning, match="cycling"):
@@ -346,7 +377,7 @@ def test_path_follow_zero_data():
 def test_constraint_violation_nonincreasing_along_path():
     vb, u_b, reg = random_instance(11, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
+    c = vb.dense().T @ u_b
     options = SsnOptions()
     violations = []
     for i in range(1, len(options.gammas) + 1):
@@ -360,7 +391,7 @@ def test_constraint_violation_nonincreasing_along_path():
 def test_final_feasibility_at_large_gamma():
     vb, u_b, reg = random_instance(12, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c = vb.T @ u_b
+    c = vb.dense().T @ u_b
     mu, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha)
     w = dense_b(b) @ mu - c
     assert np.max(np.maximum(0.0, np.abs(w) - reg.alpha)) <= reg.alpha * 1e-4
