@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import check_integer
-from .prox import SolveResult, cholesky_solve, dual_objective, h_star, p_star, primal_objective, prox_p, soft_threshold
+from .grid import check_finite, check_integer
+from .prox import SolveResult, certificate, cholesky_solve, h_star, p_star, primal_objective, prox_p, soft_threshold
 from .realfield import check_problem, gram, matvec, rmatvec
 
 
@@ -77,22 +77,19 @@ class AlmOptions:
     gap_tol: float = 1e-8
 
     def __post_init__(self):
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must lie in (0, 1)")
+        check_finite("beta", self.beta, "positive", below=1)
         check_integer("max_outer", self.max_outer, 1)
-        for name, value in (("lam_tol", self.lam_tol), ("gap_tol", self.gap_tol)):
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        check_finite("lam_tol", self.lam_tol, "nonnegative")
+        check_finite("gap_tol", self.gap_tol, "nonnegative")
 
 
 @dataclass
 class AlmResult(SolveResult):
-    """`SolveResult` with the dual iterate, multiplier, z, last gap and the multiplier of every outer step."""
+    """`SolveResult` with the dual iterate, multiplier, z and the multiplier of every outer step."""
 
     y: np.ndarray
     lam: np.ndarray
     z: np.ndarray
-    gap: float
     lam_history: list = field(repr=False)
 
     @property
@@ -207,9 +204,11 @@ def solve_alm(vb, u_b, reg, options=None):
     ||F(y)|| <= (delta'_k/sigma_k)*||sigma_k(vb^T y + z)|| (surrogate for
     the relative criterion), or at machine-precision residuals.  Outer
     iterations stop on a small relative multiplier change or a small
-    primal-dual gap.  The multiplier step lam += sigma*(vb^T y + z), the
-    source and the gap reuse vb^T y and z from the last inner loop head,
-    and the returned source is that of the last outer step.
+    primal-dual gap; each outer record holds the `certificate` (gap and
+    bound) of its source and y, and the gap test reads that gap.  The
+    multiplier step lam += sigma*(vb^T y + z), the source and the gap
+    reuse vb^T y and z from the last inner loop head, and the returned
+    source is that of the last outer step.
     """
     vb, u_b = check_problem(vb, u_b)
     options = options or AlmOptions()
@@ -259,18 +258,13 @@ def solve_alm(vb, u_b, reg, options=None):
                 "step": float(step), "accepted": accepted, "sigma": float(sigma),
             })
         lam_new = lam + sigma * feas
-        if reg.alpha0 > 0:
-            mu = recover_mu(vt_y, reg)
-            primal = primal_objective(mu, vb, u_b, reg)
-            gap = primal + dual_objective(y, vt_y, u_b, reg)
-        else:
-            mu = -lam_new
-            primal = primal_objective(mu, vb, u_b, reg)
-            gap = np.inf
+        mu = recover_mu(vt_y, reg) if reg.alpha0 > 0 else -lam_new
+        primal = primal_objective(mu, vb, u_b, reg)
+        gap, bound = certificate(primal, y, vt_y, u_b, reg)
         lam_change = np.linalg.norm(lam_new - lam) / max(1.0, np.linalg.norm(lam))
         records.append({
             "solver": "alm", "kind": "outer", "outer": k,
-            "sigma": float(sigma), "gap": float(gap),
+            "sigma": float(sigma), "gap": gap, "bound": bound,
             "feasibility": float(np.linalg.norm(feas)),
             "lambda_change": float(lam_change),
             "primal": float(primal),
@@ -287,9 +281,9 @@ def solve_alm(vb, u_b, reg, options=None):
         if lam_change <= options.lam_tol:
             stop_reason = "multiplier_change"
             break
-        if gap <= options.gap_tol * (1.0 + abs(primal)):
+        if gap is not None and gap <= options.gap_tol * (1.0 + abs(primal)):
             stop_reason = "duality_gap"
             break
 
     return AlmResult(mu=mu, stop_reason=stop_reason, iterations=inner_total, records=records,
-                     y=y, lam=lam, z=z, gap=gap, lam_history=lam_history)
+                     y=y, lam=lam, z=z, lam_history=lam_history, gap=gap, bound=bound)

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .export import write_file
+from .grid import check_finite
 from .realfield import MeasurementOperator, derealify, realify
 
 _CACHE_MAGIC = b"VBOP"
@@ -56,8 +57,7 @@ def fundamental_solution(k, r, dim):
     the singular self cell is handled by callers via the analytic cell
     integral.
     """
-    if not 0 < k < np.inf:
-        raise ValueError(f"wavenumber must be finite and positive, got {k}")
+    check_finite("wavenumber", k, "positive")
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("fundamental solution is singular at r <= 0")

@@ -23,10 +23,14 @@ def check_bool(name, value):
         raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
-def check_finite(name, value):
-    """Raise ValueError, naming `name`, unless `value` is a finite real number (Python or numpy, not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not np.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+def check_finite(name, value, sign=None, below=np.inf):
+    """Raise ValueError, naming `name`, unless `value` is a finite real number (Python or numpy, not a bool)
+    below `below`, and "positive" or "nonnegative" as `sign` says (None: either sign)."""
+    real = not isinstance(value, bool) and isinstance(value, Real) and np.isfinite(value) and value < below
+    if not real or (sign == "positive" and value <= 0) or (sign == "nonnegative" and value < 0):
+        rule = f"finite and {sign}" if sign else "a finite real number"
+        limit = f" below {below:g}" if below < np.inf else ""
+        raise ValueError(f"{name} must be {rule}{limit}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,7 @@ class Grid:
         if self.dim > 3:
             raise ValueError("dim must be 2 or 3")
         check_integer("n_per_axis", self.n_per_axis, 4)
-        if not 0 < self.half_width < np.inf:
-            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
+        check_finite("half_width", self.half_width, "positive")
 
     @property
     def spacing(self):
@@ -81,8 +84,7 @@ class Medium:
     grid: Grid = None
 
     def __post_init__(self):
-        if not 0 < self.wavenumber < np.inf:
-            raise ValueError(f"wavenumber must be finite and positive, got {self.wavenumber}")
+        check_finite("wavenumber", self.wavenumber, "positive")
         q = np.asarray(self.contrast, dtype=float)
         object.__setattr__(self, "contrast", q)
         if self.grid is not None and q.shape != (self.grid.num_nodes,):

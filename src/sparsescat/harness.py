@@ -12,6 +12,7 @@ output_dir.
 
 import ctypes
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -23,7 +24,7 @@ import scipy
 from .alm import AlmOptions, solve_alm
 from .export import write_field, write_json, write_jsonl, write_suite_csv
 from .forward import assemble_vb, fft_backend, load_vb_cache, save_vb_cache, source_to_measurement
-from .grid import Grid, boundary_receivers, check_bool, check_integer
+from .grid import Grid, boundary_receivers, check_bool, check_finite, check_integer
 from .phantoms import PhantomSpec, make_medium, make_phantom
 from .pda import PdaOptions, solve_pda
 from .prox import RegParams, SolveResult
@@ -63,17 +64,19 @@ class ExperimentConfig:
     noise_level: float = 0.01
     seed: int = 0
     solver_options: AlmOptions | SsnOptions | PdaOptions = field(default_factory=dict)
-    output_dir: str = None
+    output_dir: str = None  # given as any path (str or os.PathLike), kept as its string
 
     def __post_init__(self):
         if self.solver not in SOLVER_OPTIONS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.fine_n == self.coarse_n:
             raise ValueError("inverse-crime guard: fine and coarse grids must differ")
-        if not 0 <= self.noise_level < np.inf:
-            raise ValueError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
+        check_finite("noise_level", self.noise_level, "nonnegative")
         check_integer("seed", self.seed, 0)
         check_bool("inhomogeneous", self.inhomogeneous)
+        if not isinstance(self.output_dir, (str, os.PathLike, type(None))):
+            raise ValueError(f"output_dir must be a path or None, got {self.output_dir!r}")
+        self.output_dir = None if self.output_dir is None else os.fspath(self.output_dir)
         self.phantom = _build(PhantomSpec, self.phantom, "phantom keys")
         self.solver_options = _build(SOLVER_OPTIONS[self.solver], self.solver_options, f"{self.solver} options")
         Grid(dim=self.dim, n_per_axis=self.fine_n, half_width=self.half_width)
@@ -132,8 +135,7 @@ def add_noise(u_b, delta, seed):
     bit-for-bit.  u_b must be a realified vector (`realfield.complex_dim`).
     """
     u_b = np.asarray(u_b, dtype=float)
-    if not 0 <= delta < np.inf:
-        raise ValueError(f"noise level must be finite and nonnegative, got {delta}")
+    check_finite("noise level", delta, "nonnegative")
     complex_dim(u_b)  # rejects all but a 1-D vector of even length
     if delta == 0:
         return u_b.copy()
@@ -206,9 +208,7 @@ def _export(config, result, coarse_grid):
             "n_error": result.n_error,
             "wall_times": result.wall_times,
             "solver": config.solver,
-            "iterations": solved.iterations,
-            "converged": solved.converged,
-            "stop_reason": solved.stop_reason,
+            **{key: getattr(solved, key) for key in ("iterations", "converged", "stop_reason", "gap", "bound")},
             "seed": config.seed,
             "rng": RNG_NAME,
             "versions": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas_libraries(),

@@ -45,8 +45,9 @@ every product goes through `realfield` (see there for the BLAS rule):
 The oracle certifies itself.  For alpha0 > 0 the primal P is
 alpha0-strongly convex, so any dual point p bounds the distance of the
 iterate to the minimizer: ||mu - mu*|| <= sqrt(2 (P(mu) + D(p)) / alpha0).
-The run stops once that bound, with the gap computed from PDA's own
-iterates plus a rounding allowance, falls to CERTIFY_RTOL * ||mu||.
+The run stops once that bound (`prox.certificate`), with the gap
+computed from PDA's own iterates plus a rounding allowance, falls to
+CERTIFY_RTOL * ||mu||.
 D(p) needs all of vb^T p, so each record makes the dense product, and
 the step at a record uses it (and forms the next block from it): the
 certificate is computed exactly as without the block.
@@ -58,12 +59,10 @@ from math import sqrt
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .grid import check_integer
-from .prox import SolveResult, dual_objective, primal_objective, prox_p
+from .grid import check_finite, check_integer
+from .prox import CERTIFY_RTOL, SolveResult, certificate, primal_objective, prox_p
 from .realfield import check_problem, matvec, rmatvec
 
-CERTIFY_RTOL = 1e-5  # certified stop: distance bound <= CERTIFY_RTOL * ||mu||
-GAP_ULPS = 4  # rounding allowance of the computed gap, in ulps of |P| + |D|
 # Rounding slack of the adjoint screen, in eps per term of its 2M-term inner products.  A computed
 # entry of vb^T p is within gamma_2M ||vb_j|| ||p|| of the exact one, gamma_2M ~ (2M/2) eps for any
 # summation order, and the norms, products and sums of the screen's own test round by about as much
@@ -88,8 +87,7 @@ class PdaOptions:
     record_every: int = 50
 
     def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        check_finite("sigma", self.sigma, "positive")
         check_integer("iters", self.iters, 1)
         check_integer("record_every", self.record_every, 1)
 
@@ -206,13 +204,14 @@ def solve_pda(vb, u_b, reg, options=None):
     Every `record_every` steps (and at the last) it records the primal
     objective and its running minimum, since the per-iterate objective is
     not monotone, and `dense_adjoints`, the number of steps so far whose
-    adjoint product was dense (see the module docstring).  For
-    alpha0 > 0 the record also holds the duality gap P(mu) + D(p) and the
-    bound sqrt(2*(gap + allowance)/alpha0) on ||mu - mu*||; the run stops
-    with reason "certified" (converged) once that bound is
-    <= CERTIFY_RTOL * ||mu||.  A run that does not certify within `iters`
-    steps stops on "max_iters"; so does every run with alpha0 = 0, whose
-    dual is an indicator that bounds nothing.
+    adjoint product was dense (see the module docstring).  The record
+    also holds the `certificate` of mu and p, the duality gap
+    P(mu) + D(p) and the bound sqrt(2*(gap + allowance)/alpha0) on
+    ||mu - mu*|| (both None where alpha0 = 0); the run stops with reason
+    "certified" (converged) once that bound is <= CERTIFY_RTOL * ||mu||.
+    A run that does not certify within `iters` steps stops on
+    "max_iters"; so does every run with alpha0 = 0, whose dual is an
+    indicator that bounds nothing.
     """
     vb, u_b = check_problem(vb, u_b)
     options = options or PdaOptions()
@@ -246,16 +245,10 @@ def solve_pda(vb, u_b, reg, options=None):
         if record:
             primal = primal_objective(mu, vb, u_b, reg)
             best = min(best, primal)
-            rec = {"solver": "pda", "kind": "inner", "inner": it, "objective": float(primal),
-                   "best_objective": float(best), "dense_adjoints": dense}
-            records.append(rec)
-            if reg.alpha0 > 0:
-                dual = dual_objective(p, vt_p, u_b, reg)
-                # the gap is computed in floating point: allow GAP_ULPS ulps of |P| + |D| for its rounding
-                allowance = GAP_ULPS * np.spacing(abs(primal) + abs(dual))
-                rec["gap"] = float(primal + dual)
-                rec["bound"] = float(np.sqrt(2.0 * max(rec["gap"] + allowance, 0.0) / reg.alpha0))
-                if rec["bound"] <= CERTIFY_RTOL * np.linalg.norm(mu):
-                    stop_reason = "certified"
-                    break
-    return SolveResult(mu=mu, stop_reason=stop_reason, iterations=it, records=records)
+            gap, bound = certificate(primal, p, vt_p, u_b, reg)
+            records.append({"solver": "pda", "kind": "inner", "inner": it, "objective": float(primal),
+                            "best_objective": float(best), "dense_adjoints": dense, "gap": gap, "bound": bound})
+            if bound is not None and bound <= CERTIFY_RTOL * np.linalg.norm(mu):
+                stop_reason = "certified"
+                break
+    return SolveResult(mu=mu, stop_reason=stop_reason, iterations=it, records=records, gap=gap, bound=bound)

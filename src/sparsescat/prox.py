@@ -3,8 +3,9 @@
 The regularizer is p(mu) = alpha0/2 ||mu||^2 + alpha ||mu||_1, applied
 componentwise to realified vectors (anisotropic thresholding).  The data
 term conjugate is h*(y) = 1/2 ||y||^2 + <y, u_b>.  `SolveResult` is
-what every solver returns, and `cholesky_solve` is the factor-and-solve
-of both Newton solvers, in scipy's BLAS like every product with vb (see
+what every solver returns, `certificate` the duality-gap bound on its
+distance to the minimizer, and `cholesky_solve` the factor-and-solve of
+both Newton solvers, in scipy's BLAS like every product with vb (see
 `realfield`).
 """
 
@@ -13,8 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .grid import check_finite
 
-CONVERGENCE_EXITS = ("multiplier_change", "duality_gap", "path_end", "certified")
+
+CONVERGENCE_EXITS = ("multiplier_change", "duality_gap", "certified")
+CERTIFY_RTOL = 1e-5  # certified stop: distance bound <= CERTIFY_RTOL * ||mu||
+GAP_ULPS = 4  # rounding allowance of the computed gap, in ulps of |P| + |D|
 
 
 @dataclass
@@ -27,16 +32,21 @@ class SolveResult:
     exactly when it is one of the CONVERGENCE_EXITS, marked below.
 
     - ALM: "multiplier_change" or "duality_gap" (converged), "max_outer";
-    - SSN: "path_end" (converged), "cycling" (some stage kept its iterate
-      with active sets still changing);
-    - PDA: "certified" (converged: the duality gap bounds ||mu - mu*|| by
-      1e-5 ||mu||, possible only for alpha0 > 0), "max_iters".
+    - SSN: "certified" (converged), "max_gamma" (the gamma path passed
+      its cap uncertified);
+    - PDA: "certified" (converged), "max_iters".
+
+    "certified" means that `bound` is at most CERTIFY_RTOL * ||mu||.
+    `gap` and `bound` are the `certificate` of the returned mu and the
+    solver's last dual point, None where alpha0 = 0.
     """
 
     mu: np.ndarray
     stop_reason: str
     iterations: int
     records: list = field(repr=False)
+    gap: float = field(default=None, kw_only=True)
+    bound: float = field(default=None, kw_only=True)
 
     @property
     def converged(self):
@@ -51,10 +61,8 @@ class RegParams:
     alpha0: float
 
     def __post_init__(self):
-        # a NaN fails every comparison, so `not 0 <= x < inf` rejects it with inf and the negatives
-        for name, value in (("alpha", self.alpha), ("alpha0", self.alpha0)):
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        check_finite("alpha", self.alpha, "nonnegative")
+        check_finite("alpha0", self.alpha0, "nonnegative")
 
 
 def soft_threshold(z, sigma):
@@ -115,6 +123,24 @@ def primal_objective(mu, vb, u_b, reg):
 def dual_objective(y, vt_y, u_b, reg):
     """D(y) = p*(-vb^T y) + h*(y), given vt_y = vb^T y; the dual problem minimizes D, and min P = max -D."""
     return p_star(-vt_y, reg) + h_star(y, u_b)
+
+
+def certificate(primal, y, vt_y, u_b, reg):
+    """(gap, bound): the duality gap P(mu) + D(y), given primal = P(mu) and vt_y = vb^T y, and the
+    bound sqrt(2 (gap + allowance) / alpha0) on ||mu - mu*||; (None, None) where alpha0 = 0.
+
+    For alpha0 > 0 the primal is alpha0-strongly convex, so
+    alpha0/2 ||mu - mu*||^2 <= P(mu) - P(mu*) <= P(mu) + D(y) for any
+    dual point y (weak duality).  The gap is computed in floating point,
+    so the bound allows GAP_ULPS ulps of |P| + |D| for its rounding.  For
+    alpha0 = 0 the dual is an indicator, which bounds nothing.
+    """
+    if reg.alpha0 <= 0:
+        return None, None
+    dual = dual_objective(y, vt_y, u_b, reg)
+    allowance = GAP_ULPS * np.spacing(abs(primal) + abs(dual))
+    gap = float(primal + dual)
+    return gap, float(np.sqrt(2.0 * max(gap + allowance, 0.0) / reg.alpha0))
 
 
 def cholesky_solve(matrix, rhs):

@@ -30,7 +30,6 @@ N_CROSS = 20
 # multiplier-keyed stopping: ||mu + lambda|| tracks the last multiplier step,
 # so the batch runs until the relative lambda change is tiny
 TIGHT_ALM = dict(lam_tol=1e-9, gap_tol=1e-16, max_outer=30)
-LONG_GAMMAS = tuple(10.0**i for i in range(0, 13))
 
 
 def report(num, ok, detail):
@@ -152,10 +151,12 @@ def cross_solver_batch():
     for trial in range(N_CROSS):
         vb, u_b, reg = random_instance(500 + trial)
         alm = solve_alm(vb, u_b, reg, options=AlmOptions(**TIGHT_ALM))
-        ssn = solve_ssn(vb, u_b, reg, options=SsnOptions(gammas=LONG_GAMMAS))
+        ssn = solve_ssn(vb, u_b, reg, options=SsnOptions())
         pda = solve_pda(vb, u_b, reg, options=PdaOptions(iters=10**6, record_every=200))
-        # the oracle counts only when it certified its own distance to the minimizer
+        # the oracle counts only when it certified its own distance to the minimizer, and SSN's path
+        # ends only on a certified answer
         assert pda.stop_reason == "certified", f"PDA did not certify on instance {trial}"
+        assert ssn.stop_reason == "certified", f"SSN did not certify on instance {trial}"
         batch.append((vb, u_b, reg, alm, ssn, pda))
     return batch
 

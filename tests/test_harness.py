@@ -202,7 +202,7 @@ def test_config_values_are_checked_when_built(overrides):
 
 @pytest.mark.parametrize("solver, options", [
     ("alm", {"beta": 0.5, "max_outer": 7, "lam_tol": 1e-6, "gap_tol": 1e-9}),
-    ("ssn", {"gammas": [1.0, 1e3, 1e6]}),
+    ("ssn", {}),
     ("pda", {"sigma": 0.25, "iters": 700, "record_every": 70}),
 ], ids=["alm", "ssn", "pda"])
 def test_config_json_roundtrip(solver, options, tmp_path):
@@ -240,6 +240,15 @@ def test_run_experiment_deterministic(tmp_path):
     for name, differs in (("result.json", "wall_times"), ("config.json", "output_dir")):
         a, b = (json.loads((out / name).read_text()) for out in (out1, out2))
         assert a.pop(differs) != b.pop(differs) and a == b, name
+
+
+def test_output_dir_may_be_a_path(tmp_path):
+    # a pathlib.Path once ran the whole pipeline and then failed in phase export
+    config = small_config(output_dir=tmp_path / "run", **TINY)
+    assert config.output_dir == str(tmp_path / "run")
+    result = run_experiment(config)
+    assert json.loads((tmp_path / "run" / "config.json").read_text())["output_dir"] == str(tmp_path / "run")
+    assert result.output_paths["result"] == str(tmp_path / "run" / "result.json")
 
 
 def test_run_experiment_uses_cache(tmp_path):
@@ -282,7 +291,7 @@ def test_run_experiment_tags_each_phase(phase, name, tmp_path, monkeypatch):
 # every stop reason of each solver, and whether it is a convergence exit
 STOP_REASONS = {
     "alm": {"multiplier_change": True, "duality_gap": True, "max_outer": False},
-    "ssn": {"path_end": True, "cycling": False},
+    "ssn": {"certified": True, "max_gamma": False},
     "pda": {"certified": True, "max_iters": False},
 }
 # the innermost step of each solver, which `iterations` counts
@@ -326,6 +335,10 @@ def test_solver_contract(solver, tmp_path, monkeypatch):
     assert result.iterations == len(steps) > 0
     if solver != "pda":  # PDA records every record_every steps
         assert result.iterations == sum(r["kind"] == "inner" for r in result.records)
+    # the certificate of the answer is that of the last record that holds one: ALM's last outer
+    # record, SSN's last stage record, PDA's last record
+    last = [r for r in result.records if "bound" in r][-1]
+    assert (result.gap, result.bound) == (last["gap"], last["bound"]) and result.bound > 0
 
     # the harness reports the solver's own result
     results = spy(monkeypatch, harness, f"solve_{solver}")
@@ -334,7 +347,7 @@ def test_solver_contract(solver, tmp_path, monkeypatch):
     saved = json.loads((out / "result.json").read_text())
     (solved,) = results
     assert experiment.solved is solved
-    for key in ("iterations", "converged", "stop_reason"):
+    for key in ("iterations", "converged", "stop_reason", "gap", "bound"):
         assert saved[key] == getattr(solved, key)
 
 

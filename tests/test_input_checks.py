@@ -16,7 +16,7 @@ from sparsescat.pda import PdaOptions, solve_pda
 from sparsescat.phantoms import PhantomSpec, make_medium, make_phantom
 from sparsescat.prox import RegParams, soft_threshold
 from sparsescat.realfield import MeasurementOperator, realify_matrix
-from sparsescat.ssn import SsnOptions, solve_ssn
+from sparsescat.ssn import solve_ssn
 
 G2, G3 = Grid(dim=2, n_per_axis=8), Grid(dim=3, n_per_axis=8)
 HOMO2, BUMP2 = make_medium(G2, 3.0), make_medium(G2, 3.0, inhomogeneous=True)
@@ -92,8 +92,10 @@ CASES = {
     "Medium-wavenumber-nan": (
         lambda tmp: Medium(wavenumber=np.nan, contrast=np.zeros(G2.num_nodes), grid=G2), "wavenumber must be finite"),
     "PdaOptions-sigma-nan": (lambda tmp: PdaOptions(sigma=np.nan), "sigma must be finite"),
-    "SsnOptions-gammas-nan": (lambda tmp: SsnOptions(gammas=(np.nan,)), "gammas must be finite"),
-    "SsnOptions-gammas-inf": (lambda tmp: SsnOptions(gammas=(1.0, np.inf)), "gammas must be finite"),
+    # SSN's gamma path is set by its certificate: a schedule is an unknown option
+    "ExperimentConfig-ssn-gammas": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "solver": "ssn", "solver_options": {"gammas": [1.0, 1e2]}}),
+        r"unknown ssn options: \['gammas'\]"),
     "ExperimentConfig-alpha-nan": (lambda tmp: ExperimentConfig(**{**CONFIG, "alpha": np.nan}), "alpha must be finite"),
     "ExperimentConfig-noise-nan": (
         lambda tmp: ExperimentConfig(**{**CONFIG, "noise_level": np.nan}), "noise_level must be finite"),
@@ -182,6 +184,32 @@ CASES = {
     "ExperimentConfig-positions-number": (
         lambda tmp: ExperimentConfig(**{**CONFIG, "phantom": {"kind": "peaks", "positions": 0.5}}),
         "positions must be a list of points"),
+    # real fields once raised a bare TypeError for a string ("'<=' not supported ...") and took a bool
+    "ExperimentConfig-alpha-string": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "alpha": "1e-3"}), "alpha must be finite and nonnegative"),
+    "RegParams-alpha0-bool": (lambda tmp: RegParams(alpha=1e-3, alpha0=True), "alpha0 must be finite"),
+    "ExperimentConfig-noise_level-string": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "noise_level": "0.01"}), "noise_level must be finite"),
+    "ExperimentConfig-noise_level-bool": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "noise_level": False}), "noise_level must be finite"),
+    "ExperimentConfig-half_width-string": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "half_width": "1"}), "half_width must be finite and positive"),
+    "Grid-half_width-bool": (lambda tmp: Grid(dim=2, n_per_axis=8, half_width=True), "half_width must be finite"),
+    "ExperimentConfig-wavenumber-string": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "wavenumber": "6"}), "wavenumber must be finite and positive"),
+    "ExperimentConfig-wavenumber-bool": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "wavenumber": True}), "wavenumber must be finite"),
+    "AlmOptions-beta-string": (lambda tmp: AlmOptions(beta="0.3"), "beta must be finite and positive below 1"),
+    "AlmOptions-beta-bool": (lambda tmp: AlmOptions(beta=True), "beta must be finite"),
+    "AlmOptions-lam_tol-string": (lambda tmp: AlmOptions(lam_tol="1e-7"), "lam_tol must be finite and nonnegative"),
+    "AlmOptions-gap_tol-bool": (lambda tmp: AlmOptions(gap_tol=False), "gap_tol must be finite and nonnegative"),
+    "PdaOptions-sigma-string": (lambda tmp: PdaOptions(sigma="0.5"), "sigma must be finite and positive"),
+    "PdaOptions-sigma-bool": (lambda tmp: PdaOptions(sigma=True), "sigma must be finite"),
+    "ExperimentConfig-alm-beta-string": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "solver_options": {"beta": "0.3"}}), "beta must be finite"),
+    # an output directory must be a path: a number once built, to fail only in phase assembly
+    "ExperimentConfig-output_dir-number": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "output_dir": 3}), "output_dir must be a path or None"),
 }
 
 

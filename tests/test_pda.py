@@ -132,7 +132,8 @@ def test_alpha0_zero_runs_to_max_iters():
     result = solve_pda(vb, u_b, reg, options=PdaOptions(iters=3000, record_every=100))
     assert not result.converged and result.stop_reason == "max_iters"
     assert result.iterations == 3000 and len(result.records) == 30
-    assert not any("bound" in r for r in result.records)
+    assert all(r["gap"] is None and r["bound"] is None for r in result.records)
+    assert (result.gap, result.bound) == (None, None)
 
 
 @pytest.mark.parametrize("u_b, match", [

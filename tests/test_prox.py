@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from conftest import conjugate_resolvent, moreau_complement, random_instance
 
-from sparsescat.alm import solve_alm
+from sparsescat.alm import AlmOptions, solve_alm
+from sparsescat.pda import PdaOptions, solve_pda
 from sparsescat.prox import (
     RegParams,
+    certificate,
     cholesky_solve,
     dual_objective,
     h_star,
@@ -186,6 +188,40 @@ def test_weak_duality(rng):
         mu = rng.standard_normal(vb.shape[1])
         y = rng.standard_normal(vb.shape[0])
         assert primal_objective(mu, vb, u_b, reg) + dual_objective(y, vb.dense().T @ y, u_b, reg) >= -1e-10
+
+
+@pytest.mark.parametrize("seed", range(500, 520))
+def test_certificate_bounds_the_distance_to_the_minimizer(seed):
+    # mu* is tight ALM's answer, within its own bound of the minimizer.  At mu* with SSN's dual point
+    # y = vb mu - u_b, and with ALM's y, the gap is at the rounding level, often zero or negative as
+    # computed; the bound is still positive (the allowance) and small (a wrong-sign y reads >= 4 ||mu||).
+    # Away from mu*, the bound covers ||mu - mu*|| up to mu*'s own bound.
+    vb, u_b, reg = random_instance(seed)
+    alm = solve_alm(vb, u_b, reg, options=AlmOptions(lam_tol=1e-12, gap_tol=1e-16, max_outer=40))
+    star = alm.mu
+    scale = np.linalg.norm(star)
+
+    def cert(mu, y=None):
+        y = vb.matvec(mu) - u_b if y is None else y
+        return certificate(primal_objective(mu, vb, u_b, reg), y, vb.rmatvec(y), u_b, reg)
+
+    _, star_bound = cert(star)
+    for _, bound in (cert(star), cert(star, alm.y)):
+        assert 0 < bound <= 1e-4 * scale
+    direction = np.random.default_rng(seed).standard_normal(star.size)
+    for t in (1e-2, 1e-4, 1e-6):
+        mu = star + t * scale * direction / np.linalg.norm(direction)
+        assert np.linalg.norm(mu - star) <= cert(mu)[1] + star_bound
+
+
+def test_certificate_has_no_bound_at_alpha0_zero():
+    # for alpha0 = 0 the dual is an indicator and bounds no distance: no certificate, from any solver
+    vb, u_b, _ = random_instance(8, m=4, n=10)
+    reg = RegParams(alpha=0.05, alpha0=0.0)
+    y = -u_b
+    assert certificate(primal_objective(np.zeros(vb.shape[1]), vb, u_b, reg), y, vb.rmatvec(y), u_b, reg) == (None, None)
+    for result in (solve_alm(vb, u_b, reg), solve_pda(vb, u_b, reg, options=PdaOptions(iters=200))):
+        assert (result.gap, result.bound) == (None, None)
 
 
 def test_primal_objective_matches_dense_formula(rng):

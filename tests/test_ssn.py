@@ -8,19 +8,20 @@ from scipy.linalg.blas import dsyrk
 
 from sparsescat import ssn
 from sparsescat.alm import AlmOptions, solve_alm
-from sparsescat.prox import RegParams, primal_objective
+from sparsescat.prox import CERTIFY_RTOL, RegParams, certificate, primal_objective
 from sparsescat.realfield import MeasurementOperator
 from sparsescat.ssn import (
+    GAMMA_GROWTH,
+    MAX_GAMMA,
     SsnOptions,
     active_sets,
     build_b_operator,
     path_follow,
     ssn_newton_solve,
+    ssn_stage,
     solve_ssn,
     violation,
 )
-
-LONG_GAMMAS = tuple(10.0**i for i in range(0, 13))
 
 
 def dense_b(b):
@@ -36,6 +37,17 @@ def dense_gradient(bm, mu, c, alpha, gamma):
 def binv_vt(vb, b, u_b):
     """B^{-1} vb^T u_b by the push-through identity, as solve_ssn forms it."""
     return vb.dense().T @ cho_solve(b.factor, u_b)
+
+
+def run_stages(b, c, mu0, alpha, gammas):
+    """`ssn_stage` at each gamma in turn from mu0, carrying mu and w; returns mu after each stage and all records."""
+    mu, w = mu0, np.zeros_like(mu0)
+    mus, records = [], []
+    for gamma in gammas:
+        mu, w, _, stage_records = ssn_stage(b, c, mu, w, alpha, gamma)
+        mus.append(mu)
+        records += stage_records
+    return mus, records
 
 
 def test_b_operator_requires_alpha0():
@@ -75,14 +87,14 @@ def test_upper_triangle_of_b_is_never_read():
     # active-block gathers and their Cholesky factors read the lower triangle
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c, mu0 = vb.dense().T @ u_b, binv_vt(vb, b, u_b)
-    options = SsnOptions(gammas=LONG_GAMMAS)
-    mu, records, solves, converged = path_follow(b, c, mu0, reg.alpha, options=options)
+    mu0 = binv_vt(vb, b, u_b)
+    result = path_follow(b, u_b, mu0, reg)
     b.matrix[np.triu_indices_from(b.matrix, 1)] = np.nan
-    poisoned = path_follow(b, c, mu0, reg.alpha, options=options)
-    assert converged and max(r["active"] for r in records) > 1
-    assert np.array_equal(poisoned[0], mu)
-    assert poisoned[1:] == (records, solves, converged)
+    poisoned = path_follow(b, u_b, mu0, reg)
+    assert result.stop_reason == "certified" and max(r["active"] for r in result.records) > 1
+    assert np.array_equal(poisoned.mu, result.mu)
+    assert (poisoned.records, poisoned.iterations, poisoned.stop_reason, poisoned.gap, poisoned.bound) == (
+        result.records, result.iterations, result.stop_reason, result.gap, result.bound)
 
 
 def test_b_dot_reads_vb_never_b(rng):
@@ -269,14 +281,14 @@ def test_fixed_point_residual():
     b = build_b_operator(vb, reg)
     c, mu0 = vb.dense().T @ u_b, binv_vt(vb, b, u_b)
     bm = dense_b(b)
-    mu, _, _, converged = path_follow(b, c, mu0, reg.alpha, options=SsnOptions(gammas=(1.0, 10.0, 100.0)))
-    assert converged
+    (*_, mu), records = run_stages(b, c, mu0, reg.alpha, (1.0, 10.0, 100.0))
+    assert all(r["settled"] for r in records if r["kind"] == "stage")
     grad = dense_gradient(bm, mu, c, reg.alpha, 100.0)
     assert np.linalg.norm(grad) <= 1e-9 * max(1.0, np.linalg.norm(c))
 
-    mu, _, _, converged = path_follow(b, c, mu0, reg.alpha, options=SsnOptions())
-    gamma = SsnOptions().gammas[-1]
-    assert converged
+    result = path_follow(b, u_b, mu0, reg)
+    mu, gamma = result.mu, result.records[-1]["gamma"]
+    assert result.converged
     grad = dense_gradient(bm, mu, c, reg.alpha, gamma)
     scale = (1.0 + gamma) * np.linalg.norm(bm) ** 2 * np.linalg.norm(mu - mu0) + np.linalg.norm(c)
     assert np.linalg.norm(grad) <= 1e-12 * scale
@@ -288,7 +300,7 @@ def test_path_follow_carries_b_times_y(monkeypatch):
     # is that of the returned mu
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c = vb.dense().T @ u_b
+    c = vb.rmatvec(u_b)  # as path_follow forms vb^T u_b
     mu0 = binv_vt(vb, b, u_b)
     objectives = []
     objective = ssn.penalty_objective
@@ -298,9 +310,11 @@ def test_path_follow_carries_b_times_y(monkeypatch):
         return objective(mu, w, *args)
 
     monkeypatch.setattr(ssn, "penalty_objective", objective_spy)
-    # the long schedule ends stages on negligible increments; this instance also takes damped steps
-    mu, records, _, _ = path_follow(b, c, mu0, reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
-    records = [r for r in records if r["kind"] == "inner"]
+    # this instance takes damped steps, and w is carried from stage to stage
+    result = path_follow(b, u_b, mu0, reg)
+    mu = result.mu
+    records = [r for r in result.records if r["kind"] == "inner"]
+    assert len({r["gamma"] for r in records}) > 1
     assert any(r["step"] < 1.0 for r in records)
     start_mu, start_w, _ = objectives[0]
     assert start_mu is mu0 and not np.any(start_w)
@@ -316,7 +330,6 @@ def test_path_follow_counts_b_products(monkeypatch):
     # damped step reads B d from the carried w, and the records add none
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    c = vb.dense().T @ u_b
     count = 0
     dot = ssn.BOperator.dot
 
@@ -326,11 +339,11 @@ def test_path_follow_counts_b_products(monkeypatch):
         return dot(self, x)
 
     monkeypatch.setattr(ssn.BOperator, "dot", dot_spy)
-    _, records, solves, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=LONG_GAMMAS))
-    damped = [r["step"] for r in records if r["kind"] == "inner" and r["step"] < 1.0]
+    result = path_follow(b, u_b, binv_vt(vb, b, u_b), reg)
+    damped = [r["step"] for r in result.records if r["kind"] == "inner" and r["step"] < 1.0]
     trials = sum(round(np.log2(1.0 / s)) for s in damped)  # halvings from 1 to the accepted step
     assert damped
-    assert count == solves + trials
+    assert count == result.iterations + trials
 
 
 def test_stage_records_close_each_gamma():
@@ -338,14 +351,38 @@ def test_stage_records_close_each_gamma():
     # that of its last Newton step
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    _, records, _, converged = path_follow(b, vb.dense().T @ u_b, binv_vt(vb, b, u_b), reg.alpha,
-                                           options=SsnOptions(gammas=LONG_GAMMAS))
+    result = path_follow(b, u_b, binv_vt(vb, b, u_b), reg)
+    records = result.records
     stages = [r for r in records if r["kind"] == "stage"]
-    assert converged and all(r["settled"] for r in stages)
-    assert [r["gamma"] for r in stages] == list(LONG_GAMMAS)
+    assert result.converged and all(r["settled"] for r in stages)
+    assert [r["gamma"] for r in stages] == [GAMMA_GROWTH**i for i in range(len(stages))]
     for last, stage in zip(records, records[1:]):
         if stage["kind"] == "stage":
             assert (last["kind"], last["gamma"], last["active"]) == ("inner", stage["gamma"], stage["active"])
+
+
+def test_path_stops_at_the_first_certified_stage():
+    # each stage record holds the certificate of its mu and y = vb mu - u_b; the path ends at the
+    # first stage whose bound is at most CERTIFY_RTOL ||mu||, and the result reports that certificate
+    vb, u_b, reg = random_instance(10)
+    b = build_b_operator(vb, reg)
+    mu0 = binv_vt(vb, b, u_b)
+    result = path_follow(b, u_b, mu0, reg)
+    stages = [r for r in result.records if r["kind"] == "stage"]
+    mus, _ = run_stages(b, vb.rmatvec(u_b), mu0, reg.alpha, [r["gamma"] for r in stages])
+    assert np.array_equal(mus[-1], result.mu)
+    for mu, stage in zip(mus, stages):
+        # the certificate from the dense products: the same gap up to the rounding of the products
+        y = vb.dense() @ mu - u_b
+        primal = primal_objective(mu, vb, u_b, reg)
+        gap, bound = certificate(primal, y, vb.dense().T @ y, u_b, reg)
+        scale = primal + abs(gap)  # about |P| + |D|
+        assert abs(stage["gap"] - gap) <= 1e-12 * scale
+        assert stage["bound"] > 0 and abs(stage["bound"] ** 2 - bound**2) * reg.alpha0 / 2 <= 1e-12 * scale
+        certified = stage["bound"] <= CERTIFY_RTOL * np.linalg.norm(mu)
+        assert certified == (stage is stages[-1])
+    assert len(stages) > 1 and result.stop_reason == "certified" and result.converged
+    assert (result.gap, result.bound) == (stages[-1]["gap"], stages[-1]["bound"])
 
 
 def test_record_residual_is_preconditioned_gradient(monkeypatch):
@@ -355,10 +392,10 @@ def test_record_residual_is_preconditioned_gradient(monkeypatch):
     b = build_b_operator(vb, reg)
     c = vb.dense().T @ u_b
     monkeypatch.setattr(ssn, "MAX_INNER", 1)
+    mu0 = binv_vt(vb, b, u_b)
     for gamma in (1.0, 10.0, 100.0):
-        with pytest.warns(RuntimeWarning, match="cycling"):
-            mu, records, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=SsnOptions(gammas=(gamma,)))
-        record, stage = records
+        with pytest.warns(RuntimeWarning, match="did not settle"):
+            mu, _, _, (record, stage) = ssn_stage(b, c, mu0, np.zeros_like(mu0), reg.alpha, gamma)
         assert (record["kind"], stage["kind"], stage["settled"]) == ("inner", "stage", False)
         bm = dense_b(b)
         expected = np.linalg.norm(np.linalg.solve(bm, dense_gradient(bm, mu, c, reg.alpha, gamma)))
@@ -369,20 +406,18 @@ def test_record_residual_is_preconditioned_gradient(monkeypatch):
 def test_path_follow_zero_data():
     vb, _, reg = random_instance(10)
     b = build_b_operator(vb, reg)
-    zeros = np.zeros(vb.shape[1])
-    mu, records, _, _ = path_follow(b, zeros, binv_vt(vb, b, np.zeros(vb.shape[0])), 0.5)
-    assert not np.any(mu)
+    zeros = np.zeros(vb.shape[0])
+    result = path_follow(b, zeros, binv_vt(vb, b, zeros), RegParams(alpha=0.5, alpha0=reg.alpha0))
+    assert not np.any(result.mu)
 
 
 def test_constraint_violation_nonincreasing_along_path():
     vb, u_b, reg = random_instance(11, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.dense().T @ u_b
-    options = SsnOptions()
     violations = []
-    for i in range(1, len(options.gammas) + 1):
-        partial = SsnOptions(gammas=options.gammas[:i])
-        mu, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha, options=partial)
+    mus, _ = run_stages(b, c, binv_vt(vb, b, u_b), reg.alpha, [10.0**i for i in range(9)])
+    for mu in mus:
         w = dense_b(b) @ mu - c
         violations.append(max(0.0, np.max(np.abs(w)) - reg.alpha))
     assert all(b2 <= a * (1 + 1e-9) + 1e-15 for a, b2 in zip(violations, violations[1:]))
@@ -392,7 +427,7 @@ def test_final_feasibility_at_large_gamma():
     vb, u_b, reg = random_instance(12, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
     c = vb.dense().T @ u_b
-    mu, _, _, _ = path_follow(b, c, binv_vt(vb, b, u_b), reg.alpha)
+    mu = path_follow(b, u_b, binv_vt(vb, b, u_b), reg).mu
     w = dense_b(b) @ mu - c
     assert np.max(np.maximum(0.0, np.abs(w) - reg.alpha)) <= reg.alpha * 1e-4
 
@@ -400,20 +435,27 @@ def test_final_feasibility_at_large_gamma():
 def test_cross_agreement_with_alm():
     vb, u_b, reg = random_instance(15, m=4, n=12, alpha=0.08, alpha0=0.01)
     alm = solve_alm(vb, u_b, reg, options=AlmOptions(lam_tol=1e-10, gap_tol=1e-12, max_outer=25))
-    ssn = solve_ssn(vb, u_b, reg, options=SsnOptions(gammas=LONG_GAMMAS))
+    ssn = solve_ssn(vb, u_b, reg, options=SsnOptions())
+    assert ssn.stop_reason == "certified"
     assert np.linalg.norm(ssn.mu - alm.mu) <= 1e-4 * np.linalg.norm(alm.mu)
     p_alm = primal_objective(alm.mu, vb, u_b, reg)
     p_ssn = primal_objective(ssn.mu, vb, u_b, reg)
     assert abs(p_alm - p_ssn) <= 1e-4 * abs(p_alm)
 
 
-def test_gamma_schedule_must_increase():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SsnOptions(gammas=(1.0, 1.0, 10.0))
-    with pytest.raises(ValueError, match="must not be empty"):  # no stage would run, yet read as converged
-        SsnOptions(gammas=())
-    with pytest.raises(ValueError, match="nonnegative"):
-        SsnOptions(gammas=(-1.0, 1.0, 10.0))
+def test_gamma_schedule_must_increase(monkeypatch):
+    # gamma grows GAMMA_GROWTH-fold from 1; a path that never certifies stops on max_gamma, not
+    # converged, after its stage at the last gamma within MAX_GAMMA
+    vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
+    b = build_b_operator(vb, reg)
+    monkeypatch.setattr(ssn, "CERTIFY_RTOL", 0.0)
+    result = path_follow(b, u_b, binv_vt(vb, b, u_b), reg)
+    gammas = [r["gamma"] for r in result.records if r["kind"] == "stage"]
+    assert gammas == [GAMMA_GROWTH**i for i in range(len(gammas))]
+    assert gammas[-1] <= MAX_GAMMA < GAMMA_GROWTH * gammas[-1]
+    assert result.stop_reason == "max_gamma" and not result.converged
+    with pytest.raises(TypeError):  # no schedule to set: SsnOptions has no fields
+        SsnOptions(gammas=(1.0, 10.0))
 
 
 @pytest.mark.parametrize("u_b, match", [
