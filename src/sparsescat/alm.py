@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import check_finite, check_integer
-from .prox import SolveResult, certificate, cholesky_solve, h_star, p_star, primal_objective, prox_p, soft_threshold
+from .prox import (SolveResult, certificate, certified, cholesky_solve, h_star, p_star, primal_objective, prox_p,
+                   soft_threshold)
 from .realfield import check_problem, gram, matvec, rmatvec
 
 
@@ -64,7 +65,7 @@ MAX_BACKTRACKS = 30
 
 @dataclass
 class AlmOptions:
-    """Armijo backtracking factor, outer-step cap and the two stopping tolerances.
+    """Armijo backtracking factor, outer-step cap and the multiplier tolerance of the stop.
 
     The penalty starts at max(1, 0.01/alpha0) (1 when alpha0 = 0) and grows
     sixfold per outer step, both capped at SIGMA_MAX; the other loop
@@ -72,15 +73,13 @@ class AlmOptions:
     """
 
     beta: float = 0.3
-    max_outer: int = 12
+    max_outer: int = 20
     lam_tol: float = 1e-7
-    gap_tol: float = 1e-8
 
     def __post_init__(self):
         check_finite("beta", self.beta, "positive", below=1)
         check_integer("max_outer", self.max_outer, 1)
         check_finite("lam_tol", self.lam_tol, "nonnegative")
-        check_finite("gap_tol", self.gap_tol, "nonnegative")
 
 
 @dataclass
@@ -202,13 +201,17 @@ def solve_alm(vb, u_b, reg, options=None):
     (surrogate for the summable-accuracy criterion, valid because the
     reduced objective is 1-strongly convex) and additionally
     ||F(y)|| <= (delta'_k/sigma_k)*||sigma_k(vb^T y + z)|| (surrogate for
-    the relative criterion), or at machine-precision residuals.  Outer
-    iterations stop on a small relative multiplier change or a small
-    primal-dual gap; each outer record holds the `certificate` (gap and
-    bound) of its source and y, and the gap test reads that gap.  The
-    multiplier step lam += sigma*(vb^T y + z), the source and the gap
-    reuse vb^T y and z from the last inner loop head, and the returned
-    source is that of the last outer step.
+    the relative criterion), or at machine-precision residuals.  Each
+    outer record holds the `certificate` (gap and bound) of its source
+    and y.  Where alpha0 > 0 the outer iterations stop on "certified"
+    once that source is `certified` and the relative multiplier change
+    is at most lam_tol, both at once: the certificate bounds the source,
+    the multiplier test ends the proximal-point run (Rockafellar 1976).
+    Where alpha0 = 0 there is no certificate, and they stop on
+    "multiplier_change" at the multiplier test alone.  The multiplier
+    step lam += sigma*(vb^T y + z), the source and the gap reuse vb^T y
+    and z from the last inner loop head, and the returned source is that
+    of the last outer step.
     """
     vb, u_b = check_problem(vb, u_b)
     options = options or AlmOptions()
@@ -278,11 +281,8 @@ def solve_alm(vb, u_b, reg, options=None):
         lam = lam_new
         lam_history.append(lam.copy())
         sigma = min(SIGMA_GROWTH * sigma, SIGMA_MAX)
-        if lam_change <= options.lam_tol:
-            stop_reason = "multiplier_change"
-            break
-        if gap is not None and gap <= options.gap_tol * (1.0 + abs(primal)):
-            stop_reason = "duality_gap"
+        if lam_change <= options.lam_tol and (reg.alpha0 <= 0 or certified(mu, gap, bound, reg)):
+            stop_reason = "certified" if reg.alpha0 > 0 else "multiplier_change"
             break
 
     return AlmResult(mu=mu, stop_reason=stop_reason, iterations=inner_total, records=records,

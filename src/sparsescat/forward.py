@@ -315,9 +315,11 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     Row i of T is the map from a complex source to the scattered boundary
     data at receiver i; the operator applies it to realified sources.  By
     reciprocity of the Green's function for real contrast, row i is
-    (phi_i + V psi_i) / k^2, where phi_i is the free-space kernel row of
-    receiver i and psi_i = q (phi_i + V psi_i) is supported on the K nodes
-    S of supp(q), V_SS being the FFT path's discrete kernel.  An
+    phi_i + V psi_i, where phi_i = h^d Phi(x_i, .) is the free-space
+    kernel row of receiver i, built in T's scale by `_kernel_blocks` at
+    weight h^d / k^2 (that function's k^2 is the one of V's kernel), and
+    psi_i = q (phi_i + V psi_i) is supported on the K nodes S of supp(q),
+    V_SS being the FFT path's discrete kernel.  An
     inhomogeneous medium costs one LU of the K x K matrix
     I - diag(q_S) V_SS (about 16 K^2 bytes), solved for all M receivers
     at once, plus one batched FFT potential, rather than M Krylov solves.
@@ -332,8 +334,9 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     4.4-4.8 s and 145 MB.  No inhomogeneous 3D case has been measured.
     Each receiver's relative residual
     psi_S - q_S (phi + V psi)_S, with V applied by FFT, is checked
-    against `tol` (LsSolveError otherwise).  T is phi itself, scaled in
-    place: no realified copy is made.  `medium` is checked by
+    against `tol` (LsSolveError otherwise); the system is linear in phi,
+    so its scale does not change the relative residual.  T is phi itself:
+    no scaled or realified copy is made.  `medium` is checked by
     `_check_medium`.
     """
     _check_medium(grid, medium)
@@ -341,12 +344,11 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     nodes = grid.nodes()
     points = receivers.points
     phi = np.empty((nodes.shape[0], points.shape[0]), dtype=complex).T  # column-major, as T is held
-    for cols, block in _kernel_blocks(k, grid.dim, nodes, points, grid.cell_volume()):
+    for cols, block in _kernel_blocks(k, grid.dim, nodes, points, grid.cell_volume() / k**2):
         phi[:, cols] = block.T
     del block  # one block of rows, 8 MB at the desk
     if not medium.is_homogeneous:
         _add_scattered_rows(grid, medium, phi, tol)
-    phi /= k**2  # in place: no second M x N temporary
     return MeasurementOperator(phi)
 
 

@@ -175,12 +175,10 @@ def restrict_to_coarse(mu_fine, fine_grid, coarse_grid):
         coarse_grid.n_per_axis - 1,
     ).astype(int)
     scale = (fine_grid.spacing / coarse_grid.spacing) ** fine_grid.dim
+    coarse_of = np.ravel_multi_index(np.meshgrid(*([bins] * fine_grid.dim), indexing="ij"), coarse_grid.shape).ravel()
 
     def restrict_block(block):
-        out = np.zeros(coarse_grid.shape)
-        idx = np.meshgrid(*([bins] * fine_grid.dim), indexing="ij")
-        np.add.at(out, tuple(idx), block.reshape(fine_grid.shape))
-        return scale * out.ravel()
+        return scale * np.bincount(coarse_of, weights=block, minlength=coarse_grid.num_nodes)
 
     return np.concatenate([restrict_block(mu_fine[:n_fine]), restrict_block(mu_fine[n_fine:])])
 

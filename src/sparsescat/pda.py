@@ -46,8 +46,8 @@ The oracle certifies itself.  For alpha0 > 0 the primal P is
 alpha0-strongly convex, so any dual point p bounds the distance of the
 iterate to the minimizer: ||mu - mu*|| <= sqrt(2 (P(mu) + D(p)) / alpha0).
 The run stops once that bound (`prox.certificate`), with the gap
-computed from PDA's own iterates plus a rounding allowance, falls to
-CERTIFY_RTOL * ||mu||.
+computed from PDA's own iterates plus a rounding allowance, certifies
+mu (`prox.certified`).
 D(p) needs all of vb^T p, so each record makes the dense product, and
 the step at a record uses it (and forms the next block from it): the
 certificate is computed exactly as without the block.
@@ -60,7 +60,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .grid import check_finite, check_integer
-from .prox import CERTIFY_RTOL, SolveResult, certificate, primal_objective, prox_p
+from .prox import SolveResult, certificate, certified, primal_objective, prox_p
 from .realfield import check_problem, matvec, rmatvec
 
 # Rounding slack of the adjoint screen, in eps per term of its 2M-term inner products.  A computed
@@ -208,7 +208,7 @@ def solve_pda(vb, u_b, reg, options=None):
     also holds the `certificate` of mu and p, the duality gap
     P(mu) + D(p) and the bound sqrt(2*(gap + allowance)/alpha0) on
     ||mu - mu*|| (both None where alpha0 = 0); the run stops with reason
-    "certified" (converged) once that bound is <= CERTIFY_RTOL * ||mu||.
+    "certified" (converged) once they certify mu (`prox.certified`).
     A run that does not certify within `iters` steps stops on
     "max_iters"; so does every run with alpha0 = 0, whose dual is an
     indicator that bounds nothing.
@@ -248,7 +248,7 @@ def solve_pda(vb, u_b, reg, options=None):
             gap, bound = certificate(primal, p, vt_p, u_b, reg)
             records.append({"solver": "pda", "kind": "inner", "inner": it, "objective": float(primal),
                             "best_objective": float(best), "dense_adjoints": dense, "gap": gap, "bound": bound})
-            if bound is not None and bound <= CERTIFY_RTOL * np.linalg.norm(mu):
+            if certified(mu, gap, bound, reg):
                 stop_reason = "certified"
                 break
     return SolveResult(mu=mu, stop_reason=stop_reason, iterations=it, records=records, gap=gap, bound=bound)

@@ -4,8 +4,9 @@ The regularizer is p(mu) = alpha0/2 ||mu||^2 + alpha ||mu||_1, applied
 componentwise to realified vectors (anisotropic thresholding).  The data
 term conjugate is h*(y) = 1/2 ||y||^2 + <y, u_b>.  `SolveResult` is
 what every solver returns, `certificate` the duality-gap bound on its
-distance to the minimizer, and `cholesky_solve` the factor-and-solve of
-both Newton solvers, in scipy's BLAS like every product with vb (see
+distance to the minimizer, `certified` the stop that every solver reads
+from it, and `cholesky_solve` the factor-and-solve of both Newton
+solvers, in scipy's BLAS like every product with vb (see
 `realfield`).
 """
 
@@ -17,8 +18,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .grid import check_finite
 
 
-CONVERGENCE_EXITS = ("multiplier_change", "duality_gap", "certified")
-CERTIFY_RTOL = 1e-5  # certified stop: distance bound <= CERTIFY_RTOL * ||mu||
+CONVERGENCE_EXITS = ("multiplier_change", "certified")
+CERTIFY_RTOL = 1e-5  # certified stop: distance bound <= CERTIFY_RTOL * ||mu|| (see `certified`)
 GAP_ULPS = 4  # rounding allowance of the computed gap, in ulps of |P| + |D|
 
 
@@ -31,14 +32,18 @@ class SolveResult:
     ended the run, and the property `converged` is read from it: true
     exactly when it is one of the CONVERGENCE_EXITS, marked below.
 
-    - ALM: "multiplier_change" or "duality_gap" (converged), "max_outer";
+    - ALM: "certified" (converged; where alpha0 > 0),
+      "multiplier_change" (converged; where alpha0 = 0), "max_outer";
     - SSN: "certified" (converged), "max_gamma" (the gamma path passed
       its cap uncertified);
     - PDA: "certified" (converged), "max_iters".
 
-    "certified" means that `bound` is at most CERTIFY_RTOL * ||mu||.
-    `gap` and `bound` are the `certificate` of the returned mu and the
-    solver's last dual point, None where alpha0 = 0.
+    "certified" means that the answer is `certified`: its `bound` is at
+    most CERTIFY_RTOL * ||mu||, or its gap is within the rounding
+    allowance, which is how a zero answer certifies.  So where
+    alpha0 > 0, `converged` means certified for every solver.  `gap` and
+    `bound` are the `certificate` of the returned mu and the solver's
+    last dual point, None where alpha0 = 0.
     """
 
     mu: np.ndarray
@@ -141,6 +146,25 @@ def certificate(primal, y, vt_y, u_b, reg):
     allowance = GAP_ULPS * np.spacing(abs(primal) + abs(dual))
     gap = float(primal + dual)
     return gap, float(np.sqrt(2.0 * max(gap + allowance, 0.0) / reg.alpha0))
+
+
+def certified(mu, gap, bound, reg):
+    """Whether the `certificate` (gap, bound) of mu certifies it; never where alpha0 = 0 (no certificate).
+
+    mu is certified when either holds:
+
+    - its bound is at most CERTIFY_RTOL * ||mu||;
+    - its gap is within the rounding allowance.  The bound is then at its
+      floor, where no computed gap can tell mu from mu*, and a zero mu
+      reaches this exactly when mu* = 0 (zero data, or
+      alpha >= ||vb^T u_b||_inf), where the first clause cannot hold.
+
+    The bound is sqrt(2 (gap + allowance) / alpha0), so gap <= allowance
+    reads gap <= alpha0 * bound^2 / 4.
+    """
+    if bound is None:
+        return False
+    return bound <= CERTIFY_RTOL * np.linalg.norm(mu) or gap <= 0.25 * reg.alpha0 * bound**2
 
 
 def cholesky_solve(matrix, rhs):

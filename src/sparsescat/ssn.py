@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .prox import CERTIFY_RTOL, SolveResult, certificate, cholesky_solve, primal_objective
+from .prox import SolveResult, certificate, certified, cholesky_solve, primal_objective
 from .realfield import MeasurementOperator, check_problem, gram, normal
 
 
@@ -253,10 +253,11 @@ def path_follow(b, u_b, mu0, reg):
     rounding of the two large terms of w, which cancel, and near the
     minimizer that rounding can exceed the certificate's allowance (on a
     12 x 48 test instance it gave a gap of -1.7e-17 against an allowance
-    of 9e-19, so a bound of 0).  The path stops on "certified" once the
-    bound is at most CERTIFY_RTOL * ||mu||, and on "max_gamma" when the
-    next gamma would pass MAX_GAMMA.  Returns the `SolveResult`, whose
-    `iterations` counts the Newton solves of every stage.
+    of 9e-19, so a bound of 0).  The path stops on "certified" once mu is
+    `certified`, which a zero answer (mu* = 0) is after the first stage,
+    and on "max_gamma" when the next gamma would pass MAX_GAMMA.  Returns
+    the `SolveResult`, whose `iterations` counts the Newton solves of
+    every stage.
     """
     vt_ub = b.vb.rmatvec(u_b)
     mu, w = mu0, np.zeros_like(mu0)
@@ -269,7 +270,7 @@ def path_follow(b, u_b, mu0, reg):
         gap, bound = certificate(primal_objective(mu, b.vb, u_b, reg), y, b.vb.rmatvec(y), u_b, reg)
         stage_records[-1].update(gap=gap, bound=bound)
         records += stage_records
-        if bound <= CERTIFY_RTOL * np.linalg.norm(mu):
+        if certified(mu, gap, bound, reg):
             stop_reason = "certified"
             break
         gamma *= GAMMA_GROWTH

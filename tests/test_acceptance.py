@@ -29,7 +29,7 @@ from sparsescat.ssn import SsnOptions, solve_ssn
 N_CROSS = 20
 # multiplier-keyed stopping: ||mu + lambda|| tracks the last multiplier step,
 # so the batch runs until the relative lambda change is tiny
-TIGHT_ALM = dict(lam_tol=1e-9, gap_tol=1e-16, max_outer=30)
+TIGHT_ALM = dict(lam_tol=1e-9, max_outer=30)
 
 
 def report(num, ok, detail):
@@ -154,9 +154,10 @@ def cross_solver_batch():
         ssn = solve_ssn(vb, u_b, reg, options=SsnOptions())
         pda = solve_pda(vb, u_b, reg, options=PdaOptions(iters=10**6, record_every=200))
         # the oracle counts only when it certified its own distance to the minimizer, and SSN's path
-        # ends only on a certified answer
+        # and ALM's outer loop end only on a certified answer
         assert pda.stop_reason == "certified", f"PDA did not certify on instance {trial}"
         assert ssn.stop_reason == "certified", f"SSN did not certify on instance {trial}"
+        assert alm.stop_reason == "certified", f"ALM did not certify on instance {trial}"
         batch.append((vb, u_b, reg, alm, ssn, pda))
     return batch
 

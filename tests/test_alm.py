@@ -16,7 +16,7 @@ from sparsescat.alm import (
 )
 from sparsescat.harness import run_experiment
 from sparsescat.pda import PdaOptions, solve_pda
-from sparsescat.prox import RegParams, dual_objective, primal_objective
+from sparsescat.prox import RegParams, certified, dual_objective, primal_objective
 from sparsescat.realfield import MeasurementOperator
 
 
@@ -231,7 +231,7 @@ def test_multiplier_update_maintains_z_invariant():
     # (vb^T y is the solver's own product, the operator's rmatvec)
     vb, u_b, reg = random_instance(33, m=3, n=8)
     for k in range(4):
-        result = solve_alm(vb, u_b, reg, options=AlmOptions(max_outer=k + 1, lam_tol=0.0, gap_tol=0.0))
+        result = solve_alm(vb, u_b, reg, options=AlmOptions(max_outer=k + 1, lam_tol=0.0))
         assert result.outer_iters == k + 1
         lam_k = result.lam_history[k]
         sigma_k = [r["sigma"] for r in result.records if r["kind"] == "outer"][k]
@@ -243,7 +243,7 @@ def test_multiplier_update_maintains_z_invariant():
 def test_sigma_growth_capped(monkeypatch):
     # the first penalty is max(1, 0.01/alpha0), 1 when alpha0 = 0; then sixfold per step; both capped at SIGMA_MAX
     monkeypatch.setattr(alm, "SIGMA_MAX", 1000.0)
-    options = AlmOptions(max_outer=6, lam_tol=0.0, gap_tol=0.0)
+    options = AlmOptions(max_outer=6, lam_tol=0.0)
 
     def sigmas(alpha0):
         vb, u_b, reg = random_instance(17, m=3, n=8, alpha0=alpha0)
@@ -269,7 +269,7 @@ def test_recover_mu_requires_alpha0():
 
 
 def tight_options(**kw):
-    base = dict(lam_tol=1e-10, gap_tol=1e-12, max_outer=25)
+    base = dict(lam_tol=1e-10, max_outer=25)
     base.update(kw)
     return AlmOptions(**base)
 
@@ -403,7 +403,7 @@ def test_desk_run_takes_no_gram_step(monkeypatch):
     monkeypatch.setattr(alm, "newton_matrix", spy)
     solved = run_experiment(desk_config("alm", False)).solved
     assert built == []
-    assert solved.stop_reason == "duality_gap"
+    assert solved.stop_reason == "certified"
     assert 0 < solved.iterations <= 15
 
 
@@ -469,11 +469,49 @@ def test_outer_records_gap_from_scratch():
     # the run stopped after outer iteration k ends with the y of that iteration
     vb, u_b, reg = random_instance(28, m=4, n=12, alpha=0.05, alpha0=0.01)
     for k in range(6):
-        result = solve_alm(vb, u_b, reg, options=AlmOptions(max_outer=k + 1, lam_tol=0.0, gap_tol=0.0))
+        result = solve_alm(vb, u_b, reg, options=AlmOptions(max_outer=k + 1, lam_tol=0.0))
         rec = [r for r in result.records if r["kind"] == "outer"][k]
         primal = primal_objective(recover_mu(vb.dense().T @ result.y, reg), vb, u_b, reg)
         dual = dual_objective(result.y, vb.dense().T @ result.y, u_b, reg)
         assert abs(rec["gap"] - (primal + dual)) <= 1e-12 * (abs(primal) + abs(dual))
+
+
+@pytest.mark.parametrize("seed", [1, 18])
+def test_stop_needs_the_certificate_and_the_multiplier_test(seed, monkeypatch):
+    # where alpha0 > 0 the run stops at the first outer step whose source is certified and whose relative
+    # multiplier change is at most lam_tol; on instance 1 the source certifies two steps before the
+    # multiplier settles, on instance 18 the multiplier settles a step before the source certifies
+    vb, u_b, reg = random_instance(seed)
+    mus = []
+    recover = alm.recover_mu
+
+    def spy(*args):
+        mus.append(recover(*args))
+        return mus[-1]
+
+    monkeypatch.setattr(alm, "recover_mu", spy)
+    result = solve_alm(vb, u_b, reg)
+    outer = [r for r in result.records if r["kind"] == "outer"]
+    assert len(mus) == len(outer) == result.outer_iters
+    cert = [certified(mu, r["gap"], r["bound"], reg) for mu, r in zip(mus, outer)]
+    settled = [r["lambda_change"] <= AlmOptions().lam_tol for r in outer]
+    both = [c and s for c, s in zip(cert, settled)]
+    assert both.index(True) == len(outer) - 1 and result.stop_reason == "certified"
+    assert any(c != s for c, s in zip(cert, settled))
+    assert np.array_equal(result.mu, mus[-1]) and (result.gap, result.bound) == (outer[-1]["gap"], outer[-1]["bound"])
+
+
+def test_alpha0_zero_stops_on_multiplier_change():
+    # without alpha0 there is no certificate: the multiplier test alone ends the run, zero data at once
+    vb, u_b, _ = random_instance(18)
+    reg = RegParams(alpha=0.05, alpha0=0.0)
+    result = solve_alm(vb, u_b, reg)
+    changes = [r["lambda_change"] for r in result.records if r["kind"] == "outer"]
+    assert result.stop_reason == "multiplier_change" and result.converged
+    assert changes[-1] <= AlmOptions().lam_tol < min(changes[:-1])
+    assert (result.gap, result.bound) == (None, None)
+    zero = solve_alm(vb, np.zeros_like(u_b), reg)
+    assert (zero.stop_reason, zero.outer_iters) == ("multiplier_change", 1)
 
 
 @pytest.mark.parametrize("seed", [300, 301, 302])

@@ -675,7 +675,7 @@ def _export_result_json(path, version):
     grid = Grid(dim=2, n_per_axis=8)
     config = ExperimentConfig(solver="alm", alpha=1e-3, alpha0=0.0, phantom={"kind": "peaks"}, fine_n=12,
                               coarse_n=8, output_dir=str(path.parent))
-    solved = SolveResult(mu=np.full(2 * grid.num_nodes, version), stop_reason="duality_gap",
+    solved = SolveResult(mu=np.full(2 * grid.num_nodes, version), stop_reason="certified",
                          iterations=version, records=[{"kind": "inner", "step": version}])
     harness._export(config, ExperimentResult(version / 3, {}, solved, solved.mu), grid)
 

@@ -201,7 +201,7 @@ def test_config_values_are_checked_when_built(overrides):
 
 
 @pytest.mark.parametrize("solver, options", [
-    ("alm", {"beta": 0.5, "max_outer": 7, "lam_tol": 1e-6, "gap_tol": 1e-9}),
+    ("alm", {"beta": 0.5, "max_outer": 7, "lam_tol": 1e-6}),
     ("ssn", {}),
     ("pda", {"sigma": 0.25, "iters": 700, "record_every": 70}),
 ], ids=["alm", "ssn", "pda"])
@@ -290,7 +290,7 @@ def test_run_experiment_tags_each_phase(phase, name, tmp_path, monkeypatch):
 
 # every stop reason of each solver, and whether it is a convergence exit
 STOP_REASONS = {
-    "alm": {"multiplier_change": True, "duality_gap": True, "max_outer": False},
+    "alm": {"multiplier_change": True, "certified": True, "max_outer": False},
     "ssn": {"certified": True, "max_gamma": False},
     "pda": {"certified": True, "max_iters": False},
 }

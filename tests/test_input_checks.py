@@ -116,11 +116,12 @@ CASES = {
     "AlmOptions-max_outer-0": (lambda tmp: AlmOptions(max_outer=0), "max_outer must be at least 1"),
     "AlmOptions-max_outer-float": (lambda tmp: AlmOptions(max_outer=2.5), "max_outer must be .* an integer"),
     "AlmOptions-lam_tol-nan": (lambda tmp: AlmOptions(lam_tol=np.nan), "lam_tol must be finite and nonnegative"),
-    "AlmOptions-gap_tol-nan": (lambda tmp: AlmOptions(gap_tol=np.nan), "gap_tol must be finite and nonnegative"),
-    "AlmOptions-gap_tol-negative": (lambda tmp: AlmOptions(gap_tol=-1e-9), "gap_tol must be finite and nonnegative"),
     "ExperimentConfig-alm-tolerances-nan": (
-        lambda tmp: ExperimentConfig(**{**CONFIG, "solver_options": {"lam_tol": np.nan, "gap_tol": np.nan}}),
-        "lam_tol must be finite"),
+        lambda tmp: ExperimentConfig(**{**CONFIG, "solver_options": {"lam_tol": np.nan}}), "lam_tol must be finite"),
+    # ALM stops on the shared certificate: a gap tolerance is an unknown option
+    "ExperimentConfig-alm-gap_tol": (
+        lambda tmp: ExperimentConfig(**{**CONFIG, "solver_options": {"gap_tol": 1e-8}}),
+        r"unknown alm options: \['gap_tol'\]"),
     # integer fields once took floats (24.5 built; 16.0 failed later in numpy) and bools
     "Grid-dim-float": (lambda tmp: Grid(dim=2.0, n_per_axis=8), "dim must be .* an integer, got 2.0"),
     "Grid-dim-bool": (lambda tmp: Grid(dim=True, n_per_axis=8), "dim must be .* an integer, got True"),
@@ -202,7 +203,6 @@ CASES = {
     "AlmOptions-beta-string": (lambda tmp: AlmOptions(beta="0.3"), "beta must be finite and positive below 1"),
     "AlmOptions-beta-bool": (lambda tmp: AlmOptions(beta=True), "beta must be finite"),
     "AlmOptions-lam_tol-string": (lambda tmp: AlmOptions(lam_tol="1e-7"), "lam_tol must be finite and nonnegative"),
-    "AlmOptions-gap_tol-bool": (lambda tmp: AlmOptions(gap_tol=False), "gap_tol must be finite and nonnegative"),
     "PdaOptions-sigma-string": (lambda tmp: PdaOptions(sigma="0.5"), "sigma must be finite and positive"),
     "PdaOptions-sigma-bool": (lambda tmp: PdaOptions(sigma=True), "sigma must be finite"),
     "ExperimentConfig-alm-beta-string": (

@@ -8,7 +8,6 @@ from conftest import random_instance
 from sparsescat import pda
 from sparsescat.alm import AlmOptions, solve_alm
 from sparsescat.pda import (
-    CERTIFY_RTOL,
     SCREEN_MIN_ENTRIES,
     AdjointScreen,
     PdaOptions,
@@ -17,7 +16,7 @@ from sparsescat.pda import (
     pda_primal_step,
     solve_pda,
 )
-from sparsescat.prox import RegParams, primal_objective, prox_p
+from sparsescat.prox import CERTIFY_RTOL, RegParams, primal_objective, prox_p
 from sparsescat.realfield import MeasurementOperator
 
 
@@ -86,7 +85,7 @@ def test_solve_zero_data():
 
 def test_long_run_matches_alm_objective():
     vb, u_b, reg = random_instance(6, m=4, n=12, alpha=0.1, alpha0=0.01)
-    alm = solve_alm(vb, u_b, reg, options=AlmOptions(lam_tol=1e-10, gap_tol=1e-12, max_outer=25))
+    alm = solve_alm(vb, u_b, reg, options=AlmOptions(lam_tol=1e-10, max_outer=25))
     pda = solve_pda(vb, u_b, reg, options=PdaOptions(iters=10**6, record_every=200))
     assert pda.stop_reason == "certified"
     p_alm = primal_objective(alm.mu, vb, u_b, reg)

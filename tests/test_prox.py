@@ -7,8 +7,10 @@ from conftest import conjugate_resolvent, moreau_complement, random_instance
 from sparsescat.alm import AlmOptions, solve_alm
 from sparsescat.pda import PdaOptions, solve_pda
 from sparsescat.prox import (
+    CERTIFY_RTOL,
     RegParams,
     certificate,
+    certified,
     cholesky_solve,
     dual_objective,
     h_star,
@@ -197,7 +199,7 @@ def test_certificate_bounds_the_distance_to_the_minimizer(seed):
     # computed; the bound is still positive (the allowance) and small (a wrong-sign y reads >= 4 ||mu||).
     # Away from mu*, the bound covers ||mu - mu*|| up to mu*'s own bound.
     vb, u_b, reg = random_instance(seed)
-    alm = solve_alm(vb, u_b, reg, options=AlmOptions(lam_tol=1e-12, gap_tol=1e-16, max_outer=40))
+    alm = solve_alm(vb, u_b, reg, options=AlmOptions(lam_tol=1e-12, max_outer=40))
     star = alm.mu
     scale = np.linalg.norm(star)
 
@@ -222,6 +224,68 @@ def test_certificate_has_no_bound_at_alpha0_zero():
     assert certificate(primal_objective(np.zeros(vb.shape[1]), vb, u_b, reg), y, vb.rmatvec(y), u_b, reg) == (None, None)
     for result in (solve_alm(vb, u_b, reg), solve_pda(vb, u_b, reg, options=PdaOptions(iters=200))):
         assert (result.gap, result.bound) == (None, None)
+
+
+def test_certified_reads_the_bound_or_the_rounding_allowance():
+    # with bound^2 = 2 (gap + allowance) / alpha0, mu certifies when bound <= CERTIFY_RTOL ||mu||, or when
+    # gap <= allowance: the bound is then at its floor, which is how mu = 0 (where the first clause
+    # cannot hold) certifies
+    reg = RegParams(alpha=0.1, alpha0=1e-2)
+    allowance = 1e-12
+
+    def bound(gap):
+        return float(np.sqrt(2.0 * max(gap + allowance, 0.0) / reg.alpha0))
+
+    assert not certified(np.ones(2), None, None, RegParams(alpha=0.1, alpha0=0.0))  # no certificate
+    gap = 1e-10  # a bound of 1.42e-4
+    assert certified(np.array([2e-4 / CERTIFY_RTOL]), gap, bound(gap), reg)
+    assert not certified(np.array([1e-4 / CERTIFY_RTOL]), gap, bound(gap), reg)
+    zero = np.zeros(2)
+    for gap in (-3 * allowance, 0.0, 0.5 * allowance, 0.9 * allowance):
+        assert certified(zero, gap, bound(gap), reg)
+    for gap in (1.1 * allowance, 2 * allowance, 1e-10):
+        assert not certified(zero, gap, bound(gap), reg)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_zero_source_certifies_exactly_when_the_minimizer_is_zero(seed):
+    # at mu = 0 with y = -u_b the gap is p*(vb^T u_b): zero (so within the allowance) when alpha >= ||vb^T u_b||_inf
+    # or u_b = 0, where mu* = 0; positive, and far above the allowance, at the instance's alpha, where mu* != 0
+    vb, u_b, reg = random_instance(seed)
+    top = float(np.max(np.abs(vb.rmatvec(u_b))))
+    zero = np.zeros(vb.shape[1])
+
+    def is_certified(u, r):
+        y = -u
+        gap, bound = certificate(primal_objective(zero, vb, u, r), y, vb.rmatvec(y), u, r)
+        return certified(zero, gap, bound, r)
+
+    assert is_certified(np.zeros_like(u_b), reg)
+    assert is_certified(u_b, RegParams(alpha=top, alpha0=reg.alpha0))
+    assert is_certified(u_b, RegParams(alpha=2 * top, alpha0=reg.alpha0))
+    assert not is_certified(u_b, reg)
+
+
+ZERO_ANSWERS = {
+    "zero_data": lambda vb, u_b, reg: (np.zeros_like(u_b), reg),
+    "alpha_at_max": lambda vb, u_b, reg: (u_b, RegParams(float(np.max(np.abs(vb.rmatvec(u_b)))), reg.alpha0)),
+    "alpha_above": lambda vb, u_b, reg: (u_b, RegParams(2 * float(np.max(np.abs(vb.rmatvec(u_b)))), reg.alpha0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_ANSWERS))
+@pytest.mark.parametrize("seed", range(3))
+def test_zero_answer_certifies_at_the_first_check(seed, case):
+    # mu* = 0 for zero data and for alpha >= ||vb^T u_b||_inf: ALM certifies at its first outer step, SSN after
+    # its first stage and PDA at its first record, each with mu = 0
+    vb, u_b, reg = random_instance(seed)
+    u_b, reg = ZERO_ANSWERS[case](vb, u_b, reg)
+    alm, ssn, pda = (solve(vb, u_b, reg) for solve in (solve_alm, solve_ssn, solve_pda))
+    for result in (alm, ssn, pda):
+        assert result.stop_reason == "certified" and result.converged and not np.any(result.mu)
+    assert alm.outer_iters == 1
+    assert [r["kind"] for r in ssn.records].count("stage") == 1
+    assert len(pda.records) == 1 and pda.iterations == PdaOptions().record_every
 
 
 def test_primal_objective_matches_dense_formula(rng):

@@ -8,7 +8,7 @@ from scipy.linalg.blas import dsyrk
 
 from sparsescat import ssn
 from sparsescat.alm import AlmOptions, solve_alm
-from sparsescat.prox import CERTIFY_RTOL, RegParams, certificate, primal_objective
+from sparsescat.prox import RegParams, certificate, certified, primal_objective
 from sparsescat.realfield import MeasurementOperator
 from sparsescat.ssn import (
     GAMMA_GROWTH,
@@ -363,7 +363,7 @@ def test_stage_records_close_each_gamma():
 
 def test_path_stops_at_the_first_certified_stage():
     # each stage record holds the certificate of its mu and y = vb mu - u_b; the path ends at the
-    # first stage whose bound is at most CERTIFY_RTOL ||mu||, and the result reports that certificate
+    # first stage whose mu it certifies, and the result reports that certificate
     vb, u_b, reg = random_instance(10)
     b = build_b_operator(vb, reg)
     mu0 = binv_vt(vb, b, u_b)
@@ -379,8 +379,7 @@ def test_path_stops_at_the_first_certified_stage():
         scale = primal + abs(gap)  # about |P| + |D|
         assert abs(stage["gap"] - gap) <= 1e-12 * scale
         assert stage["bound"] > 0 and abs(stage["bound"] ** 2 - bound**2) * reg.alpha0 / 2 <= 1e-12 * scale
-        certified = stage["bound"] <= CERTIFY_RTOL * np.linalg.norm(mu)
-        assert certified == (stage is stages[-1])
+        assert certified(mu, stage["gap"], stage["bound"], reg) == (stage is stages[-1])
     assert len(stages) > 1 and result.stop_reason == "certified" and result.converged
     assert (result.gap, result.bound) == (stages[-1]["gap"], stages[-1]["bound"])
 
@@ -409,6 +408,8 @@ def test_path_follow_zero_data():
     zeros = np.zeros(vb.shape[0])
     result = path_follow(b, zeros, binv_vt(vb, b, zeros), RegParams(alpha=0.5, alpha0=reg.alpha0))
     assert not np.any(result.mu)
+    # the zero answer's gap is zero, within the rounding allowance: certified after the first stage
+    assert result.stop_reason == "certified" and [r["gamma"] for r in result.records if r["kind"] == "stage"] == [1.0]
 
 
 def test_constraint_violation_nonincreasing_along_path():
@@ -434,7 +435,7 @@ def test_final_feasibility_at_large_gamma():
 
 def test_cross_agreement_with_alm():
     vb, u_b, reg = random_instance(15, m=4, n=12, alpha=0.08, alpha0=0.01)
-    alm = solve_alm(vb, u_b, reg, options=AlmOptions(lam_tol=1e-10, gap_tol=1e-12, max_outer=25))
+    alm = solve_alm(vb, u_b, reg, options=AlmOptions(lam_tol=1e-10, max_outer=25))
     ssn = solve_ssn(vb, u_b, reg, options=SsnOptions())
     assert ssn.stop_reason == "certified"
     assert np.linalg.norm(ssn.mu - alm.mu) <= 1e-4 * np.linalg.norm(alm.mu)
@@ -448,7 +449,7 @@ def test_gamma_schedule_must_increase(monkeypatch):
     # converged, after its stage at the last gamma within MAX_GAMMA
     vb, u_b, reg = random_instance(17, m=4, n=12, alpha=0.05, alpha0=0.01)
     b = build_b_operator(vb, reg)
-    monkeypatch.setattr(ssn, "CERTIFY_RTOL", 0.0)
+    monkeypatch.setattr(ssn, "certified", lambda *args: False)
     result = path_follow(b, u_b, binv_vt(vb, b, u_b), reg)
     gammas = [r["gamma"] for r in result.records if r["kind"] == "stage"]
     assert gammas == [GAMMA_GROWTH**i for i in range(len(gammas))]
