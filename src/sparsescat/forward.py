@@ -15,9 +15,15 @@ kernel as its oracle.
 The work follows the supports: a receiver potential sums only over the
 nodes where its density is nonzero, and the reciprocity field that gives
 the measurement operator lives on the K nodes of supp(q), where one K x K
-LU solves it for every receiver at once.  Between receivers and nodes,
-Phi is evaluated once per distinct combination of per-axis offsets, and
-the kernel blocks are gathered from that table (`_kernel_blocks`).
+LU solves it for every receiver at once.
+
+Phi depends on a pair of points only through its per-axis offsets, so it
+is tabulated over the outer sum of per-axis squared offsets, by one
+routine (`_kernel_table`), and read back by offset: the grid kernel over
+the (n+1)^d offsets |d| = 0..n, from which V_SS is read and the
+doubled-cell embedding is gathered (`_fft_kernel`), and the receiver
+kernel over the distinct receiver-node offsets, whenever those are fewer
+than the pairs (`_kernel_blocks`).
 """
 
 import hashlib
@@ -36,7 +42,10 @@ from .realfield import MeasurementOperator, derealify, realify
 _CACHE_MAGIC = b"VBOP"
 _CACHE_VERSION = 5  # 5: the payload is T, complex128, column-major (4 held the realified vb)
 _CACHE_HEADER = "<4s32sI"  # magic, `_cache_key`, payload crc32: 40 bytes, so the payload stays 8-aligned
-_BLOCK = 1 << 19  # kernel points per block of rows: bounds the temporaries to tens of MB
+# kernel entries per block of rows: the complex block (1 MB) and its index block (0.5 MB) stay in a 2 MB L2.
+# On a 2-core Xeon the homogeneous desk assembly took 16-25 ms at 2^16 against 27-37 ms at 2^19, and its
+# tracemalloc peak fell from 2.28 to 1.18 x T; 2^17 and 2^18 lay between.
+_BLOCK = 1 << 16
 _FFT_BLOCK = 16  # rows per batched FFT: bounds the padded workspace to 16 * (2n)^d entries
 _FFT_WORKERS = -1  # scipy.fft threads: -1 is one per core, whatever the BLAS thread variables say
 
@@ -103,27 +112,44 @@ def fft_backend():
     return {"library": "scipy.fft", "workers": os.cpu_count() + 1 + _FFT_WORKERS}
 
 
+def _kernel_table(k, dim, offsets, weight, unit=1.0):
+    """k^2 * weight * Phi on the outer sum of the per-axis squared offsets, raveled in C order; 0 where r = 0.
+
+    `offsets` holds one array of per-axis distances for each axis, and r is
+    unit * sqrt(sum of their squares), the squares added in axis order: the
+    rounding of the per-pair sqrt(sum(diff * diff)), so each entry is bitwise
+    the kernel at every pair it stands for.  The only place a table of Phi
+    is built: the FFT kernel, V_SS and the receiver kernel blocks read it.
+    """
+    r2 = np.zeros(())
+    for values in offsets:
+        r2 = r2[..., None] + values * values
+    r = unit * np.sqrt(r2).ravel()
+    used = r > 0
+    table = np.zeros(r.shape, dtype=complex)
+    table[used] = k**2 * weight * fundamental_solution(k, r[used], dim)
+    return table
+
+
 @lru_cache(maxsize=8)
 def _fft_kernel(dim, n, spacing, k):
-    """Discrete kernel embedded on the doubled periodic cell, and its FFT.
+    """The discrete kernel over the (n+1)^dim per-axis offsets |d| = 0..n, and its FFT on the doubled cell.
 
-    Entry at integer offset d (per axis in [-n, n-1], wrapped) is the
-    midpoint quadrature weight k^2 h^dim Phi at distance h*|d| (h the
-    spacing), and k^2 times the analytic self-cell integral at d = 0; the
-    doubling makes the circular convolution exact for supports in the box.
+    The table entry at |d| is the midpoint quadrature weight k^2 h^dim Phi at
+    distance h*|d| (h the spacing, r formed as h * sqrt(sum d^2)), and k^2
+    times the analytic self-cell integral at d = 0; `_kernel_table` builds it.
+    The FFT is that of its embedding on the doubled periodic cell, per axis
+    offsets [-n, n-1] wrapped, gathered from the table by |d|: the doubling
+    makes the circular convolution exact for supports in the box.  Only the
+    table and the spectrum are cached, not the (2n)^dim embedding.
     """
-    m = 2 * n
-    offsets = np.where(np.arange(m) < n, np.arange(m), np.arange(m) - m).astype(float)
-    mesh = np.meshgrid(*([offsets] * dim), indexing="ij")
-    r = spacing * np.sqrt(sum(o * o for o in mesh))
-    kernel = np.empty(r.shape, dtype=complex)
-    mask = r > 0
-    kernel[mask] = k**2 * spacing**dim * fundamental_solution(k, r[mask], dim)
-    kernel[~mask] = k**2 * self_cell_integral(k, spacing, dim)
+    table = _kernel_table(k, dim, [np.arange(n + 1.0)] * dim, spacing**dim, spacing).reshape((n + 1,) * dim)
+    table[(0,) * dim] = k**2 * self_cell_integral(k, spacing, dim)
+    wrapped = n - np.abs(np.arange(2 * n) - n)  # |d| at each index 0..2n-1 of the doubled cell
     # imported here: scipy.fft adds ~90 ms to `import sparsescat`
     from scipy.fft import fftn
 
-    return kernel, fftn(kernel, workers=_FFT_WORKERS)  # not in place: `_support_matrix` reads the kernel
+    return table, fftn(table[np.ix_(*[wrapped] * dim)], overwrite_x=True, workers=_FFT_WORKERS)
 
 
 def volume_potential_fft(grid, medium, density):
@@ -165,13 +191,12 @@ def volume_potential_fft(grid, medium, density):
 def _support_matrix(grid, medium, support):
     """The discrete kernel V_SS between the given nodes, self cell on the diagonal.
 
-    Entries are read from the embedded FFT kernel, so V_SS f equals the
-    FFT potential of f restricted to the same nodes.
+    Entries are read from the FFT path's kernel table by per-axis |offset|,
+    so V_SS f equals the FFT potential of f restricted to the same nodes.
     """
-    n = grid.n_per_axis
-    kernel, _ = _fft_kernel(grid.dim, n, grid.spacing, medium.wavenumber)
+    table, _ = _fft_kernel(grid.dim, grid.n_per_axis, grid.spacing, medium.wavenumber)
     index = np.unravel_index(support, grid.shape)
-    return kernel[tuple((a[:, None] - a[None, :]) % (2 * n) for a in index)]
+    return table[tuple(np.abs(a[:, None] - a[None, :]) for a in index)]
 
 
 def _gmres_solve(matvec, rhs, tol):
@@ -229,33 +254,29 @@ def _kernel_blocks(k, dim, points, nodes, weight):
     No point may coincide with a node.  Phi depends on a pair only through
     its per-axis offsets |a - b|, and receivers and grid nodes share few of
     them: the 256 x 4096 pairs of the desk assembly have 128 per axis.  So
-    Phi is evaluated once per entry of the product of the per-axis distinct
-    offsets (16 384 at the desk), and the blocks are gathered from that
-    table, whenever it has fewer entries than there are pairs; otherwise at
-    every pair.  The table's r adds the same squares in the same axis order
-    as the per-pair sum, so every block is bitwise the per-pair one.
+    Phi is tabulated once per entry of the product of the per-axis distinct
+    offsets (16 384 at the desk, `_kernel_table`), and the blocks are
+    gathered from that table, whenever it has fewer entries than there are
+    pairs; otherwise it is evaluated at every pair.  Either way every block
+    is bitwise the per-pair one.
     """
     step = max(1, _BLOCK // max(1, nodes.shape[0]))
     axes = [_axis_offsets(points[:, a], nodes[:, a]) for a in range(dim)]
-    table = np.prod([values.size for values, *_ in axes]) < points.shape[0] * nodes.shape[0]
-    if table:
-        r2 = np.zeros(())
-        for values, *_ in axes:
-            r2 = r2[..., None] + values * values
-        r = np.sqrt(r2).ravel()
-        used = r > 0  # r = 0 is the offset of a point on a node: it may be in the table but never in a block
-        phi = np.zeros(r.shape, dtype=complex)
-        phi[used] = k**2 * weight * fundamental_solution(k, r[used], dim)
+    table = None
+    if np.prod([values.size for values, *_ in axes]) < points.shape[0] * nodes.shape[0]:
+        table = _kernel_table(k, dim, [values for values, *_ in axes], weight)
+        on_node = not table.all()  # a zero is r = 0: some point may lie on a node
     for start in range(0, points.shape[0], step):
         rows = slice(start, min(start + step, points.shape[0]))
-        if table:
+        if table is not None:
             flat = np.zeros((rows.stop - start, nodes.shape[0]), dtype=np.intp)
             for values, index, point_of, node_of in axes:
                 flat *= values.size
                 flat += index[point_of[rows, None], node_of]
-            if not used.all() and not used[flat].all():
+            block = table[flat]  # C-contiguous: BLAS sums its products as it sums the per-pair block's
+            if on_node and not block.all():
                 raise ValueError("fundamental solution is singular at r <= 0")
-            yield rows, phi[flat]  # a C-contiguous block: BLAS sums its products as it sums the per-pair block's
+            yield rows, block
         else:
             diff = points[rows, None, :] - nodes[None, :, :]
             r = np.sqrt(np.sum(diff * diff, axis=-1))
@@ -326,13 +347,13 @@ def assemble_vb(grid, medium, receivers, tol=1e-8):
     The FFTs run through scipy.fft on every core (see
     `volume_potential_fft`), whatever the BLAS thread variables say.  At
     the desk bump config (64^2 nodes, K = 360, M = 256, 2 cores) this
-    takes 0.25 s (median of 10 calls) against 3.0 s for 256 `ls_solve`
-    GMRES solves, one per kernel row; the homogeneous desk operator takes
-    0.033-0.037 s (medians of 15 calls in each of 3 processes).  The
-    margin shrinks as K nears N: at half-width 1 (K = 3228 of 4096, with
-    numpy's FFTs) it measured 3.1-3.4 s and a 560 MB peak against
-    4.4-4.8 s and 145 MB.  No inhomogeneous 3D case has been measured.
-    Each receiver's relative residual
+    takes 0.16-0.18 s (medians of 10 calls in each of 3 processes)
+    against 3.0 s for 256 `ls_solve` GMRES solves, one per kernel row; the
+    homogeneous desk operator takes 0.016-0.025 s (medians of 25 calls in
+    each of 4 processes).  The margin shrinks as K nears N: at half-width
+    1 (K = 3228 of 4096, with numpy's FFTs) it measured 3.1-3.4 s and a
+    560 MB peak against 4.4-4.8 s and 145 MB.  No inhomogeneous 3D case
+    has been measured.  Each receiver's relative residual
     psi_S - q_S (phi + V psi)_S, with V applied by FFT, is checked
     against `tol` (LsSolveError otherwise); the system is linear in phi,
     so its scale does not change the relative residual.  T is phi itself:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import commutes_with_rotation, kernel_blocks_per_pair, volume_potential_dense
+from scipy.fft import fftn
 
 from sparsescat import export, forward, harness
 from sparsescat.export import write_csv_matrix, write_jsonl, write_pgm, write_suite_csv
@@ -385,6 +386,55 @@ def test_fft_leaves_its_input_unchanged(dim, n, batch, rng):
     assert np.array_equal(f, kept)
 
 
+def _doubled_kernel(dim, n, spacing, k):
+    """The discrete kernel evaluated point by point on the (2n)^dim doubled cell, offsets [-n, n-1] wrapped."""
+    m = 2 * n
+    offsets = np.where(np.arange(m) < n, np.arange(m), np.arange(m) - m).astype(float)
+    mesh = np.meshgrid(*([offsets] * dim), indexing="ij")
+    r = spacing * np.sqrt(sum(o * o for o in mesh))
+    kernel = np.full(r.shape, k**2 * self_cell_integral(k, spacing, dim), dtype=complex)
+    kernel[r > 0] = k**2 * spacing**dim * fundamental_solution(k, r[r > 0], dim)
+    return kernel
+
+
+@pytest.mark.parametrize("dim,n", [(2, 12), (3, 6), (2, 64)])
+def test_support_matrix_equals_the_doubled_kernel(dim, n):
+    # V_SS read from the table by per-axis |offset| is bitwise the doubled-cell kernel read by wrapped offsets,
+    # and the cached spectrum is that kernel's FFT; on the desk grid S is the bump's support
+    g = Grid(dim=dim, n_per_axis=n, half_width=3.0)
+    medium = make_medium(g, DESK_K, True)
+    support = np.flatnonzero(medium.contrast) if n == 64 else np.arange(g.num_nodes)
+    kernel = _doubled_kernel(dim, n, g.spacing, DESK_K)
+    index = np.unravel_index(support, g.shape)
+    reference = kernel[tuple((a[:, None] - a[None, :]) % (2 * n) for a in index)]
+    assert np.array_equal(forward._support_matrix(g, medium, support), reference)
+    assert np.array_equal(forward._fft_kernel(dim, n, g.spacing, DESK_K)[1], fftn(kernel))
+
+
+def _counting_kernel(monkeypatch):
+    """Route `forward.fundamental_solution` through a counter: the returned list gets the size of each r."""
+    evaluated = []
+    phi = forward.fundamental_solution
+
+    def counting(k, r, dim):
+        evaluated.append(np.size(r))
+        return phi(k, r, dim)
+
+    monkeypatch.setattr(forward, "fundamental_solution", counting)
+    return evaluated
+
+
+@pytest.mark.parametrize("n,points", [(192, 37_248), (64, 4_224)])
+def test_fft_kernel_evaluates_the_distinct_offsets_only(n, points, monkeypatch):
+    # Phi at the (n+1)^2 per-axis offsets |d| = 0..n but the self cell, not at the (2n)^2 - 1 of the doubled
+    # cell (147 455 at 192^2); only the table and the spectrum are cached
+    evaluated = _counting_kernel(monkeypatch)
+    forward._fft_kernel.cache_clear()
+    table, spectrum = forward._fft_kernel(2, n, 6.0 / n, DESK_K)
+    assert sum(evaluated) == points == (n + 1) ** 2 - 1
+    assert table.shape == (n + 1, n + 1) and spectrum.shape == (2 * n, 2 * n)
+
+
 def test_potential_at_sparse_density_matches_full_sum(rng):
     g = Grid(dim=2, n_per_axis=20)
     k = 5.0
@@ -494,14 +544,7 @@ def test_potential_at_equals_per_pair_oracle(case, monkeypatch):
 
 def _kernel_points(monkeypatch, grid, count):
     """Points at which a homogeneous assemble_vb evaluates Phi, and its M * N pairs."""
-    evaluated = []
-    phi = forward.fundamental_solution
-
-    def counting(k, r, dim):
-        evaluated.append(np.size(r))
-        return phi(k, r, dim)
-
-    monkeypatch.setattr(forward, "fundamental_solution", counting)
+    evaluated = _counting_kernel(monkeypatch)
     receivers = boundary_receivers(grid, count)
     assemble_vb(grid, make_medium(grid, DESK_K), receivers)
     return sum(evaluated), receivers.count * grid.num_nodes
@@ -527,11 +570,13 @@ def test_kernel_table_rejects_a_point_on_a_node():
 
 
 def test_assemble_peak_memory_below_two_operators():
-    # phi is scaled in place and becomes T, with no realified copy; the bump peak is the reciprocity step's
-    # phi, psi and FFT potential.  The bounds count realified operators, 2 * vb.nbytes each (T is half that)
+    # the kernel blocks are written straight into T's columns, with no scaled or realified copy, so beside T
+    # the homogeneous peak holds one block of _BLOCK entries and its index block (0.59 of a realified operator
+    # at 2^16); the bump peak is the reciprocity step's phi, psi and FFT potential.  The bounds count realified
+    # operators, 2 * vb.nbytes each (T is half that)
     g = Grid(dim=2, n_per_axis=64, half_width=3.0)
     receivers = boundary_receivers(g, 256)
-    for inhomogeneous, bound in ((False, 2.0), (True, 2.2)):
+    for inhomogeneous, bound in ((False, 1.0), (True, 2.2)):
         medium = make_medium(g, DESK_K, inhomogeneous)
         tracemalloc.start()
         try:
@@ -541,6 +586,26 @@ def test_assemble_peak_memory_below_two_operators():
             tracemalloc.stop()
         realified = 2 * vb.nbytes
         assert peak < bound * realified, f"inhomogeneous={inhomogeneous}: {peak / realified:.2f} x the realified vb"
+
+
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    # _BLOCK sets only how many rows a kernel block holds: at 2^10 entries (4 grid nodes of the desk assembly)
+    # both operators are bitwise the default's.  The fine potential's blocks shrink to 1 receiver, and OpenBLAS's
+    # zgemv sums a lone row in another order than a pair of rows: it agrees to rounding (1.7e-14 here) only
+    g = Grid(dim=2, n_per_axis=64, half_width=3.0)
+    receivers = boundary_receivers(g, 256)
+    fine, points, density = _fine_support_potential()
+
+    def results():
+        operators = [assemble_vb(g, make_medium(g, DESK_K, bump), receivers).t for bump in (False, True)]
+        return operators, evaluate_potential_at(fine, DESK_K, points, density)
+
+    operators, potential = results()
+    monkeypatch.setattr(forward, "_BLOCK", 1 << 10)
+    small_operators, small_potential = results()
+    for small, reference in zip(small_operators, operators, strict=True):
+        assert np.array_equal(small, reference)
+    assert np.max(np.abs(small_potential - potential)) <= 1e-13 * np.max(np.abs(potential))
 
 
 def test_vb_cache_roundtrip(tmp_path):
